@@ -34,7 +34,6 @@ from .perms import (
     Perm,
     act_right,
     block_form_of,
-    perm_length,
     simple_transposition,
     sorting_perm,
     transport_perms,
@@ -192,14 +191,6 @@ def check_bounds_under_swap(
         if before[k - 1] != expect:
             return False
     return True
-
-
-def sorting_perm_is_minimal(mu: Sequence[int], form: BlockForm) -> bool:
-    """Exhaustive check that the sorting permutation has minimal length in
-    the whole transport set (test support; factorial cost)."""
-    d = sorting_perm(mu, form)
-    best = min(perm_length(w) for w in transport_perms(mu, form.tuple))
-    return perm_length(d) == best
 
 
 def basis_counts_121(l1: int, l2: int, a12: int, a21: int) -> tuple[int, int, int]:

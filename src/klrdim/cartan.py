@@ -39,10 +39,6 @@ class CartanData:
     symmetrizer: tuple[int, ...]
 
     @property
-    def index_count(self) -> int:
-        return len(self.matrix)
-
-    @property
     def n(self) -> int:
         return len(self.matrix)
 

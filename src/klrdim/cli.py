@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -29,7 +30,7 @@ from .cartan import (
 )
 from .errors import BadShape, KlrError, OutOfRange, PreconditionFail
 from .perms import block_form_of
-from .qpoly import LaurentPoly
+from .qpoly import LaurentPoly, eval_one
 from .verify import SCOPES, verify_suite
 
 SCHEMA = "klr/1"
@@ -41,7 +42,6 @@ class Context:
     labels: list[int]
     fmt: str
     deadline: Deadline | None
-    threads: int
 
     def index_of(self, label: int) -> int:
         try:
@@ -65,6 +65,16 @@ def _parse_int_list(text: str) -> list[int]:
         raise PreconditionFail(f"expected a comma list of integers, got {text!r}") from None
 
 
+def _seconds(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a positive number of seconds, got {text!r}")
+    return value
+
+
 def _load_cartan(spec: str) -> tuple[CartanData, list[int]]:
     if spec.endswith(".json") or "/" in spec:
         try:
@@ -81,8 +91,8 @@ def _load_cartan(spec: str) -> tuple[CartanData, list[int]]:
 
 def _context(args) -> Context:
     c, labels = _load_cartan(args.cartan)
-    deadline = Deadline(args.time_budget) if args.time_budget else None
-    return Context(c, labels, args.format, deadline, args.threads)
+    deadline = Deadline(args.time_budget) if args.time_budget is not None else None
+    return Context(c, labels, args.format, deadline)
 
 
 def _weight(ctx: Context, args) -> Weight:
@@ -183,7 +193,7 @@ def _cmd_dim(args) -> int:
         raise PreconditionFail("need either --nu/--nuprime or --beta")
     beta = _beta(ctx, args.beta)
     if not args.all_pairs:
-        v = dims.block_dim(ctx.cartan, lam, beta, deadline=ctx.deadline, threads=ctx.threads)
+        v = dims.block_dim(ctx.cartan, lam, beta, deadline=ctx.deadline)
         _emit(
             ctx,
             {"command": "dim", "beta": list(beta.coeffs), "value": v},
@@ -221,8 +231,8 @@ def _cmd_block(args) -> int:
     ctx = _context(args)
     lam = _weight(ctx, args)
     beta = _beta(ctx, args.beta)
-    g = dims.block_graded_dim(ctx.cartan, lam, beta, deadline=ctx.deadline, threads=ctx.threads)
-    u = dims.block_dim(ctx.cartan, lam, beta, deadline=ctx.deadline, threads=ctx.threads)
+    g = dims.block_graded_dim(ctx.cartan, lam, beta, deadline=ctx.deadline)
+    u = eval_one(g)
     _emit(
         ctx,
         {
@@ -246,10 +256,8 @@ def _cmd_algebra(args) -> int:
     total_g = LaurentPoly.zero()
     total_u = 0
     for beta in dims.blocks_of_size(ctx.cartan, n):
-        g = dims.block_graded_dim(
-            ctx.cartan, lam, beta, deadline=ctx.deadline, threads=ctx.threads
-        )
-        u = dims.block_dim(ctx.cartan, lam, beta, deadline=ctx.deadline, threads=ctx.threads)
+        g = dims.block_graded_dim(ctx.cartan, lam, beta, deadline=ctx.deadline)
+        u = eval_one(g)
         blocks.append((beta, g, u))
         total_g = total_g + g
         total_u += u
@@ -482,16 +490,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument(
             "--time-budget",
-            type=float,
+            type=_seconds,
             default=None,
             metavar="SECONDS",
             help="abort enumerations after this wall-clock budget",
-        )
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=1,
-            help="fan block sums out over worker threads (results identical)",
         )
 
     p = sub.add_parser("gdim", help="graded dimension of one pair")

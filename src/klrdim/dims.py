@@ -16,11 +16,14 @@ other exactly.
 The divided-power route sums over far fewer permutations by collapsing each
 run block of equal letters to a factorial times shifted factors, and the
 single-letter case collapses entirely to closed nilHecke products.
+
+Whole blocks and algebras are summed with the recursion, one memo per block;
+the per-pair closed formula and integer products are what they are checked
+against.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product as iproduct
 from math import factorial, prod
 from typing import Iterator, Sequence
@@ -30,7 +33,7 @@ from .budget import Deadline
 from .cartan import CartanData, RootElement, Weight, root_pairing
 from .errors import LengthMismatch
 from .perms import IndexTuple, Perm, min_coset_reps, run_blocks, transport_perms
-from .qpoly import LaurentPoly, quantum_int
+from .qpoly import LaurentPoly, eval_one, quantum_int
 
 
 def dim_factor(c: CartanData, lam: Weight, w: Perm, nu: Sequence[int], t: int) -> int:
@@ -345,38 +348,22 @@ def tuples_with_content(beta: RootElement) -> Iterator[IndexTuple]:
     yield from rec()
 
 
-def _pair_sum(compute, pairs, zero, deadline: Deadline | None, threads: int):
-    # Exact addition commutes, so any reduction order gives identical
-    # canonical results; the threaded path just fans the pair work out.
-    if threads > 1:
-        pairs = list(pairs)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(lambda p: compute(*p), pairs)
-            return sum(results, zero)
-    total = zero
-    for nu, nuprime in pairs:
-        budget.check(deadline, "block sum")
-        total = total + compute(nu, nuprime)
-    return total
-
-
 def block_graded_dim(
     c: CartanData,
     lam: Weight,
     beta: RootElement,
     deadline: Deadline | None = None,
-    threads: int = 1,
 ) -> LaurentPoly:
     """Graded dimension of the whole block R^Lambda(beta): the sum over all
-    ordered pairs of tuples realizing beta."""
+    ordered pairs of tuples realizing beta, each by the recursion, with one
+    memo shared by every pair of the block."""
     tuples = list(tuples_with_content(beta))
-    return _pair_sum(
-        lambda a, b: graded_dim(c, lam, a, b, deadline=deadline),
-        iproduct(tuples, repeat=2),
-        LaurentPoly.zero(),
-        deadline,
-        threads,
-    )
+    memo: dict = {}
+    total = LaurentPoly.zero()
+    for nu, nuprime in iproduct(tuples, repeat=2):
+        budget.check(deadline, "block sum")
+        total = total + graded_dim_recursive(c, lam, nu, nuprime, memo=memo, deadline=deadline)
+    return total
 
 
 def block_dim(
@@ -384,17 +371,9 @@ def block_dim(
     lam: Weight,
     beta: RootElement,
     deadline: Deadline | None = None,
-    threads: int = 1,
 ) -> int:
     """Ungraded dimension of the whole block R^Lambda(beta)."""
-    tuples = list(tuples_with_content(beta))
-    return _pair_sum(
-        lambda a, b: dim(c, lam, a, b, deadline=deadline),
-        iproduct(tuples, repeat=2),
-        0,
-        deadline,
-        threads,
-    )
+    return eval_one(block_graded_dim(c, lam, beta, deadline=deadline))
 
 
 def algebra_graded_dim(
@@ -402,12 +381,11 @@ def algebra_graded_dim(
     lam: Weight,
     n: int,
     deadline: Deadline | None = None,
-    threads: int = 1,
 ) -> LaurentPoly:
     """Graded dimension of R^Lambda(n): the sum over all blocks of size n."""
     total = LaurentPoly.zero()
     for beta in blocks_of_size(c, n):
-        total = total + block_graded_dim(c, lam, beta, deadline=deadline, threads=threads)
+        total = total + block_graded_dim(c, lam, beta, deadline=deadline)
     return total
 
 
@@ -416,12 +394,9 @@ def algebra_dim(
     lam: Weight,
     n: int,
     deadline: Deadline | None = None,
-    threads: int = 1,
 ) -> int:
     """Ungraded dimension of R^Lambda(n)."""
     return sum(
-        block_dim(c, lam, beta, deadline=deadline, threads=threads)
+        block_dim(c, lam, beta, deadline=deadline)
         for beta in blocks_of_size(c, n)
     )
-
-

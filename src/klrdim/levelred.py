@@ -10,6 +10,7 @@ integer-valued.
 
 from __future__ import annotations
 
+from itertools import product as iproduct
 from math import factorial
 from typing import Iterator, Sequence
 
@@ -129,34 +130,30 @@ def reduce_pair_graded(
     return total
 
 
+def _splits(coeffs: Sequence[int], parts: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every way to write each entry of coeffs as an ordered sum of ``parts``
+    non-negative integers, as one coefficient tuple per part.  The first
+    entry's composition varies slowest; each composition is lexicographic."""
+
+    def comps(m: int, slots: int) -> Iterator[tuple[int, ...]]:
+        if slots == 1:
+            yield (m,)
+            return
+        for k in range(m + 1):
+            for rest in comps(m - k, slots - 1):
+                yield (k,) + rest
+
+    for choice in iproduct(*(list(comps(m, parts)) for m in coeffs)):
+        yield tuple(tuple(col[slot] for col in choice) for slot in range(parts))
+
+
 def content_splits(
     beta: RootElement, parts: int
 ) -> Iterator[tuple[RootElement, ...]]:
     """All ordered decompositions beta = beta_1 + ... + beta_parts, as
     independent per-node compositions."""
-    n = len(beta.coeffs)
-
-    def rec(node: int, acc: list[list[int]]) -> Iterator[tuple[RootElement, ...]]:
-        if node == n:
-            yield tuple(RootElement(tuple(col)) for col in acc)
-            return
-        m = beta.coeffs[node]
-
-        def comps(remaining: int, slot: int) -> Iterator[None]:
-            if slot == parts - 1:
-                acc[slot].append(remaining)
-                yield None
-                acc[slot].pop()
-                return
-            for k in range(remaining + 1):
-                acc[slot].append(k)
-                yield from comps(remaining - k, slot + 1)
-                acc[slot].pop()
-
-        for _ in comps(m, 0):
-            yield from rec(node + 1, acc)
-
-    yield from rec(0, [[] for _ in range(parts)])
+    for split in _splits(beta.coeffs, parts):
+        yield tuple(RootElement(col) for col in split)
 
 
 def reduce_block_dim(
@@ -222,26 +219,5 @@ def dominant_splits(lam: Weight, parts: int) -> Iterator[tuple[Weight, ...]]:
     """All ordered ways to write lam as a sum of ``parts`` dominant weights."""
     if not lam.is_dominant:
         raise PreconditionFail("can only split a dominant weight")
-    n = len(lam.coeffs)
-
-    def rec(node: int, acc: list[list[int]]) -> Iterator[tuple[Weight, ...]]:
-        if node == n:
-            yield tuple(Weight(tuple(col)) for col in acc)
-            return
-        m = lam.coeffs[node]
-
-        def comps(remaining: int, slot: int) -> Iterator[None]:
-            if slot == parts - 1:
-                acc[slot].append(remaining)
-                yield None
-                acc[slot].pop()
-                return
-            for k in range(remaining + 1):
-                acc[slot].append(k)
-                yield from comps(remaining - k, slot + 1)
-                acc[slot].pop()
-
-        for _ in comps(m, 0):
-            yield from rec(node + 1, acc)
-
-    yield from rec(0, [[] for _ in range(parts)])
+    for split in _splits(lam.coeffs, parts):
+        yield tuple(Weight(col) for col in split)

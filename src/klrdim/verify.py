@@ -39,25 +39,46 @@ SCOPES = ("oracle", "divided", "levelred", "basis", "all")
 
 @dataclass
 class VerifyReport:
-    """Outcome of one suite: pass flag, work counters, first failures."""
+    """Outcome of one suite: pass flag, work counters, first failures.
+
+    ``mismatches`` counts every recorded mismatch and ``failed_blocks``
+    every block with one; only the first ten counterexamples are kept in
+    ``failures``.
+    """
 
     suite: str
     ok: bool = True
     blocks: int = 0
     checked: int = 0
     failures: list[dict] = field(default_factory=list)
+    mismatches: int = 0
+    failed_blocks: int = 0
+
+    @property
+    def blocks_ok(self) -> int:
+        return self.blocks - self.failed_blocks
 
     def record(self, **counterexample) -> None:
         self.ok = False
+        self.mismatches += 1
         if len(self.failures) < 10:
             self.failures.append(counterexample)
+
+    def walk_blocks(self, c: CartanData, max_n: int) -> Iterator[tuple]:
+        """Every block of size <= max_n with its tuples.  Counts each block,
+        and counts it as failed if a mismatch is recorded while it is open."""
+        for n in range(max_n + 1):
+            for beta in blocks_of_size(c, n):
+                self.blocks += 1
+                before = self.mismatches
+                yield beta, list(tuples_with_content(beta))
+                self.failed_blocks += self.mismatches > before
 
     def summary(self) -> str:
         status = "OK" if self.ok else "FAIL"
         return (
-            f"{status}: {self.blocks}/{self.blocks} β-blocks, "
-            f"{len(self.failures) if not self.ok else 0} mismatches "
-            f"({self.checked} checks)"
+            f"{status}: {self.blocks_ok}/{self.blocks} β-blocks, "
+            f"{self.mismatches} mismatches ({self.checked} checks)"
         )
 
     def to_json(self) -> dict:
@@ -65,16 +86,11 @@ class VerifyReport:
             "suite": self.suite,
             "ok": self.ok,
             "blocks": self.blocks,
+            "blocks_ok": self.blocks_ok,
             "checked": self.checked,
+            "mismatches": self.mismatches,
             "failures": self.failures,
         }
-
-
-def _pairs(c: CartanData, max_n: int) -> Iterator[tuple]:
-    for n in range(max_n + 1):
-        for beta in blocks_of_size(c, n):
-            tuples = list(tuples_with_content(beta))
-            yield beta, tuples
 
 
 def verify_oracle(
@@ -83,15 +99,16 @@ def verify_oracle(
     """Closed graded formula == restriction recursion (exact Laurent
     equality) and q=1 == direct integer products, on every pair."""
     report = VerifyReport("oracle")
-    for beta, tuples in _pairs(c, max_n):
-        report.blocks += 1
+    for beta, tuples in report.walk_blocks(c, max_n):
         memo: dict = {}
         for nu in tuples:
             for nuprime in tuples:
                 budget.check(deadline, "oracle suite")
-                closed = graded_dim(c, lam, nu, nuprime)
-                recursive = graded_dim_recursive(c, lam, nu, nuprime, memo=memo)
-                plain = dim(c, lam, nu, nuprime)
+                closed = graded_dim(c, lam, nu, nuprime, deadline=deadline)
+                recursive = graded_dim_recursive(
+                    c, lam, nu, nuprime, memo=memo, deadline=deadline
+                )
+                plain = dim(c, lam, nu, nuprime, deadline=deadline)
                 report.checked += 1
                 if closed != recursive:
                     report.record(
@@ -116,12 +133,11 @@ def verify_divided(
 ) -> VerifyReport:
     """Divided-power diagonal sums == direct diagonal dimensions."""
     report = VerifyReport("divided")
-    for beta, tuples in _pairs(c, max_n):
-        report.blocks += 1
+    for beta, tuples in report.walk_blocks(c, max_n):
         for nu in tuples:
             budget.check(deadline, "divided suite")
-            lhs = dim_divided(c, lam, nu)
-            rhs = dim(c, lam, nu, nu)
+            lhs = dim_divided(c, lam, nu, deadline=deadline)
+            rhs = dim(c, lam, nu, nu, deadline=deadline)
             report.checked += 1
             if lhs != rhs:
                 report.record(kind="divided mismatch", nu=list(nu), divided=lhs, direct=rhs)
@@ -136,9 +152,8 @@ def verify_levelred(
     report = VerifyReport("levelred")
     splits = [s for parts in (2, 3) for s in dominant_splits(lam, parts)]
     cache: dict = {}
-    for beta, tuples in _pairs(c, max_n):
-        report.blocks += 1
-        direct_block = block_dim(c, lam, beta)
+    for beta, tuples in report.walk_blocks(c, max_n):
+        direct_block = block_dim(c, lam, beta, deadline=deadline)
         for split in splits:
             reduced_block = reduce_block_dim(
                 c, lam, beta, split, deadline=deadline, cache=cache
@@ -153,7 +168,7 @@ def verify_levelred(
             for nu in tuples:
                 for mu in tuples:
                     budget.check(deadline, "level reduction suite")
-                    direct = dim(c, lam, nu, mu)
+                    direct = dim(c, lam, nu, mu, deadline=deadline)
                     reduced = reduce_pair_dim_multi(
                         c, lam, nu, mu, split, deadline=deadline, cache=cache
                     )
@@ -171,8 +186,8 @@ def verify_levelred(
     rank1 = validate_cartan([[2]])
     two = Weight((2,))
     halves = (Weight((1,)), Weight((1,)))
-    graded_sum = reduce_pair_graded(rank1, two, (0,), (0,), halves)
-    true_graded = graded_dim(rank1, two, (0,), (0,))
+    graded_sum = reduce_pair_graded(rank1, two, (0,), (0,), halves, deadline=deadline)
+    true_graded = graded_dim(rank1, two, (0,), (0,), deadline=deadline)
     report.checked += 1
     if graded_sum == true_graded:
         report.record(
@@ -188,15 +203,14 @@ def verify_basis(
     """Exponent-bound cardinalities == dimensions, positivity ==
     nonvanishing, and the diagonal nilHecke factorization, for every tuple."""
     report = VerifyReport("basis")
-    for beta, tuples in _pairs(c, max_n):
-        report.blocks += 1
+    for beta, tuples in report.walk_blocks(c, max_n):
         for mu in tuples:
             budget.check(deadline, "basis suite")
             form = block_form_of(mu)
             bounds = exponent_bounds(c, lam, mu, form)
             card = prod(factorial(b) for b in form.sizes) * prod(bounds)
-            d1 = dim(c, lam, form.tuple, mu)
-            d2 = dim(c, lam, mu, form.tuple)
+            d1 = dim(c, lam, form.tuple, mu, deadline=deadline)
+            d2 = dim(c, lam, mu, form.tuple, deadline=deadline)
             report.checked += 1
             if not (card == d1 == d2):
                 report.record(
@@ -211,7 +225,7 @@ def verify_basis(
                 )
             if mu == form.tuple:
                 levels = block_levels(c, lam, form)
-                closed = graded_dim(c, lam, mu, mu)
+                closed = graded_dim(c, lam, mu, mu, deadline=deadline)
                 product = None
                 for i in range(form.count):
                     piece = nilhecke_graded_dim(

@@ -269,6 +269,15 @@ class TestErrorsAndDeterminism:
             run(["frobnicate"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("seconds", ["-1", "0", "nan", "inf", "soon"])
+    def test_bad_time_budget_exits_two(self, capsys, seconds):
+        with pytest.raises(SystemExit) as exc:
+            run(["gdim", "--cartan", "A2", "--weight", "1,1", "--nu", "1",
+                 "--time-budget", seconds])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert "--time-budget" in err and "Traceback" not in err
+
     def test_time_budget_aborts(self, capsys):
         code, _, err = invoke(
             capsys, "dim", "--cartan", "A1", "--weight", "6",
@@ -315,10 +324,3 @@ class TestErrorsAndDeterminism:
             "--beta", "1,1",
         )
         assert code == 1 and "PreconditionFail" in err
-
-    def test_threads_flag(self, capsys):
-        code, out, _ = invoke(
-            capsys, "block", "--cartan", "A2", "--weight", "3,2",
-            "--beta", "1,1", "--threads", "2",
-        )
-        assert code == 0 and "ungraded 29" in out

@@ -1,10 +1,13 @@
 """The dimension engine: factors, closed formula, recursion, closed forms."""
 
+import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import battery_types, small_battery
+from conftest import battery_types, random_cartan, small_battery
 from klrdim.budget import Deadline
 from klrdim.cartan import RootElement, Weight, builtin_cartan, validate_cartan
 from klrdim.dims import (
@@ -345,14 +348,32 @@ class TestBlocks:
         assert block_dim(A2, Weight((1, 1)), RootElement((0, 0))) == 1
         assert block_graded_dim(A2, Weight((1, 1)), RootElement((0, 0))) == LaurentPoly.one()
 
-    def test_threads_identical(self):
-        c = builtin_cartan("A1~")
-        lam = Weight((1, 2))
-        beta = RootElement((1, 1))
-        assert block_graded_dim(c, lam, beta, threads=3) == block_graded_dim(
-            c, lam, beta
-        )
-        assert block_dim(c, lam, beta, threads=2) == block_dim(c, lam, beta)
+    def test_block_sums_match_per_pair_routes(self):
+        for c, lam in small_battery():
+            for n in range(4):
+                for beta in blocks_of_size(c, n):
+                    assert_block_sums_match(c, lam, beta)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(*[st.integers(0, 2)] * 3),
+        st.tuples(*[st.integers(0, 3)] * 3).filter(lambda b: sum(b) <= 3),
+    )
+    def test_block_sums_match_per_pair_routes_random(self, seed, lam, beta):
+        c = random_cartan(random.Random(seed))
+        assert_block_sums_match(c, Weight(lam), RootElement(beta))
+
+
+def assert_block_sums_match(c, lam, beta):
+    """The block sums (the recursion) against the per-pair closed formula
+    and the per-pair integer products."""
+    tuples = list(tuples_with_content(beta))
+    closed = LaurentPoly.zero()
+    for nu, nuprime in product(tuples, repeat=2):
+        closed = closed + graded_dim(c, lam, nu, nuprime)
+    assert block_graded_dim(c, lam, beta) == closed
+    assert block_dim(c, lam, beta) == sum(dim(c, lam, a, b) for a, b in product(tuples, repeat=2))
 
 
 class TestDeadline:

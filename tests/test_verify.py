@@ -35,9 +35,21 @@ class TestReport:
         r = VerifyReport("basis", blocks=1, checked=2)
         doc = r.to_json()
         assert doc == {
-            "suite": "basis", "ok": True, "blocks": 1, "checked": 2,
-            "failures": [],
+            "suite": "basis", "ok": True, "blocks": 1, "blocks_ok": 1,
+            "checked": 2, "mismatches": 0, "failures": [],
         }
+
+    def test_counters_are_not_capped(self):
+        r = VerifyReport("oracle")
+        # A1 up to size 2 has three blocks; mismatches go to the first and last.
+        for beta, _ in r.walk_blocks(builtin_cartan("A1"), 2):
+            for i in range({0: 6, 1: 0, 2: 7}[beta.size]):
+                r.record(kind="x", i=i)
+        assert len(r.failures) == 10
+        assert (r.blocks, r.blocks_ok, r.mismatches) == (3, 1, 13)
+        assert r.summary() == "FAIL: 1/3 β-blocks, 13 mismatches (0 checks)"
+        doc = r.to_json()
+        assert (doc["blocks_ok"], doc["mismatches"]) == (1, 13)
 
 
 class TestSuites:
@@ -62,6 +74,25 @@ class TestSuites:
         c = builtin_cartan("A2")
         with pytest.raises(ValueError):
             verify_suite("everything", c, Weight((1, 1)))
+
+    @pytest.mark.parametrize("suite, labels", [
+        ("oracle", {"graded dimension sum", "recursive graded dimension", "dimension sum"}),
+        ("divided", {"divided-power sum", "dimension sum"}),
+        ("levelred", {"block sum", "recursive graded dimension", "dimension sum",
+                      "graded dimension sum", "graded level reduction sum"}),
+        ("basis", {"graded dimension sum", "dimension sum"}),
+    ])
+    def test_deadline_reaches_inner_calls(self, suite, labels):
+        class Recording(Deadline):
+            def check(self, where="enumeration"):
+                seen.add(where)
+                super().check(where)
+
+        seen = set()
+        (report,) = verify_suite(suite, builtin_cartan("A2"), Weight((2, 1)),
+                                 max_n=2, deadline=Recording(3600))
+        assert report.ok
+        assert labels <= seen
 
     def test_deadline_aborts(self):
         c = builtin_cartan("A3")
