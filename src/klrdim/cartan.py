@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import (
@@ -179,11 +180,19 @@ def builtin_cartan(name: str) -> CartanData:
     ``D4, ...``, ``E6, E7, E8``, ``F4``, ``G2``.  Untwisted affine:
     ``A1~, A2~, ...`` and ``C2~, C3~, ...``.  Twisted affine:
     ``A2^2, A4^2, ...`` (even subscript) and ``D3^2, D4^2, ...``.
+    Every lookup of one type returns the same instance.
     """
     m = _NAME_RE.match(name.strip().upper())
     if not m:
         raise UnknownType(f"unrecognized Cartan type name {name!r}")
-    family, rank, deco = m.group(1), int(m.group(2)), m.group(3)
+    return _builtin(m.group(1), int(m.group(2)), m.group(3))
+
+
+@lru_cache(maxsize=64)
+def _builtin(family: str, rank: int, deco: str | None) -> CartanData:
+    # One validated instance per type, shared by every caller: CartanData
+    # is frozen and made of tuples.  A bad rank raises, and lru_cache never
+    # stores an exception, so it raises again on the next call.
     if deco is None:
         mat = _finite_matrix(family, rank)
     elif deco == "~":

@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 from . import basis as basis_mod
 from . import dims, idempotents, levelred
@@ -462,7 +464,11 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built on first use and then shared by every request of the process:
+    # parse_args fills a fresh namespace each time and no option has a
+    # mutable default, so nothing carries over from one request to the next.
     parser = argparse.ArgumentParser(
         prog="klrdim",
         description=(
@@ -590,7 +596,17 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (e.g. `| head`).  Point stdout at devnull so
+        # the interpreter's final flush cannot fail again, and exit quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ against.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product as iproduct
 from math import factorial, prod
 from typing import Iterator, Sequence
@@ -127,17 +128,26 @@ def graded_dim(
     # The per-slot q-shift uses the identity factors only, so it is one
     # global monomial shared by every summand.
     shift = sum(d[nu[t - 1]] * (dim_factor_id(c, lam, nu, t) - 1) for t in range(1, n + 1))
-    total = LaurentPoly.zero()
+    # A summand is the product of [f]_{q^d} over its slots, so it depends
+    # only on the multiset of (f, d) pairs: count the multisets, then
+    # multiply once per distinct one.
+    multisets: Counter = Counter()
     for w in transport_perms(nu, nuprime):
         budget.check(deadline, "graded dimension sum")
-        term = LaurentPoly.one()
+        pairs = []
         for t in range(1, n + 1):
             f = dim_factor(c, lam, w, nu, t)
             if f == 0:
-                term = LaurentPoly.zero()
                 break
-            term = term * quantum_int(f, d[nu[t - 1]])
-        total = total + term
+            pairs.append((f, d[nu[t - 1]]))
+        else:
+            multisets[tuple(sorted(pairs))] += 1
+    total = LaurentPoly.zero()
+    for pairs, count in multisets.items():
+        term = LaurentPoly.one()
+        for f, dx in pairs:
+            term = term * quantum_int(f, dx)
+        total = total + term.scale(count)
     return total.shift(shift)
 
 

@@ -1,6 +1,7 @@
 """Cartan matrix validation, the builtin registry, and pairings."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -127,6 +128,30 @@ class TestRegistry:
         for name in ("H3", "A2*", "foo", "B2~", "G2^2"):
             with pytest.raises(UnknownType):
                 builtin_cartan(name)
+
+    def test_lookups_share_one_instance(self):
+        assert builtin_cartan("A2") is builtin_cartan("A2")
+        assert builtin_cartan("a2") == builtin_cartan("A2")
+        assert builtin_cartan("a2").matrix == ((2, -1), (-1, 2))
+
+    def test_bad_names_raise_on_every_call(self):
+        # "B2~" and "G2^2" pass the name pattern and fail inside the cached
+        # lookup, like the bad ranks.
+        for _ in range(3):
+            for name in ("H3", "foo", "B2~", "G2^2"):
+                with pytest.raises(UnknownType):
+                    builtin_cartan(name)
+            for name in ("A0", "D3", "A3^2"):
+                with pytest.raises(BadRank):
+                    builtin_cartan(name)
+
+    def test_shared_instance_is_frozen(self):
+        c = builtin_cartan("C2")
+        with pytest.raises(FrozenInstanceError):
+            c.matrix = ((2, -1), (-1, 2))
+        with pytest.raises(FrozenInstanceError):
+            c.symmetrizer = (1, 1)
+        assert builtin_cartan("C2").symmetrizer == (1, 2)
 
 
 class TestJson:

@@ -1,9 +1,14 @@
 """Command line front end: output values, JSON schema, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from klrdim import cli
 from klrdim.cli import run
 
 
@@ -324,3 +329,66 @@ class TestErrorsAndDeterminism:
             "--beta", "1,1",
         )
         assert code == 1 and "PreconditionFail" in err
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# A sequence of requests that would expose state carried over by the
+# shared parser: each differs from the one before in which options it sets.
+REUSE_SEQUENCE = [
+    ["gdim", "--cartan", "A2", "--weight", "1,1", "--nu", "1,2", "--nuprime", "2,1"],
+    ["gdim", "--cartan", "A2"],
+    ["gdim", "--cartan", "A2", "--weight", "1,1", "--nu", "7,1"],
+    ["dim", "--cartan", "A2", "--weight", "1,1", "--nu", "1,2", "--nuprime", "2,1"],
+    ["dim", "--cartan", "A2", "--weight", "1,1", "--beta", "1,1"],
+    ["tilde", "--cartan", "A2", "--mu", "1,2,1"],
+    ["dim", "--cartan", "A1", "--weight", "6", "--nu", "1,1,1,1,1,1,1,1,1,1",
+     "--nuprime", "1,1,1,1,1,1,1,1,1,1", "--time-budget", "0.005"],
+]
+
+
+def fresh_interpreter(argv, env):
+    proc = subprocess.run(
+        [sys.executable, "-m", "klrdim.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_requests_match_fresh_interpreters(self, capsys, monkeypatch):
+        # Usage messages wrap at the terminal width; fix it for both sides.
+        monkeypatch.setenv("COLUMNS", "80")
+        env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+        codes = []
+        for argv in REUSE_SEQUENCE:
+            try:
+                code = run(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            codes.append(code)
+            assert (code, captured.out, captured.err) == fresh_interpreter(argv, env), argv
+        assert codes == [0, 2, 1, 0, 0, 0, 1]
+
+
+class TestBrokenPipe:
+    def test_closed_reader_exits_quietly(self):
+        # About 660 KB of output, far more than a pipe buffer holds, so the
+        # writer is still printing when the reader goes away.
+        argv = ["basis", "--cartan", "A1", "--weight", "5", "--mu", "1,1,1,1,1",
+                "--list", "--format", "json"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "klrdim.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert proc.stdout.read(20)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) != 0
+        assert err == "", err  # in particular, no Traceback

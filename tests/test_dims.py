@@ -152,6 +152,24 @@ class TestOracle:
                                 c, lam, nu, nuprime, memo=memo
                             ) == graded_dim(c, lam, nu, nuprime)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(*[st.integers(0, 2)] * 3),
+        st.lists(st.integers(0, 2), min_size=3, max_size=5).flatmap(
+            lambda nu: st.tuples(st.just(tuple(nu)), st.permutations(nu))
+        ),
+    )
+    def test_matches_closed_formula_random(self, seed, lam, pair):
+        # Up to five letters from three nodes, so letters repeat and many
+        # transport permutations share one multiset of (factor, d).
+        c = random_cartan(random.Random(seed))
+        lam = Weight(lam)
+        nu, nuprime = pair
+        closed = graded_dim(c, lam, nu, nuprime)
+        assert closed == graded_dim_recursive(c, lam, nu, nuprime)
+        assert eval_one(closed) == dim(c, lam, nu, nuprime)
+
     def test_shared_memo_consistent(self):
         c = builtin_cartan("A1~")
         lam = Weight((2, 1))
