@@ -88,7 +88,6 @@ from .perms import (
     compose,
     from_coinversion_code,
     identity_perm,
-    matched_shuffle_splits,
     merge_perm,
     min_coset_reps,
     perm_inverse,

@@ -104,6 +104,11 @@ class RootElement:
         return cls((0,) * n)
 
 
+def _is_int_list(x) -> bool:
+    """A list or tuple of plain integers (bools excluded)."""
+    return isinstance(x, (list, tuple)) and all(type(v) is int for v in x)
+
+
 def validate_cartan(matrix) -> CartanData:
     """Validate a square integer matrix as a symmetrizable GCM.
 
@@ -113,7 +118,9 @@ def validate_cartan(matrix) -> CartanData:
     means no positive symmetrizer exists.  Denominators are then cleared to
     the componentwise-minimal positive integers.
     """
-    rows = [tuple(int(x) for x in row) for row in matrix]
+    if not isinstance(matrix, (list, tuple)) or not all(map(_is_int_list, matrix)):
+        raise BadShape("a Cartan matrix must be a list of lists of integers")
+    rows = [tuple(row) for row in matrix]
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise BadShape("a Cartan matrix must be a nonempty square integer matrix")
@@ -320,7 +327,9 @@ def cartan_from_json(doc: dict) -> tuple[CartanData, list[int]]:
     labels = doc.get("labels")
     if labels is None:
         labels = list(range(1, c.n + 1))
-    labels = [int(x) for x in labels]
+    if not _is_int_list(labels):
+        raise BadShape("labels must be a list of integers")
+    labels = list(labels)
     if len(labels) != c.n or len(set(labels)) != c.n:
         raise BadShape("labels must be distinct and match the matrix size")
     return c, labels

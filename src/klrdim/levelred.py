@@ -18,13 +18,54 @@ from . import budget
 from .budget import Deadline
 from .cartan import CartanData, RootElement, Weight
 from .dims import block_dim, dim, graded_dim
-from .errors import PreconditionFail
-from .perms import matched_shuffle_splits
+from .errors import LengthMismatch, PreconditionFail
 from .qpoly import LaurentPoly
 
 
-def _select(nu: Sequence[int], part: Sequence[int]) -> tuple[int, ...]:
-    return tuple(nu[p - 1] for p in part)
+def _subwords(
+    word: tuple[int, ...], l: int, where: str, deadline: Deadline | None, cache: dict
+) -> dict:
+    """Deal the letters of ``word``, in order, into ``l`` subwords in every
+    way: {per-part content: [(subwords, number of position splits giving
+    them)]}.  Kept in ``cache``, which is left untouched if the deadline
+    fires partway through."""
+    key = ("subwords", word, l)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    counts = {((),) * l: 1}
+    for x in word:
+        grown: dict = {}
+        for parts, k in counts.items():
+            budget.check(deadline, where)
+            for i in range(l):
+                dealt = parts[:i] + (parts[i] + (x,),) + parts[i + 1:]
+                grown[dealt] = grown.get(dealt, 0) + k
+        counts = grown
+    by_content: dict = {}
+    for parts, k in counts.items():
+        by_content.setdefault(tuple(tuple(sorted(p)) for p in parts), []).append((parts, k))
+    cache[key] = by_content
+    return by_content
+
+
+def _matched_subwords(
+    nu: tuple[int, ...], mu: tuple[int, ...], l: int, where: str,
+    deadline: Deadline | None, cache: dict,
+) -> Iterator[tuple]:
+    """(nu|s, mu|t, count) over the l-part shuffle splits (s, t) whose parts
+    have equal content, grouped by subwords: ``count`` is how many split
+    pairs give them.  Empty when the full contents already differ."""
+    if len(nu) != len(mu):
+        raise LengthMismatch("tuples must have the same length")
+    if sorted(nu) != sorted(mu):
+        return
+    mu_side = _subwords(mu, l, where, deadline, cache)
+    for content, nu_entries in _subwords(nu, l, where, deadline, cache).items():
+        for sub_nu, k_nu in nu_entries:
+            for sub_mu, k_mu in mu_side.get(content, ()):
+                budget.check(deadline, where)
+                yield sub_nu, sub_mu, k_nu * k_mu
 
 
 def _check_split(lam: Weight, split: Sequence[Weight]) -> None:
@@ -51,9 +92,12 @@ def reduce_pair_dim_multi(
     """dim e(nu) R^Lambda e(mu) as a sum over l-part matched shuffle splits
     of products of the part dimensions.
 
-    Inner dimensions repeat massively across splits, so they are memoized
-    on (part weight, sub-source, sub-target); pass an external ``cache``
-    dict to share them across calls with the same Cartan data.
+    Each summand depends only on the subwords the split cuts out, so the
+    sum runs over distinct subword pairs weighted by their split counts.
+    Inner dimensions repeat massively across pairs, so they are memoized
+    on (part weight, sub-source, sub-target), and the subword counts on
+    (tuple, l); pass an external ``cache`` dict to share both across calls
+    with the same Cartan data.
     """
     _check_split(lam, split)
     nu = tuple(nu)
@@ -71,11 +115,12 @@ def reduce_pair_dim_multi(
         return hit
 
     total = 0
-    for s_split, t_split in matched_shuffle_splits(nu, mu, l):
-        budget.check(deadline, "level reduction sum")
-        term = 1
+    for sub_nu, sub_mu, k in _matched_subwords(
+        nu, mu, l, "level reduction sum", deadline, cache
+    ):
+        term = k
         for i in range(l):
-            term *= inner(i, _select(nu, s_split[i]), _select(mu, t_split[i]))
+            term *= inner(i, sub_nu[i], sub_mu[i])
             if term == 0:
                 break
         total += term
@@ -116,17 +161,15 @@ def reduce_pair_graded(
     mu = tuple(mu)
     l = len(split)
     total = LaurentPoly.zero()
-    for s_split, t_split in matched_shuffle_splits(nu, mu, l):
-        budget.check(deadline, "graded level reduction sum")
+    for sub_nu, sub_mu, k in _matched_subwords(
+        nu, mu, l, "graded level reduction sum", deadline, {}
+    ):
         term = LaurentPoly.one()
         for i in range(l):
-            term = term * graded_dim(
-                c, split[i], _select(nu, s_split[i]), _select(mu, t_split[i]),
-                deadline=deadline,
-            )
+            term = term * graded_dim(c, split[i], sub_nu[i], sub_mu[i], deadline=deadline)
             if term.is_zero():
                 break
-        total = total + term
+        total = total + term.scale(k)
     return total
 
 

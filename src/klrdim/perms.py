@@ -350,62 +350,6 @@ def shuffle_splits(n: int, parts: int) -> Iterator[ShuffleSplit]:
         yield tuple(tuple(p) for p in split)
 
 
-def matched_shuffle_splits(
-    nu: Sequence[int], mu: Sequence[int], parts: int
-) -> Iterator[tuple[ShuffleSplit, ShuffleSplit]]:
-    """Pairs of splits (s for nu, t for mu) with equal letter content in
-    every part.  Empty when the full contents already differ.
-
-    The t-side is generated under per-part per-letter capacity constraints
-    accumulated while building the s-side, so hopeless branches are never
-    explored and no per-split content recounting happens.
-    """
-    nu = tuple(nu)
-    mu = tuple(mu)
-    if len(nu) != len(mu):
-        raise LengthMismatch("tuples must have the same length")
-    if Counter(nu) != Counter(mu):
-        return
-    n = len(nu)
-    letter_id = {x: i for i, x in enumerate(sorted(set(nu)))}
-    nu_ids = [letter_id[x] for x in nu]
-    mu_ids = [letter_id[x] for x in mu]
-    k = len(letter_id)
-    need = [[0] * k for _ in range(parts)]
-    s_parts: list[list[int]] = [[] for _ in range(parts)]
-    t_parts: list[list[int]] = [[] for _ in range(parts)]
-
-    def rec_t(pos: int) -> Iterator[tuple[ShuffleSplit, ShuffleSplit]]:
-        if pos > n:
-            yield (
-                tuple(tuple(p) for p in s_parts),
-                tuple(tuple(p) for p in t_parts),
-            )
-            return
-        x = mu_ids[pos - 1]
-        for i in range(parts):
-            if need[i][x] > 0:
-                need[i][x] -= 1
-                t_parts[i].append(pos)
-                yield from rec_t(pos + 1)
-                t_parts[i].pop()
-                need[i][x] += 1
-
-    def rec_s(pos: int) -> Iterator[tuple[ShuffleSplit, ShuffleSplit]]:
-        if pos > n:
-            yield from rec_t(1)
-            return
-        x = nu_ids[pos - 1]
-        for i in range(parts):
-            need[i][x] += 1
-            s_parts[i].append(pos)
-            yield from rec_s(pos + 1)
-            s_parts[i].pop()
-            need[i][x] -= 1
-
-    yield from rec_s(1)
-
-
 def split_perm(w: Perm, split: ShuffleSplit) -> tuple[Perm, Perm, ShuffleSplit]:
     """Cut w along a two-part split of its domain.
 

@@ -21,7 +21,6 @@ from .dims import (
     dim_divided,
     graded_dim,
     graded_dim_recursive,
-    nilhecke_graded_dim,
     tuples_with_content,
 )
 from .levelred import (
@@ -30,7 +29,7 @@ from .levelred import (
     reduce_pair_dim_multi,
     reduce_pair_graded,
 )
-from .basis import block_levels, exponent_bounds
+from .basis import exponent_bounds, graded_dim_blockwise
 from .perms import block_form_of
 from .qpoly import eval_one
 
@@ -224,16 +223,10 @@ def verify_basis(
                     bounds=list(bounds), dim=d1,
                 )
             if mu == form.tuple:
-                levels = block_levels(c, lam, form)
                 closed = graded_dim(c, lam, mu, mu, deadline=deadline)
-                product = None
-                for i in range(form.count):
-                    piece = nilhecke_graded_dim(
-                        levels[i], form.sizes[i], c.symmetrizer[form.letters[i]]
-                    )
-                    product = piece if product is None else product * piece
+                product = graded_dim_blockwise(c, lam, form)
                 report.checked += 1
-                if product is not None and closed != product:
+                if closed != product:
                     report.record(
                         kind="diagonal factorization mismatch", mu=list(mu),
                         closed=str(closed), product=str(product),

@@ -62,6 +62,14 @@ class TestValidate:
         with pytest.raises(BadShape):
             validate_cartan([])
 
+    @pytest.mark.parametrize("matrix", [
+        [[2.5]], [[-1.7]], [[2.0]], [["a"]], [[True]], [[2, -1], [None, 2]],
+        5, "2", {"a": 1}, [2], [[2], 3], None,
+    ])
+    def test_non_integer_entries_and_shapes(self, matrix):
+        with pytest.raises(BadShape):
+            validate_cartan(matrix)
+
     def test_not_symmetrizable_cycle(self):
         # the triangle ratios multiply to 1/2 around the cycle
         with pytest.raises(NotSymmetrizable):
@@ -169,6 +177,11 @@ class TestJson:
             cartan_from_json({"matrix": [[2, -1], [-1, 2]], "labels": [1]})
         with pytest.raises(BadShape):
             cartan_from_json({"matrix": [[2, -1], [-1, 2]], "labels": [1, 1]})
+
+    @pytest.mark.parametrize("labels", [["x"], [1.0], [True], 3, "1", {"1": 1}])
+    def test_non_integer_labels(self, labels):
+        with pytest.raises(BadShape):
+            cartan_from_json({"matrix": [[2]], "labels": labels})
 
 
 class TestPairings:

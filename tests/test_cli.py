@@ -317,6 +317,28 @@ class TestErrorsAndDeterminism:
                               "--weight", "1,1", "--beta", "1,0")
         assert code == 1 and "BadSign" in err
 
+    @pytest.mark.parametrize("doc", [
+        {"matrix": [[2.5]]},
+        {"matrix": [[-1.7]]},
+        {"matrix": [["a"]]},
+        {"matrix": [[True]]},
+        {"matrix": 5},
+        {"matrix": [2]},
+        {"matrix": [[2]], "labels": ["x"]},
+        {"matrix": [[2]], "labels": [1.5]},
+        {"matrix": [[2]], "labels": 1},
+    ])
+    def test_non_integer_cartan_file(self, capsys, tmp_path, doc):
+        path = tmp_path / "cartan.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(
+            capsys, "gdim", "--cartan", str(path), "--weight", "1", "--nu", "1",
+            "--format", "json",
+        )
+        assert code == 1
+        assert json.loads(out)["error"]["type"] == "BadShape"
+        assert "Traceback" not in err
+
     def test_missing_cartan_file(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "block", "--cartan",
                               str(tmp_path / "nope.json"),

@@ -1,12 +1,23 @@
 """Level reduction identities and the failure of their graded analogue."""
 
-import pytest
+import random
+from collections import Counter
+from itertools import product
 
-from conftest import small_battery
-from klrdim.cartan import RootElement, Weight, builtin_cartan, validate_cartan
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import dominant_weights, random_cartan, small_battery
+from klrdim.budget import Deadline
+from klrdim.cartan import (
+    RootElement, Weight, builtin_cartan, tuple_content, validate_cartan,
+)
 from klrdim.dims import block_dim, blocks_of_size, dim, graded_dim, tuples_with_content
-from klrdim.errors import PreconditionFail
+from klrdim.errors import LengthMismatch, PreconditionFail, TimeBudgetExceeded
 from klrdim.levelred import (
+    _matched_subwords,
+    _subwords,
     content_splits,
     dominant_splits,
     reduce_block_dim,
@@ -14,7 +25,8 @@ from klrdim.levelred import (
     reduce_pair_dim_multi,
     reduce_pair_graded,
 )
-from klrdim.qpoly import LaurentPoly
+from klrdim.perms import shuffle_splits
+from klrdim.qpoly import LaurentPoly, eval_one
 
 RANK1 = validate_cartan([[2]])
 TWO = Weight((2,))
@@ -82,6 +94,90 @@ class TestPairReduction:
             reduce_pair_dim_multi(RANK1, TWO, (0,), (0,), ())
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([w for w in dominant_weights(3, 3) if w.level >= 2]),
+        st.lists(st.integers(0, 2), max_size=4),
+    )
+    def test_identity_random(self, seed, lam, nu):
+        # Every mu with the content of nu, so that letters repeat on both
+        # sides and most subword pairs stand for several split pairs.
+        c = random_cartan(random.Random(seed))
+        nu = tuple(nu)
+        beta = tuple_content(c, nu)
+        direct_block = block_dim(c, lam, beta)
+        cache = {}
+        for split in (s for k in (2, 3) for s in dominant_splits(lam, k)):
+            assert reduce_block_dim(c, lam, beta, split, cache=cache) == direct_block
+            for mu in tuples_with_content(beta):
+                direct = dim(c, lam, nu, mu)
+                assert reduce_pair_dim_multi(c, lam, nu, mu, split, cache=cache) == direct
+                assert eval_one(reduce_pair_graded(c, lam, nu, mu, split)) == direct
+
+
+class TestMatchedSubwords:
+    @staticmethod
+    def brute_force(nu, mu, parts):
+        """Subword pairs of every pair of shuffle splits with equal content
+        in each part, counted with multiplicity."""
+        out = Counter()
+        for s in shuffle_splits(len(nu), parts):
+            for t in shuffle_splits(len(mu), parts):
+                sub_nu = tuple(tuple(nu[p - 1] for p in part) for part in s)
+                sub_mu = tuple(tuple(mu[p - 1] for p in part) for part in t)
+                if all(sorted(a) == sorted(b) for a, b in zip(sub_nu, sub_mu)):
+                    out[sub_nu, sub_mu] += 1
+        return out
+
+    def test_counts_match_brute_force(self):
+        for n in range(4):
+            for nu in product(range(2), repeat=n):
+                for mu in product(range(2), repeat=n):
+                    for parts in (1, 2, 3):
+                        got = Counter()
+                        matched = _matched_subwords(nu, mu, parts, "test", None, {})
+                        for sub_nu, sub_mu, k in matched:
+                            assert (sub_nu, sub_mu) not in got
+                            got[sub_nu, sub_mu] = k
+                        assert got == self.brute_force(nu, mu, parts), (nu, mu, parts)
+
+    def test_empty_on_content_mismatch(self):
+        assert list(_matched_subwords((1, 1), (1, 2), 2, "test", None, {})) == []
+        assert reduce_pair_dim_multi(
+            builtin_cartan("A2"), Weight((1, 1)), (0, 0), (0, 1),
+            (Weight((1, 0)), Weight((0, 1))),
+        ) == 0
+
+    def test_deadline_leaves_no_partial_map(self):
+        class After(Deadline):
+            def check(self, where="enumeration"):
+                self.calls += 1
+                if self.calls > self.limit:
+                    raise TimeBudgetExceeded(where)
+
+        c, lam = builtin_cartan("A2"), Weight((2, 1))
+        split = (Weight((1, 0)), Weight((1, 0)), Weight((0, 1)))
+        nu, mu = (0, 1, 0, 1), (1, 0, 0, 1)
+        for limit in range(0, 200, 7):
+            deadline = After(3600)
+            deadline.calls, deadline.limit = 0, limit
+            cache = {}
+            with pytest.raises(TimeBudgetExceeded):
+                reduce_pair_dim_multi(c, lam, nu, mu, split, deadline=deadline, cache=cache)
+            for key, value in cache.items():
+                if key[0] == "subwords":
+                    assert value == _subwords(key[1], key[2], "test", None, {})
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatch):
+            list(_matched_subwords((0,), (0, 0), 2, "test", None, {}))
+        with pytest.raises(LengthMismatch):
+            reduce_pair_dim(RANK1, TWO, (0,), (0, 0), HALVES)
+        with pytest.raises(LengthMismatch):
+            reduce_pair_graded(RANK1, TWO, (0,), (0, 0), HALVES)
+
+
 class TestBlockReduction:
     def test_two_strand_terms(self):
         # decompositions (2,0), (1,1), (0,2): only the middle survives
@@ -130,6 +226,12 @@ class TestGradedAnalogueFails:
         assert graded_sum == LaurentPoly.from_pairs([(0, 2)])
         assert true_graded == LaurentPoly.from_pairs([(0, 1), (2, 1)])
         assert graded_sum != true_graded
+
+    def test_graded_sum_at_one_is_dim(self):
+        # repeated letters: each subword pair stands for several splits
+        for nu in ((0, 0), (0, 0, 0)):
+            graded_sum = reduce_pair_graded(RANK1, TWO, nu, nu, HALVES)
+            assert eval_one(graded_sum) == dim(RANK1, TWO, nu, nu)
 
 
 class TestSplitEnumerations:

@@ -21,7 +21,6 @@ from klrdim.perms import (
     compose,
     from_coinversion_code,
     identity_perm,
-    matched_shuffle_splits,
     merge_perm,
     min_coset_reps,
     perm_inverse,
@@ -260,32 +259,6 @@ class TestShuffles:
             assert sorted(seen) == [1, 2, 3, 4]
             for part in split:
                 assert list(part) == sorted(part)
-
-    def test_matched_singleton(self):
-        got = list(matched_shuffle_splits((0,), (0,), 2))
-        assert got == [
-            (((1,), ()), ((1,), ())),
-            (((), (1,)), ((), (1,))),
-        ]
-
-    def test_matched_pair_count(self):
-        assert len(list(matched_shuffle_splits((1, 2), (2, 1), 2))) == 4
-
-    def test_matched_empty_on_content_mismatch(self):
-        assert list(matched_shuffle_splits((1, 1), (1, 2), 2)) == []
-
-    def test_matched_against_brute_force(self):
-        nu, mu = (0, 1, 0), (0, 0, 1)
-        fast = set(matched_shuffle_splits(nu, mu, 2))
-        slow = set()
-        for s in shuffle_splits(3, 2):
-            for t in shuffle_splits(3, 2):
-                if all(
-                    sorted(nu[p - 1] for p in s[i]) == sorted(mu[p - 1] for p in t[i])
-                    for i in range(2)
-                ):
-                    slow.add((s, t))
-        assert fast == slow
 
 
 class TestSplitMerge:
