@@ -17,15 +17,14 @@ The divided-power route sums over far fewer permutations by collapsing each
 run block of equal letters to a factorial times shifted factors, and the
 single-letter case collapses entirely to closed nilHecke products.
 
-Whole blocks and algebras are summed with the recursion, one memo per block;
-the per-pair closed formula and integer products are what they are checked
-against.
+A whole block is summed by a recursion on the target word alone (the
+column-sum identity of :func:`block_graded_dim`); the per-pair closed formula
+and integer products are what block sums are checked against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product as iproduct
 from math import factorial, prod
 from typing import Iterator, Sequence
 
@@ -364,16 +363,29 @@ def block_graded_dim(
     beta: RootElement,
     deadline: Deadline | None = None,
 ) -> LaurentPoly:
-    """Graded dimension of the whole block R^Lambda(beta): the sum over all
-    ordered pairs of tuples realizing beta, each by the recursion, with one
-    memo shared by every pair of the block."""
-    tuples = list(tuples_with_content(beta))
-    memo: dict = {}
-    total = LaurentPoly.zero()
-    for nu, nuprime in iproduct(tuples, repeat=2):
-        budget.check(deadline, "block sum")
-        total = total + graded_dim_recursive(c, lam, nu, nuprime, memo=memo, deadline=deadline)
-    return total
+    """Graded dimension of the whole block R^Lambda(beta) by the column-sum
+    identity: summing :func:`graded_dim_recursive` over every source forces
+    the peeled letter to be x = w_k, so the block is the sum over words w
+    realizing beta of C(w), with C(()) = 1 and, memoized on the word,
+    C(w) = sum_k q^{d_x (1 + <Lambda - |w|, h_x>)} [<Lambda, h_x> - sum_{j<k}
+    a_{x w_j}]_{q^{d_x}} C(w without slot k)."""
+    memo: dict = {(): LaurentPoly.one()}
+
+    def col(word: IndexTuple) -> LaurentPoly:
+        hit = memo.get(word)
+        if hit is None:
+            budget.check(deadline, "block sum")
+            hit = LaurentPoly.zero()
+            for k, x in enumerate(word):
+                row, dx = c.matrix[x], c.symmetrizer[x]
+                factor = quantum_int(lam.coeffs[x] - sum(row[y] for y in word[:k]), dx)
+                if not factor.is_zero():
+                    shift = dx * (1 + lam.coeffs[x] - sum(row[y] for y in word))
+                    hit = hit + factor.shift(shift) * col(word[:k] + word[k + 1 :])
+            memo[word] = hit
+        return hit
+
+    return sum((col(w) for w in tuples_with_content(beta)), LaurentPoly.zero())
 
 
 def block_dim(

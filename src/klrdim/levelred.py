@@ -18,7 +18,7 @@ from . import budget
 from .budget import Deadline
 from .cartan import CartanData, RootElement, Weight
 from .dims import block_dim, dim, graded_dim
-from .errors import LengthMismatch, PreconditionFail
+from .errors import BadShape, LengthMismatch, PreconditionFail
 from .qpoly import LaurentPoly
 
 
@@ -71,10 +71,9 @@ def _matched_subwords(
 def _check_split(lam: Weight, split: Sequence[Weight]) -> None:
     if not split:
         raise PreconditionFail("need at least one weight part")
-    total = split[0]
-    for part in split[1:]:
-        total = total + part
-    if total != lam:
+    if len({len(part.coeffs) for part in split}) > 1:
+        raise BadShape("weights live over different node sets")
+    if tuple(map(sum, zip(*(part.coeffs for part in split)))) != lam.coeffs:
         raise PreconditionFail("weight parts must sum to the target weight")
     if any(not part.is_dominant for part in split):
         raise PreconditionFail("every weight part must be dominant")

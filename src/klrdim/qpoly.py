@@ -53,11 +53,6 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def q_power(cls, e: int, coeff: int = 1) -> LaurentPoly:
-        """The monomial coeff * q^e."""
-        return cls({e: coeff})
-
-    @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> LaurentPoly:
         """Build from (exponent, coefficient) pairs, summing repeats."""
         t: dict[int, int] = {}
@@ -146,14 +141,6 @@ class LaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = {k + e: c for k, c in self._terms.items()}
         return out
-
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            raise ValueError("negative powers of polynomials are not defined")
-        acc = LaurentPoly.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
 
     # -- comparisons -------------------------------------------------------
 

@@ -291,6 +291,15 @@ class TestErrorsAndDeterminism:
         )
         assert code == 1 and "TimeBudgetExceeded" in err
 
+    def test_time_budget_aborts_block(self, capsys):
+        # The whole block takes about 2 s on a 2-CPU machine.
+        code, _, err = invoke(
+            capsys, "block", "--cartan", "A3", "--weight", "3,3,3",
+            "--beta", "3,3,3", "--time-budget", "0.05",
+        )
+        assert code == 1
+        assert "TimeBudgetExceeded" in err and "Traceback" not in err
+
     def test_byte_identical_reruns(self, capsys):
         args = [
             "algebra", "--cartan", "A1~", "--weight", "1,2", "--n", "2",

@@ -1,6 +1,7 @@
 """The dimension engine: factors, closed formula, recursion, closed forms."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -382,9 +383,22 @@ class TestBlocks:
         c = random_cartan(random.Random(seed))
         assert_block_sums_match(c, Weight(lam), RootElement(beta))
 
+    def test_block_sum_visits_each_word_once(self):
+        # One check per nonempty word of content <= (4, 4): the sum over
+        # a, b <= 4 of C(a + b, a) is 251, less the empty word.
+        class Recording(Deadline):
+            def check(self, where="enumeration"):
+                seen[where] += 1
+                super().check(where)
+
+        seen = Counter()
+        block_graded_dim(A2, Weight((3, 3)), RootElement((4, 4)),
+                         deadline=Recording(3600))
+        assert seen == {"block sum": 250}
+
 
 def assert_block_sums_match(c, lam, beta):
-    """The block sums (the recursion) against the per-pair closed formula
+    """The block sums (the word recursion) against the per-pair closed formula
     and the per-pair integer products."""
     tuples = list(tuples_with_content(beta))
     closed = LaurentPoly.zero()
@@ -401,6 +415,11 @@ class TestDeadline:
         deadline = Deadline(1e-9)
         with pytest.raises(TimeBudgetExceeded):
             dim(RANK1, lam, nu, nu, deadline=deadline)
+
+    @pytest.mark.parametrize("fn", [block_graded_dim, block_dim])
+    def test_expired_budget_aborts_block_sums(self, fn):
+        with pytest.raises(TimeBudgetExceeded):
+            fn(A2, Weight((3, 3)), RootElement((2, 2)), deadline=Deadline(1e-9))
 
 
 class TestLengthMismatch:

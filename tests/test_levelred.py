@@ -14,7 +14,7 @@ from klrdim.cartan import (
     RootElement, Weight, builtin_cartan, tuple_content, validate_cartan,
 )
 from klrdim.dims import block_dim, blocks_of_size, dim, graded_dim, tuples_with_content
-from klrdim.errors import LengthMismatch, PreconditionFail, TimeBudgetExceeded
+from klrdim.errors import BadShape, LengthMismatch, PreconditionFail, TimeBudgetExceeded
 from klrdim.levelred import (
     _matched_subwords,
     _subwords,
@@ -92,6 +92,13 @@ class TestPairReduction:
             reduce_pair_dim(RANK1, TWO, (0,), (0,), (Weight((3,)), Weight((-1,))))
         with pytest.raises(PreconditionFail):
             reduce_pair_dim_multi(RANK1, TWO, (0,), (0,), ())
+
+    def test_mixed_length_split_rejected(self):
+        split = (Weight((1,)), Weight((1, 0)))
+        with pytest.raises(BadShape):
+            reduce_pair_dim_multi(RANK1, TWO, (0,), (0,), split)
+        with pytest.raises(BadShape):
+            reduce_block_dim(RANK1, TWO, RootElement((1,)), split)
 
 
     @settings(max_examples=30, deadline=None)
