@@ -8,10 +8,13 @@ graded dimension of the idempotent-truncated piece e(nu) R^Lambda e(nu') is
 
 where the integer dimension factor F(w, nu, t) pairs the weight, reduced by
 the letters at positions before t that w keeps below slot t, against the
-coroot of the letter at t.  Evaluating at q = 1 gives plain products of the
-factors, and the same dimension is computed by an independent restriction
-recursion (:func:`graded_dim_recursive`) so the two routes cross-check each
-other exactly.
+coroot of the letter at t.  F(w, nu, t) depends only on w(1), ..., w(t), so
+:func:`graded_dim` and :func:`dim` share one depth-first walk that assigns
+the slots of nu in turn and cuts off every completion of a prefix whose
+factor is zero.  Evaluating at q = 1 gives plain products of the factors,
+and the same dimension is computed by an independent restriction recursion
+(:func:`graded_dim_recursive`) so the two routes cross-check each other
+exactly.
 
 The divided-power route sums over far fewer permutations by collapsing each
 run block of equal letters to a factorial times shifted factors, and the
@@ -32,7 +35,7 @@ from . import budget
 from .budget import Deadline
 from .cartan import CartanData, RootElement, Weight, root_pairing
 from .errors import LengthMismatch
-from .perms import IndexTuple, Perm, min_coset_reps, run_blocks, transport_perms
+from .perms import IndexTuple, Perm, min_coset_reps, run_blocks
 from .qpoly import LaurentPoly, eval_one, quantum_int
 
 
@@ -106,6 +109,49 @@ def crossing_degree(c: CartanData, w: Perm, nu: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _surviving_factors(
+    c: CartanData,
+    lam: Weight,
+    nu: IndexTuple,
+    nuprime: IndexTuple,
+    where: str,
+    deadline: Deadline | None,
+) -> Iterator[list[int]]:
+    """The factors of every transport permutation with no zero factor.
+
+    Walks the w with w*nu = nu' depth first, in lexicographic one-line
+    order, choosing w(t) among the free slots of nu' that hold nu_t.  The
+    factor at slot t is :func:`dim_factor`'s, read off the slots of nu'
+    already taken below w(t), so it depends only on the prefix: a zero
+    factor cuts off every completion of that prefix.  Checks the deadline
+    at every node it enters.  Yields one list, refilled for each w.
+    """
+    n = len(nu)
+    if sorted(nu) != sorted(nuprime):
+        return
+    taken = [False] * n
+    factors = [0] * n
+
+    def walk(t: int) -> Iterator[list[int]]:
+        budget.check(deadline, where)
+        if t == n:
+            yield factors
+            return
+        x = nu[t]
+        row = c.matrix[x]
+        f = lam.coeffs[x]
+        for p, y in enumerate(nuprime):
+            if taken[p]:
+                f -= row[y]
+            elif y == x and f:
+                taken[p] = True
+                factors[t] = f
+                yield from walk(t + 1)
+                taken[p] = False
+
+    yield from walk(0)
+
+
 def graded_dim(
     c: CartanData,
     lam: Weight,
@@ -123,24 +169,16 @@ def graded_dim(
     if len(nu) != len(nuprime):
         raise LengthMismatch("tuples must have the same length")
     n = len(nu)
-    d = c.symmetrizer
+    d = [c.symmetrizer[x] for x in nu]
     # The per-slot q-shift uses the identity factors only, so it is one
     # global monomial shared by every summand.
-    shift = sum(d[nu[t - 1]] * (dim_factor_id(c, lam, nu, t) - 1) for t in range(1, n + 1))
+    shift = sum(d[t - 1] * (dim_factor_id(c, lam, nu, t) - 1) for t in range(1, n + 1))
     # A summand is the product of [f]_{q^d} over its slots, so it depends
     # only on the multiset of (f, d) pairs: count the multisets, then
     # multiply once per distinct one.
     multisets: Counter = Counter()
-    for w in transport_perms(nu, nuprime):
-        budget.check(deadline, "graded dimension sum")
-        pairs = []
-        for t in range(1, n + 1):
-            f = dim_factor(c, lam, w, nu, t)
-            if f == 0:
-                break
-            pairs.append((f, d[nu[t - 1]]))
-        else:
-            multisets[tuple(sorted(pairs))] += 1
+    for factors in _surviving_factors(c, lam, nu, nuprime, "graded dimension sum", deadline):
+        multisets[tuple(sorted(zip(factors, d)))] += 1
     total = LaurentPoly.zero()
     for pairs, count in multisets.items():
         term = LaurentPoly.one()
@@ -159,24 +197,18 @@ def dim(
 ) -> int:
     """Ungraded dimension of e(nu) R^Lambda e(nu'), by direct integer products.
 
-    Deliberately not computed as q -> 1 of :func:`graded_dim`: the two code
-    paths stay independent so their agreement is a real consistency check.
+    Deliberately not computed as q -> 1 of :func:`graded_dim`: it shares
+    only the walk over transport permutations, and multiplies the integer
+    factors itself, so the two results check each other's arithmetic.
     """
     nu = tuple(nu)
     nuprime = tuple(nuprime)
     if len(nu) != len(nuprime):
         raise LengthMismatch("tuples must have the same length")
-    n = len(nu)
-    total = 0
-    for w in transport_perms(nu, nuprime):
-        budget.check(deadline, "dimension sum")
-        term = 1
-        for t in range(1, n + 1):
-            term *= dim_factor(c, lam, w, nu, t)
-            if term == 0:
-                break
-        total += term
-    return total
+    return sum(
+        prod(factors)
+        for factors in _surviving_factors(c, lam, nu, nuprime, "dimension sum", deadline)
+    )
 
 
 def graded_dim_recursive(

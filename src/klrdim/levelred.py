@@ -3,16 +3,19 @@
 Splitting the weight as Lambda = Lambda^1 + ... + Lambda^l turns each
 ungraded dimension into a shuffle-indexed sum of products of dimensions at
 the parts: pairwise over content-matched shuffle splits, blockwise with a
-multinomial-squared weight over decompositions of the block.  The graded
-analogue genuinely fails (see the tests), which is why everything here is
-integer-valued.
+multinomial-squared weight over decompositions of the block.  An l-part
+shuffle split is a two-part split followed by an (l-1)-part split of the
+remainder, so the pair sum peels off one weight part at a time and reduces
+the remainders over the rest, never evaluating a dimension at a sum of
+parts.  The graded analogue genuinely fails (see the tests), which is why
+everything here is integer-valued.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import budget
 from .budget import Deadline
@@ -22,53 +25,83 @@ from .errors import BadShape, LengthMismatch, PreconditionFail
 from .qpoly import LaurentPoly
 
 
-def _subwords(
-    word: tuple[int, ...], l: int, where: str, deadline: Deadline | None, cache: dict
-) -> dict:
-    """Deal the letters of ``word``, in order, into ``l`` subwords in every
-    way: {per-part content: [(subwords, number of position splits giving
-    them)]}.  Kept in ``cache``, which is left untouched if the deadline
-    fires partway through."""
-    key = ("subwords", word, l)
+def _subwords(word: tuple[int, ...], where: str, deadline: Deadline | None, cache: dict) -> dict:
+    """Deal the letters of ``word``, in order, into a first subword and the
+    rest in every way: {content of the first subword: [(first, rest, number
+    of position splits giving them)]}.  Kept in ``cache``, which is left
+    untouched if the deadline fires partway through."""
+    key = ("subwords", word)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    counts = {((),) * l: 1}
+    counts = {((), ()): 1}
     for x in word:
         grown: dict = {}
-        for parts, k in counts.items():
+        for (first, rest), k in counts.items():
             budget.check(deadline, where)
-            for i in range(l):
-                dealt = parts[:i] + (parts[i] + (x,),) + parts[i + 1:]
+            for dealt in ((first + (x,), rest), (first, rest + (x,))):
                 grown[dealt] = grown.get(dealt, 0) + k
         counts = grown
     by_content: dict = {}
-    for parts, k in counts.items():
-        by_content.setdefault(tuple(tuple(sorted(p)) for p in parts), []).append((parts, k))
+    for (first, rest), k in counts.items():
+        by_content.setdefault(tuple(sorted(first)), []).append((first, rest, k))
     cache[key] = by_content
     return by_content
 
 
-def _matched_subwords(
-    nu: tuple[int, ...], mu: tuple[int, ...], l: int, where: str,
-    deadline: Deadline | None, cache: dict,
-) -> Iterator[tuple]:
-    """(nu|s, mu|t, count) over the l-part shuffle splits (s, t) whose parts
-    have equal content, grouped by subwords: ``count`` is how many split
-    pairs give them.  Empty when the full contents already differ."""
-    if len(nu) != len(mu):
-        raise LengthMismatch("tuples must have the same length")
+def _peel(
+    parts: Sequence[Weight],
+    nu: tuple[int, ...],
+    mu: tuple[int, ...],
+    part_dim: Callable,
+    zero: int | LaurentPoly,
+    where: str,
+    deadline: Deadline | None,
+    cache: dict,
+) -> int | LaurentPoly:
+    """The level-reduction sum of (nu, mu) over the weight parts.
+
+    An l-part shuffle split is a two-part split followed by an (l-1)-part
+    split of the remainder.  So part 1's subwords are dealt off both words,
+    the sides of equal content are paired, and each pair's ``part_dim`` at
+    parts[0] multiplies the same sum for the remainders over parts[1:],
+    weighted by how many split pairs give the subwords.  That remainder sum
+    is memoized in ``cache`` on the tail weights and the two remainders.
+    """
+    if len(parts) == 1:
+        return part_dim(parts[0], nu, mu)
+    head, tail = parts[0], parts[1:]
+    tail_key = tuple(part.coeffs for part in tail)
+
+    def rest_sum(rest_nu: tuple[int, ...], rest_mu: tuple[int, ...]):
+        if len(tail) == 1:
+            return part_dim(tail[0], rest_nu, rest_mu)
+        key = ("peel", tail_key, rest_nu, rest_mu)
+        hit = cache.get(key)
+        if hit is None:
+            hit = _peel(tail, rest_nu, rest_mu, part_dim, zero, where, deadline, cache)
+            cache[key] = hit
+        return hit
+
+    total = zero
     if sorted(nu) != sorted(mu):
-        return
-    mu_side = _subwords(mu, l, where, deadline, cache)
-    for content, nu_entries in _subwords(nu, l, where, deadline, cache).items():
-        for sub_nu, k_nu in nu_entries:
-            for sub_mu, k_mu in mu_side.get(content, ()):
+        return total
+    mu_side = _subwords(mu, where, deadline, cache)
+    for content, nu_entries in _subwords(nu, where, deadline, cache).items():
+        for first_mu, rest_mu, k_mu in mu_side.get(content, ()):
+            for first_nu, rest_nu, k_nu in nu_entries:
                 budget.check(deadline, where)
-                yield sub_nu, sub_mu, k_nu * k_mu
+                term = part_dim(head, first_nu, first_mu)
+                if term != 0:
+                    total = total + (k_nu * k_mu) * term * rest_sum(rest_nu, rest_mu)
+    return total
 
 
-def _check_split(lam: Weight, split: Sequence[Weight]) -> None:
+def _check_split(lam: Weight, split: Sequence[Weight], cache: dict) -> None:
+    """Validate the split once per ``cache``: a passing verdict is kept."""
+    key = ("split", lam.coeffs, tuple(part.coeffs for part in split))
+    if key in cache:
+        return
     if not split:
         raise PreconditionFail("need at least one weight part")
     if len({len(part.coeffs) for part in split}) > 1:
@@ -77,6 +110,7 @@ def _check_split(lam: Weight, split: Sequence[Weight]) -> None:
         raise PreconditionFail("weight parts must sum to the target weight")
     if any(not part.is_dominant for part in split):
         raise PreconditionFail("every weight part must be dominant")
+    cache[key] = True
 
 
 def reduce_pair_dim_multi(
@@ -91,39 +125,33 @@ def reduce_pair_dim_multi(
     """dim e(nu) R^Lambda e(mu) as a sum over l-part matched shuffle splits
     of products of the part dimensions.
 
-    Each summand depends only on the subwords the split cuts out, so the
-    sum runs over distinct subword pairs weighted by their split counts.
-    Inner dimensions repeat massively across pairs, so they are memoized
-    on (part weight, sub-source, sub-target), and the subword counts on
-    (tuple, l); pass an external ``cache`` dict to share both across calls
-    with the same Cartan data.
+    The sum peels off one weight part at a time: each pair of part-1
+    subwords multiplies the same sum for the remainders over the other
+    parts.  Each summand depends
+    only on the subwords, so the sum runs over distinct subword pairs
+    weighted by their split counts.  Inner dimensions repeat massively
+    across pairs, so they are memoized on (part weight, sub-source,
+    sub-target), the remainder sums on (tail weights, remainders), and the
+    subword counts on the word; pass an external ``cache`` dict to share
+    them across calls with the same Cartan data.
     """
-    _check_split(lam, split)
-    nu = tuple(nu)
-    mu = tuple(mu)
-    l = len(split)
     if cache is None:
         cache = {}
+    _check_split(lam, split, cache)
+    nu = tuple(nu)
+    mu = tuple(mu)
+    if len(nu) != len(mu):
+        raise LengthMismatch("tuples must have the same length")
 
-    def inner(i: int, sub_nu: tuple[int, ...], sub_mu: tuple[int, ...]) -> int:
-        key = (split[i].coeffs, sub_nu, sub_mu)
+    def part_dim(part: Weight, sub_nu: tuple[int, ...], sub_mu: tuple[int, ...]) -> int:
+        key = (part.coeffs, sub_nu, sub_mu)
         hit = cache.get(key)
         if hit is None:
-            hit = dim(c, split[i], sub_nu, sub_mu, deadline=deadline)
+            hit = dim(c, part, sub_nu, sub_mu, deadline=deadline)
             cache[key] = hit
         return hit
 
-    total = 0
-    for sub_nu, sub_mu, k in _matched_subwords(
-        nu, mu, l, "level reduction sum", deadline, cache
-    ):
-        term = k
-        for i in range(l):
-            term *= inner(i, sub_nu[i], sub_mu[i])
-            if term == 0:
-                break
-        total += term
-    return total
+    return _peel(split, nu, mu, part_dim, 0, "level reduction sum", deadline, cache)
 
 
 def reduce_pair_dim(
@@ -155,21 +183,20 @@ def reduce_pair_graded(
     nilHecke strand at level two breaks it -- but computing it is how the
     failure is demonstrated.
     """
-    _check_split(lam, split)
+    cache: dict = {}
+    _check_split(lam, split, cache)
     nu = tuple(nu)
     mu = tuple(mu)
-    l = len(split)
-    total = LaurentPoly.zero()
-    for sub_nu, sub_mu, k in _matched_subwords(
-        nu, mu, l, "graded level reduction sum", deadline, {}
-    ):
-        term = LaurentPoly.one()
-        for i in range(l):
-            term = term * graded_dim(c, split[i], sub_nu[i], sub_mu[i], deadline=deadline)
-            if term.is_zero():
-                break
-        total = total + term.scale(k)
-    return total
+    if len(nu) != len(mu):
+        raise LengthMismatch("tuples must have the same length")
+
+    def part_dim(part: Weight, sub_nu: tuple[int, ...], sub_mu: tuple[int, ...]) -> LaurentPoly:
+        return graded_dim(c, part, sub_nu, sub_mu, deadline=deadline)
+
+    return _peel(
+        split, nu, mu, part_dim, LaurentPoly.zero(), "graded level reduction sum",
+        deadline, cache,
+    )
 
 
 def _splits(coeffs: Sequence[int], parts: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -208,32 +235,41 @@ def reduce_block_dim(
 ) -> int:
     """dim R^Lambda(beta) as the multinomial-squared weighted sum of
     products of block dimensions at the weight parts, over all ordered
-    decompositions of beta.  ``cache`` as in :func:`reduce_pair_dim_multi`."""
-    _check_split(lam, split)
-    l = len(split)
+    decompositions of beta.  ``cache`` as in :func:`reduce_pair_dim_multi`;
+    it also keeps each (beta, l)'s decompositions, as coefficient tuples
+    with their weights."""
     if cache is None:
         cache = {}
+    _check_split(lam, split, cache)
+    l = len(split)
 
-    def inner(i: int, part: RootElement) -> int:
-        key = ("block", split[i].coeffs, part.coeffs)
+    def inner(i: int, part: tuple[int, ...]) -> int:
+        key = ("block", split[i].coeffs, part)
         hit = cache.get(key)
         if hit is None:
-            hit = block_dim(c, split[i], part, deadline=deadline)
+            hit = block_dim(c, split[i], RootElement(part), deadline=deadline)
             cache[key] = hit
         return hit
 
+    key = ("decompositions", beta.coeffs, l)
+    decompositions = cache.get(key)
+    if decompositions is None:
+        decompositions = []
+        for parts in _splits(beta.coeffs, l):
+            weight = factorial(beta.size)
+            for part in parts:
+                weight //= factorial(sum(part))
+            decompositions.append((parts, weight * weight))
+        cache[key] = decompositions
     total = 0
-    for decomposition in content_splits(beta, l):
+    for parts, weight in decompositions:
         budget.check(deadline, "block level reduction")
-        weight = factorial(beta.size)
-        term = 1
+        term = weight
         for i in range(l):
-            weight //= factorial(decomposition[i].size)
-            term *= inner(i, decomposition[i])
+            term *= inner(i, parts[i])
             if term == 0:
                 break
-        if term:
-            total += weight * weight * term
+        total += term
     return total
 
 

@@ -8,7 +8,10 @@ inversion statistics.  The left action on index tuples permutes places:
 Everything here is a pure function over immutable tuples.  Enumerations are
 lazy generators in lexicographic one-line order, and transport sets are
 built as products of per-letter matchings -- their size is the product of
-letter-multiplicity factorials, never n!.
+letter-multiplicity factorials, never n!.  The dimension sums in
+:mod:`klrdim.dims` walk the same matchings themselves, so that they can cut
+off a prefix whose factor is zero; :func:`transport_perms` enumerates them
+whole, for the basis machinery and the cross-checks.
 
 >>> list(transport_perms((0, 0), (0, 0)))
 [(1, 2), (2, 1)]

@@ -3,9 +3,10 @@
 import random
 from collections import Counter
 from itertools import product
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import battery_types, random_cartan, small_battery
@@ -40,6 +41,18 @@ S2_S1 = (2, 1)
 
 def P(*pairs):
     return LaurentPoly.from_pairs(pairs)
+
+
+class Recording(Deadline):
+    """A deadline that counts its checks per label in ``seen``."""
+
+    def __init__(self, seconds):
+        super().__init__(seconds)
+        self.seen = Counter()
+
+    def check(self, where="enumeration"):
+        self.seen[where] += 1
+        super().check(where)
 
 
 class TestDimFactor:
@@ -135,6 +148,64 @@ class TestGradedDim:
                         for nuprime in tuples:
                             g = graded_dim(c, lam, nu, nuprime)
                             assert all(coeff > 0 for _, coeff in g.items())
+
+
+def brute_force(c, lam, nu, nuprime):
+    """dim and graded_dim as the closed formula reads: every transport
+    permutation, every slot's :func:`dim_factor`, no pruning."""
+    slots = range(1, len(nu) + 1)
+    plain, graded = 0, LaurentPoly.zero()
+    for w in transport_perms(nu, nuprime):
+        factors = [dim_factor(c, lam, w, nu, t) for t in slots]
+        plain += prod(factors)
+        term = LaurentPoly.one()
+        for t, f in zip(slots, factors):
+            term = term * quantum_int(f, c.d(nu[t - 1]))
+        graded = graded + term
+    shift = sum(c.d(nu[t - 1]) * (dim_factor_id(c, lam, nu, t) - 1) for t in slots)
+    return plain, graded.shift(shift)
+
+
+class TestPrunedWalk:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(*[st.integers(0, 2)] * 3),
+        st.lists(st.integers(0, 2), max_size=5).flatmap(
+            lambda nu: st.tuples(st.just(tuple(nu)), st.permutations(nu))
+        ),
+    )
+    # A zero coefficient at the first letter: every w is cut at slot 1.
+    @example(seed=0, lam=(0, 1, 1), pair=((0, 1, 2), (2, 1, 0)))
+    # Level one, three equal letters: negative factors from slot 2 on.
+    @example(seed=0, lam=(1, 0, 0), pair=((0, 0, 0), (0, 0, 0)))
+    def test_matches_brute_force(self, seed, lam, pair):
+        c = random_cartan(random.Random(seed))
+        lam = Weight(lam)
+        nu, nuprime = pair
+        plain, graded = brute_force(c, lam, nu, tuple(nuprime))
+        assert dim(c, lam, nu, nuprime) == plain
+        assert graded_dim(c, lam, nu, nuprime) == graded
+
+    def test_walk_checks_every_node(self):
+        # Level 3 on three equal letters: no factor is zero, so the walk
+        # enters every prefix: 1 + 3 + 6 + 6 nodes.
+        deadline = Recording(3600)
+        dim(RANK1, Weight((3,)), (0, 0, 0), (0, 0, 0), deadline=deadline)
+        graded_dim(RANK1, Weight((3,)), (0, 0, 0), (0, 0, 0), deadline=deadline)
+        assert deadline.seen == {"dimension sum": 16, "graded dimension sum": 16}
+
+    @pytest.mark.parametrize("fn, label", [
+        (dim, "dimension sum"), (graded_dim, "graded dimension sum"),
+    ])
+    def test_pair_cut_at_slot_one_is_checked(self, fn, label):
+        # <Lambda, h_0> = 0 and nu starts with 0: the walk stops at the root.
+        lam, nu, nuprime = Weight((0, 1)), (0, 1), (1, 0)
+        deadline = Recording(3600)
+        assert fn(A2, lam, nu, nuprime, deadline=deadline) == 0
+        assert deadline.seen[label] >= 1
+        with pytest.raises(TimeBudgetExceeded):
+            fn(A2, lam, nu, nuprime, deadline=Deadline(1e-9))
 
 
 class TestOracle:
@@ -386,15 +457,9 @@ class TestBlocks:
     def test_block_sum_visits_each_word_once(self):
         # One check per nonempty word of content <= (4, 4): the sum over
         # a, b <= 4 of C(a + b, a) is 251, less the empty word.
-        class Recording(Deadline):
-            def check(self, where="enumeration"):
-                seen[where] += 1
-                super().check(where)
-
-        seen = Counter()
-        block_graded_dim(A2, Weight((3, 3)), RootElement((4, 4)),
-                         deadline=Recording(3600))
-        assert seen == {"block sum": 250}
+        deadline = Recording(3600)
+        block_graded_dim(A2, Weight((3, 3)), RootElement((4, 4)), deadline=deadline)
+        assert deadline.seen == {"block sum": 250}
 
 
 def assert_block_sums_match(c, lam, beta):

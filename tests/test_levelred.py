@@ -1,8 +1,7 @@
 """Level reduction identities and the failure of their graded analogue."""
 
 import random
-from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +15,6 @@ from klrdim.cartan import (
 from klrdim.dims import block_dim, blocks_of_size, dim, graded_dim, tuples_with_content
 from klrdim.errors import BadShape, LengthMismatch, PreconditionFail, TimeBudgetExceeded
 from klrdim.levelred import (
-    _matched_subwords,
     _subwords,
     content_splits,
     dominant_splits,
@@ -125,36 +123,50 @@ class TestPairReduction:
 
 class TestMatchedSubwords:
     @staticmethod
-    def brute_force(nu, mu, parts):
-        """Subword pairs of every pair of shuffle splits with equal content
-        in each part, counted with multiplicity."""
-        out = Counter()
-        for s in shuffle_splits(len(nu), parts):
-            for t in shuffle_splits(len(mu), parts):
-                sub_nu = tuple(tuple(nu[p - 1] for p in part) for part in s)
-                sub_mu = tuple(tuple(mu[p - 1] for p in part) for part in t)
-                if all(sorted(a) == sorted(b) for a, b in zip(sub_nu, sub_mu)):
-                    out[sub_nu, sub_mu] += 1
-        return out
+    def brute_force(c, nu, mu, split, dims):
+        """The reduction sum over every pair of shuffle splits whose parts
+        have equal content, one product of part dimensions per pair;
+        ``dims`` memoizes the part dimensions."""
 
-    def test_counts_match_brute_force(self):
+        def subwords(word):
+            return [
+                tuple(tuple(word[p - 1] for p in part) for part in s)
+                for s in shuffle_splits(len(word), len(split))
+            ]
+
+        total = 0
+        for sub_nu in subwords(nu):
+            for sub_mu in subwords(mu):
+                term = 1
+                for key in zip(split, sub_nu, sub_mu):
+                    if sorted(key[1]) != sorted(key[2]):
+                        term = 0
+                        break
+                    if key not in dims:
+                        dims[key] = dim(c, *key)
+                    term *= dims[key]
+                total += term
+        return total
+
+    def test_reduction_matches_brute_force(self):
+        # One cache for every split: the 3-part splits share heads and
+        # remainder words but not tails, so a remainder memo that forgot
+        # its tail weights would hand one tail's sum to another.
+        c, lam = builtin_cartan("A2"), Weight((2, 1))
+        splits = [s for parts in (2, 3) for s in dominant_splits(lam, parts)]
+        cache, dims = {}, {}
         for n in range(4):
             for nu in product(range(2), repeat=n):
-                for mu in product(range(2), repeat=n):
-                    for parts in (1, 2, 3):
-                        got = Counter()
-                        matched = _matched_subwords(nu, mu, parts, "test", None, {})
-                        for sub_nu, sub_mu, k in matched:
-                            assert (sub_nu, sub_mu) not in got
-                            got[sub_nu, sub_mu] = k
-                        assert got == self.brute_force(nu, mu, parts), (nu, mu, parts)
+                for mu in sorted(set(permutations(nu))):
+                    for split in splits:
+                        got = reduce_pair_dim_multi(c, lam, nu, mu, split, cache=cache)
+                        assert got == self.brute_force(c, nu, mu, split, dims), (nu, mu, split)
 
     def test_empty_on_content_mismatch(self):
-        assert list(_matched_subwords((1, 1), (1, 2), 2, "test", None, {})) == []
-        assert reduce_pair_dim_multi(
-            builtin_cartan("A2"), Weight((1, 1)), (0, 0), (0, 1),
-            (Weight((1, 0)), Weight((0, 1))),
-        ) == 0
+        c, lam = builtin_cartan("A2"), Weight((1, 1))
+        split = (Weight((1, 0)), Weight((0, 1)))
+        assert reduce_pair_dim_multi(c, lam, (0, 0), (0, 1), split) == 0
+        assert reduce_pair_graded(c, lam, (0, 0), (0, 1), split).is_zero()
 
     def test_deadline_leaves_no_partial_map(self):
         class After(Deadline):
@@ -166,7 +178,12 @@ class TestMatchedSubwords:
         c, lam = builtin_cartan("A2"), Weight((2, 1))
         split = (Weight((1, 0)), Weight((1, 0)), Weight((0, 1)))
         nu, mu = (0, 1, 0, 1), (1, 0, 0, 1)
-        for limit in range(0, 200, 7):
+        unlimited = After(3600)
+        unlimited.calls, unlimited.limit = 0, float("inf")
+        expected = reduce_pair_dim_multi(c, lam, nu, mu, split, deadline=unlimited)
+        assert expected == dim(c, lam, nu, mu)
+        total = unlimited.calls
+        for limit in range(0, total, max(1, total // 40)):
             deadline = After(3600)
             deadline.calls, deadline.limit = 0, limit
             cache = {}
@@ -174,11 +191,12 @@ class TestMatchedSubwords:
                 reduce_pair_dim_multi(c, lam, nu, mu, split, deadline=deadline, cache=cache)
             for key, value in cache.items():
                 if key[0] == "subwords":
-                    assert value == _subwords(key[1], key[2], "test", None, {})
+                    assert value == _subwords(key[1], "test", None, {})
+            assert reduce_pair_dim_multi(c, lam, nu, mu, split, cache=cache) == expected
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            list(_matched_subwords((0,), (0, 0), 2, "test", None, {}))
+            reduce_pair_dim_multi(RANK1, TWO, (0,), (0, 0), (TWO,))
         with pytest.raises(LengthMismatch):
             reduce_pair_dim(RANK1, TWO, (0,), (0, 0), HALVES)
         with pytest.raises(LengthMismatch):
