@@ -23,11 +23,9 @@ from .basis import (
     basis_counts_121,
     block_levels,
     check_bounds_under_swap,
-    exponent_bound,
     exponent_bounds,
     graded_dim_blockwise,
     monomial_basis,
-    monomial_basis_grouped,
 )
 from .budget import Deadline
 from .cartan import (
@@ -36,9 +34,6 @@ from .cartan import (
     Weight,
     builtin_cartan,
     cartan_from_json,
-    coroot_pairing,
-    defect,
-    defect_doubled,
     root_pairing,
     tuple_content,
     validate_cartan,
@@ -54,7 +49,6 @@ from .dims import (
     dim_divided,
     dim_factor,
     dim_factor_id,
-    dim_factor_target,
     graded_dim,
     graded_dim_recursive,
     nilhecke_dim,
@@ -69,7 +63,6 @@ from .idempotents import (
     nonzero_divided,
 )
 from .levelred import (
-    content_splits,
     dominant_splits,
     reduce_algebra_dim,
     reduce_block_dim,
@@ -80,29 +73,22 @@ from .levelred import (
 from .perms import (
     BlockForm,
     BlockStructure,
-    act_on_tuple,
     act_right,
     as_block_form,
     block_form_of,
     coinversion_code,
     compose,
     from_coinversion_code,
-    identity_perm,
     merge_perm,
     min_coset_reps,
-    perm_inverse,
-    perm_length,
     run_blocks,
     shuffle_splits,
-    smaller_before,
     sorting_perm,
     split_perm,
-    transport_count,
     transport_perms,
 )
 from .qpoly import (
     LaurentPoly,
-    bar,
     eval_one,
     quantum_binomial,
     quantum_factorial,
@@ -110,6 +96,28 @@ from .qpoly import (
 )
 from .verify import VerifyReport, verify_suite
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "MonomialBasis", "basis_counts_121", "block_levels",
+    "check_bounds_under_swap", "exponent_bounds", "graded_dim_blockwise",
+    "monomial_basis",
+    "Deadline",
+    "CartanData", "RootElement", "Weight", "builtin_cartan",
+    "cartan_from_json", "root_pairing", "tuple_content", "validate_cartan",
+    "algebra_dim", "algebra_graded_dim", "block_dim", "block_graded_dim",
+    "blocks_of_size", "crossing_degree", "dim", "dim_divided", "dim_factor",
+    "dim_factor_id", "graded_dim", "graded_dim_recursive", "nilhecke_dim",
+    "nilhecke_graded_dim", "tuples_with_content",
+    "NonzeroVerdict", "nonzero_blockwise", "nonzero_by_shuffle",
+    "nonzero_direct", "nonzero_divided",
+    "dominant_splits", "reduce_algebra_dim", "reduce_block_dim",
+    "reduce_pair_dim", "reduce_pair_dim_multi", "reduce_pair_graded",
+    "BlockForm", "BlockStructure", "act_right", "as_block_form",
+    "block_form_of", "coinversion_code", "compose", "from_coinversion_code",
+    "merge_perm", "min_coset_reps", "run_blocks", "shuffle_splits",
+    "sorting_perm", "split_perm", "transport_perms",
+    "LaurentPoly", "eval_one", "quantum_binomial", "quantum_factorial",
+    "quantum_int",
+    "VerifyReport", "verify_suite",
+]
 
 __version__ = "0.1.0"

@@ -50,24 +50,6 @@ def block_levels(c: CartanData, lam: Weight, form: BlockForm) -> tuple[int, ...]
     )
 
 
-def exponent_bound(
-    c: CartanData,
-    lam: Weight,
-    mu: Sequence[int],
-    form: BlockForm,
-    k: int,
-) -> int:
-    """The k-th exponent bound for the monomial basis attached to mu.
-
-    Dimension factor of the sorting permutation at slot k, plus the number
-    of earlier slots of mu carrying the same letter.
-    """
-    mu = tuple(mu)
-    d = sorting_perm(mu, form)
-    same = sum(1 for j in range(k - 1) if mu[j] == mu[k - 1])
-    return dim_factor(c, lam, d, mu, k) + same
-
-
 def exponent_bounds(
     c: CartanData,
     lam: Weight,
@@ -129,18 +111,6 @@ def monomial_basis(
     if any(b <= 0 for b in bounds):
         return None
     return MonomialBasis(mu, form, sorting_perm(mu, form), bounds)
-
-
-def monomial_basis_grouped(
-    c: CartanData, lam: Weight, form: BlockForm
-) -> MonomialBasis | None:
-    """The diagonal case: the monomial basis at the grouped tuple itself.
-
-    Here the exponent bounds step down by one inside each block from the
-    block's head pairing, and the permutations are exactly the block Young
-    subgroup.
-    """
-    return monomial_basis(c, lam, form.tuple, form)
 
 
 def graded_dim_blockwise(c: CartanData, lam: Weight, form: BlockForm) -> LaurentPoly:

@@ -71,10 +71,6 @@ class Weight:
         return Weight(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     @classmethod
-    def zero(cls, n: int) -> Weight:
-        return cls((0,) * n)
-
-    @classmethod
     def fundamental(cls, n: int, i: int) -> Weight:
         return cls(tuple(1 if j == i else 0 for j in range(n)))
 
@@ -93,15 +89,6 @@ class RootElement:
     @property
     def size(self) -> int:
         return sum(self.coeffs)
-
-    def __add__(self, other: RootElement) -> RootElement:
-        if len(self.coeffs) != len(other.coeffs):
-            raise BadShape("root elements live over different node sets")
-        return RootElement(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    @classmethod
-    def zero(cls, n: int) -> RootElement:
-        return cls((0,) * n)
 
 
 def _is_int_list(x) -> bool:
@@ -343,50 +330,6 @@ def cartan_from_json(doc: dict) -> tuple[CartanData, list[int]]:
 def root_pairing(c: CartanData, i: int, j: int) -> int:
     """The symmetric form (alpha_i | alpha_j) = d_i * a_ij = d_j * a_ji."""
     return c.symmetrizer[i] * c.matrix[i][j]
-
-
-def coroot_pairing(c: CartanData, lam: Weight, beta: RootElement | None, i: int) -> int:
-    """The coroot pairing <Lambda - beta, h_i> as an integer.
-
-    Uses <alpha_j, h_i> = a_ij; pass ``beta=None`` for plain <Lambda, h_i>.
-    """
-    val = lam.coeffs[i]
-    if beta is not None:
-        row = c.matrix[i]
-        for j, b in enumerate(beta.coeffs):
-            if b:
-                val -= b * row[j]
-    return val
-
-
-def defect(c: CartanData, lam: Weight, beta: RootElement) -> Fraction:
-    """The defect (Lambda|beta) - (beta|beta)/2 as an exact fraction.
-
-    Its denominator is 1 or 2; prefer :func:`defect_doubled` when integer
-    arithmetic is wanted.
-    """
-    return Fraction(defect_doubled(c, lam, beta), 2)
-
-
-def defect_doubled(c: CartanData, lam: Weight, beta: RootElement) -> int:
-    """Twice the defect: 2*(Lambda|beta) - (beta|beta), always an integer.
-
-    The defect itself, (Lambda|beta) - (beta|beta)/2, can be half-integral
-    when (beta|beta) is odd, so it is kept in half-units; the parity of the
-    returned value tells whether the true defect is half-integral.
-    """
-    b = beta.coeffs
-    lam_beta = sum(
-        b[i] * c.symmetrizer[i] * lam.coeffs[i] for i in range(c.n) if b[i]
-    )
-    beta_beta = 0
-    for i in range(c.n):
-        if not b[i]:
-            continue
-        di = c.symmetrizer[i]
-        row = c.matrix[i]
-        beta_beta += b[i] * di * sum(b[j] * row[j] for j in range(c.n) if b[j])
-    return 2 * lam_beta - beta_beta
 
 
 def tuple_content(c: CartanData, nu: tuple[int, ...]) -> RootElement:

@@ -293,8 +293,7 @@ def _cmd_nonzero(args) -> int:
         verdict = idempotents.nonzero_direct(ctx.cartan, lam, nu, deadline=ctx.deadline)
     elif method == "divided":
         verdict = idempotents.nonzero_divided(ctx.cartan, lam, nu, deadline=ctx.deadline)
-    elif method in ("blockwise", "tilde"):
-        method = "blockwise"
+    elif method == "blockwise":
         verdict = idempotents.nonzero_blockwise(ctx.cartan, lam, nu)
     else:
         fundamentals = [i for i, k in enumerate(lam.coeffs) for _ in range(k)]
@@ -445,6 +444,8 @@ def _cmd_tilde(args) -> int:
 def _cmd_verify(args) -> int:
     ctx = _context(args)
     lam = _weight(ctx, args)
+    if args.max_n < 0:
+        raise PreconditionFail("--max-n must be >= 0")
     reports = verify_suite(
         args.suite, ctx.cartan, lam, max_n=args.max_n, deadline=ctx.deadline
     )
@@ -531,9 +532,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nu", required=True)
     p.add_argument(
         "--method",
-        choices=("direct", "divided", "blockwise", "tilde", "shuffle"),
+        choices=("direct", "divided", "blockwise", "shuffle"),
         default="direct",
-        help="'tilde' is an alias for 'blockwise' (grouped-tuple criterion)",
     )
     p.set_defaults(func=_cmd_nonzero)
 

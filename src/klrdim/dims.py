@@ -63,31 +63,6 @@ def dim_factor_id(c: CartanData, lam: Weight, nu: Sequence[int], t: int) -> int:
     return lam.coeffs[i] - sum(row[nu[j]] for j in range(t - 1))
 
 
-def dim_factor_target(
-    c: CartanData,
-    lam: Weight,
-    w: Perm,
-    nu: Sequence[int],
-    nuprime: Sequence[int],
-    t: int,
-) -> int:
-    """The same factor read off the target tuple instead of the source.
-
-    Sums the letters of nu' at positions below w(t) that are hit by the
-    first t-1 values of w.  Exists purely to cross-check
-    :func:`dim_factor`, with which it agrees whenever w*nu = nu'.
-    """
-    i = nu[t - 1]
-    row = c.matrix[i]
-    val = lam.coeffs[i]
-    wt = w[t - 1]
-    hit = set(w[:t - 1])
-    for j in range(1, wt):
-        if j in hit:
-            val -= row[nuprime[j - 1]]
-    return val
-
-
 def crossing_degree(c: CartanData, w: Perm, nu: Sequence[int]) -> int:
     """Degree of the strand diagram of w on nu: minus the sum of root
     pairings (alpha_{nu_i} | alpha_{nu_t}) over crossings i < t, w(i) > w(t).

@@ -216,15 +216,6 @@ def _splits(coeffs: Sequence[int], parts: int) -> Iterator[tuple[tuple[int, ...]
         yield tuple(tuple(col[slot] for col in choice) for slot in range(parts))
 
 
-def content_splits(
-    beta: RootElement, parts: int
-) -> Iterator[tuple[RootElement, ...]]:
-    """All ordered decompositions beta = beta_1 + ... + beta_parts, as
-    independent per-node compositions."""
-    for split in _splits(beta.coeffs, parts):
-        yield tuple(RootElement(col) for col in split)
-
-
 def reduce_block_dim(
     c: CartanData,
     lam: Weight,

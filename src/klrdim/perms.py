@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from math import factorial
 from typing import Iterator, Sequence
 
 from .errors import IncompatibleContent, LengthMismatch, NotBlockForm, OutOfRange
@@ -33,34 +32,9 @@ Perm = tuple[int, ...]
 IndexTuple = tuple[int, ...]
 
 
-def identity_perm(n: int) -> Perm:
-    return tuple(range(1, n + 1))
-
-
-def perm_length(w: Perm) -> int:
-    """Coxeter length = number of inversions."""
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-
-
-def perm_inverse(w: Perm) -> Perm:
-    inv = [0] * len(w)
-    for pos, val in enumerate(w, start=1):
-        inv[val - 1] = pos
-    return tuple(inv)
-
-
 def compose(w: Perm, u: Perm) -> Perm:
     """Function composition (w o u)(k) = w(u(k))."""
     return tuple(w[u[k] - 1] for k in range(len(u)))
-
-
-def act_on_tuple(w: Perm, nu: Sequence[int]) -> IndexTuple:
-    """Left places action: entry nu_j moves to slot w(j)."""
-    out = [0] * len(nu)
-    for j, target in enumerate(w):
-        out[target - 1] = nu[j]
-    return tuple(out)
 
 
 def act_right(nu: Sequence[int], w: Perm) -> IndexTuple:
@@ -78,12 +52,6 @@ def simple_transposition(n: int, a: int) -> Perm:
 # ---------------------------------------------------------------------------
 # Inversion statistics and the coinversion code
 # ---------------------------------------------------------------------------
-
-
-def smaller_before(w: Perm, t: int) -> frozenset[int]:
-    """Positions j < t whose value lies below w(t): {j < t | w(j) < w(t)}."""
-    wt = w[t - 1]
-    return frozenset(j for j in range(1, t) if w[j - 1] < wt)
 
 
 def coinversion_code(w: Perm) -> tuple[int, ...]:
@@ -156,19 +124,6 @@ def transport_perms(nu: Sequence[int], nuprime: Sequence[int]) -> Iterator[Perm]
     yield from rec(0)
 
 
-def transport_count(nu: Sequence[int], nuprime: Sequence[int]) -> int:
-    """|{w : w*nu = nuprime}| = product of multiplicity factorials, or 0."""
-    if len(nu) != len(nuprime):
-        raise LengthMismatch("tuples must have the same length")
-    cnt = Counter(nu)
-    if cnt != Counter(nuprime):
-        return 0
-    out = 1
-    for m in cnt.values():
-        out *= factorial(m)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Blocks of repeated letters
 # ---------------------------------------------------------------------------
@@ -228,14 +183,6 @@ class BlockForm:
     @property
     def count(self) -> int:
         return len(self.sizes)
-
-    def block_of_slot(self, k: int) -> int:
-        """0-based block index containing 1-based slot k."""
-        c = self.cumulative
-        for i in range(self.count):
-            if c[i] < k <= c[i + 1]:
-                return i
-        raise OutOfRange(f"slot {k} outside 1..{c[-1]}")
 
 
 def block_form_of(mu: Sequence[int], letters: Sequence[int] | None = None) -> BlockForm:

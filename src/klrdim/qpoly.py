@@ -181,11 +181,6 @@ class LaurentPoly:
         return out
 
 
-def bar(p: LaurentPoly) -> LaurentPoly:
-    """The bar involution q -> q^-1 (negates every exponent)."""
-    return LaurentPoly({-e: c for e, c in p.items()})
-
-
 def eval_one(p: LaurentPoly) -> int:
     """Evaluate at q = 1, i.e. sum the coefficients.
 

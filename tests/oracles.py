@@ -1,0 +1,102 @@
+"""Reference helpers that check the library from outside.
+
+None of these runs on a production path.  Each restates a quantity the
+library computes some other way -- the left action, Coxeter length, the
+target-side dimension factor, the bar involution -- so that the tests can
+compare the two.  Conventions are those of :mod:`klrdim.perms`: one-line
+tuples, 1-based positions, ``(w*nu)_k = nu_{w^-1(k)}``.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from math import factorial
+from typing import Sequence
+
+from klrdim.cartan import CartanData, Weight
+from klrdim.errors import LengthMismatch, OutOfRange
+from klrdim.perms import BlockForm, IndexTuple, Perm
+from klrdim.qpoly import LaurentPoly
+
+
+def identity_perm(n: int) -> Perm:
+    return tuple(range(1, n + 1))
+
+
+def perm_length(w: Perm) -> int:
+    """Coxeter length = number of inversions."""
+    n = len(w)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+
+
+def perm_inverse(w: Perm) -> Perm:
+    inv = [0] * len(w)
+    for pos, val in enumerate(w, start=1):
+        inv[val - 1] = pos
+    return tuple(inv)
+
+
+def act_on_tuple(w: Perm, nu: Sequence[int]) -> IndexTuple:
+    """Left places action: entry nu_j moves to slot w(j)."""
+    out = [0] * len(nu)
+    for j, target in enumerate(w):
+        out[target - 1] = nu[j]
+    return tuple(out)
+
+
+def smaller_before(w: Perm, t: int) -> frozenset[int]:
+    """Positions j < t whose value lies below w(t): {j < t | w(j) < w(t)}."""
+    wt = w[t - 1]
+    return frozenset(j for j in range(1, t) if w[j - 1] < wt)
+
+
+def transport_count(nu: Sequence[int], nuprime: Sequence[int]) -> int:
+    """|{w : w*nu = nuprime}| = product of multiplicity factorials, or 0."""
+    if len(nu) != len(nuprime):
+        raise LengthMismatch("tuples must have the same length")
+    cnt = Counter(nu)
+    if cnt != Counter(nuprime):
+        return 0
+    out = 1
+    for m in cnt.values():
+        out *= factorial(m)
+    return out
+
+
+def block_of_slot(form: BlockForm, k: int) -> int:
+    """0-based block index of ``form`` containing 1-based slot k."""
+    c = form.cumulative
+    for i in range(form.count):
+        if c[i] < k <= c[i + 1]:
+            return i
+    raise OutOfRange(f"slot {k} outside 1..{c[-1]}")
+
+
+def dim_factor_target(
+    c: CartanData,
+    lam: Weight,
+    w: Perm,
+    nu: Sequence[int],
+    nuprime: Sequence[int],
+    t: int,
+) -> int:
+    """:func:`klrdim.dims.dim_factor` read off the target tuple instead of
+    the source.
+
+    Sums the letters of nu' at positions below w(t) that are hit by the
+    first t-1 values of w; agrees with ``dim_factor`` whenever w*nu = nu'.
+    """
+    i = nu[t - 1]
+    row = c.matrix[i]
+    val = lam.coeffs[i]
+    wt = w[t - 1]
+    hit = set(w[:t - 1])
+    for j in range(1, wt):
+        if j in hit:
+            val -= row[nuprime[j - 1]]
+    return val
+
+
+def bar(p: LaurentPoly) -> LaurentPoly:
+    """The bar involution q -> q^-1 (negates every exponent)."""
+    return LaurentPoly({-e: c for e, c in p.items()})

@@ -124,14 +124,6 @@ class TestNonzero:
         assert code == 0
         assert doc["nonzero"] is False and doc["witness"] == [[1, 2]]
 
-    def test_tilde_method_alias(self, capsys):
-        code, doc, _ = invoke_json(
-            capsys, "nonzero", "--cartan", "A2", "--weight", "1,0",
-            "--nu", "1,1", "--method", "tilde",
-        )
-        assert code == 0
-        assert doc["method"] == "blockwise" and doc["nonzero"] is False
-
     def test_shuffle_witness_uses_labels(self, capsys):
         code, doc, _ = invoke_json(
             capsys, "nonzero", "--cartan", "A2", "--weight", "1,1",
@@ -204,6 +196,14 @@ class TestVerify:
         )
         assert code == 0
         assert "OK" in out and "0 mismatches" in out
+
+    def test_negative_max_n_is_rejected(self, capsys):
+        # A negative cap walks no block, so the suites would pass vacuously.
+        code, out, err = invoke(
+            capsys, "verify", "--cartan", "A2", "--weight", "1,1", "--max-n", "-3",
+        )
+        assert code == 1 and out == ""
+        assert "PreconditionFail" in err and "--max-n" in err
 
     def test_all_suites_json(self, capsys):
         code, doc, _ = invoke_json(

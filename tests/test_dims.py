@@ -23,7 +23,6 @@ from klrdim.dims import (
     dim_divided,
     dim_factor,
     dim_factor_id,
-    dim_factor_target,
     graded_dim,
     graded_dim_recursive,
     nilhecke_dim,
@@ -33,6 +32,7 @@ from klrdim.dims import (
 from klrdim.errors import TimeBudgetExceeded
 from klrdim.perms import transport_perms
 from klrdim.qpoly import LaurentPoly, eval_one, quantum_int
+from oracles import dim_factor_target
 
 RANK1 = validate_cartan([[2]])
 A2 = builtin_cartan("A2")

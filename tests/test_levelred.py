@@ -16,7 +16,6 @@ from klrdim.dims import block_dim, blocks_of_size, dim, graded_dim, tuples_with_
 from klrdim.errors import BadShape, LengthMismatch, PreconditionFail, TimeBudgetExceeded
 from klrdim.levelred import (
     _subwords,
-    content_splits,
     dominant_splits,
     reduce_block_dim,
     reduce_pair_dim,
@@ -260,14 +259,6 @@ class TestGradedAnalogueFails:
 
 
 class TestSplitEnumerations:
-    def test_content_splits_count(self):
-        beta = RootElement((2, 1))
-        got = list(content_splits(beta, 2))
-        assert len(got) == 3 * 2
-        for parts in got:
-            assert sum((p.coeffs[0] for p in parts)) == 2
-            assert sum((p.coeffs[1] for p in parts)) == 1
-
     def test_dominant_splits_count(self):
         lam = Weight((1, 2))
         got = list(dominant_splits(lam, 2))

@@ -13,26 +13,28 @@ from klrdim.errors import (
     OutOfRange,
 )
 from klrdim.perms import (
-    act_on_tuple,
     act_right,
     as_block_form,
     block_form_of,
     coinversion_code,
     compose,
     from_coinversion_code,
-    identity_perm,
     merge_perm,
     min_coset_reps,
-    perm_inverse,
-    perm_length,
     run_blocks,
     shuffle_splits,
     simple_transposition,
-    smaller_before,
     sorting_perm,
     split_perm,
-    transport_count,
     transport_perms,
+)
+from oracles import (
+    act_on_tuple,
+    identity_perm,
+    perm_inverse,
+    perm_length,
+    smaller_before,
+    transport_count,
 )
 
 S3_S1 = (2, 1, 3)  # the swap of 1 and 2 inside S_3

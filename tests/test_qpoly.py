@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 from klrdim.errors import DivisionInexact
 from klrdim.qpoly import (
     LaurentPoly,
-    bar,
     divide_exact,
     eval_one,
     quantum_binomial,
     quantum_factorial,
     quantum_int,
 )
+from oracles import bar
 
 polys = st.dictionaries(
     st.integers(min_value=-8, max_value=8),
