@@ -20,23 +20,27 @@ The divided-power route sums over far fewer permutations by collapsing each
 run block of equal letters to a factorial times shifted factors, and the
 single-letter case collapses entirely to closed nilHecke products.
 
-A whole block is summed by a recursion on the target word alone (the
-column-sum identity of :func:`block_graded_dim`); the per-pair closed formula
-and integer products are what block sums are checked against.
+A whole block is summed by one recursion on the target word alone: the
+column C(w) = dim_q R^Lambda(beta) e(w), run in Laurent polynomials for
+:func:`block_graded_dim` and in plain integers for :func:`block_dim`.  The
+embedding R^Lambda(m) into R^Lambda(n) maps e(w') to e(w' i), so a word whose
+prefix has a zero column has a zero column too and is cut at once.  The
+per-pair closed formula and integer products are what block sums are checked
+against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from math import factorial, prod
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import budget
 from .budget import Deadline
 from .cartan import CartanData, RootElement, Weight, root_pairing
 from .errors import LengthMismatch
 from .perms import IndexTuple, Perm, min_coset_reps, run_blocks
-from .qpoly import LaurentPoly, eval_one, quantum_int
+from .qpoly import LaurentPoly, quantum_int
 
 
 def dim_factor(c: CartanData, lam: Weight, w: Perm, nu: Sequence[int], t: int) -> int:
@@ -364,68 +368,80 @@ def tuples_with_content(beta: RootElement) -> Iterator[IndexTuple]:
     yield from rec()
 
 
-def block_graded_dim(
-    c: CartanData,
-    lam: Weight,
-    beta: RootElement,
-    deadline: Deadline | None = None,
-) -> LaurentPoly:
-    """Graded dimension of the whole block R^Lambda(beta) by the column-sum
-    identity: summing :func:`graded_dim_recursive` over every source forces
-    the peeled letter to be x = w_k, so the block is the sum over words w
-    realizing beta of C(w), with C(()) = 1 and, memoized on the word,
-    C(w) = sum_k q^{d_x (1 + <Lambda - |w|, h_x>)} [<Lambda, h_x> - sum_{j<k}
-    a_{x w_j}]_{q^{d_x}} C(w without slot k)."""
-    memo: dict = {(): LaurentPoly.one()}
+def _column_sum(
+    c: CartanData, lam: Weight, beta: RootElement, one: int | LaurentPoly,
+    factor: Callable, shifted: Callable, deadline: Deadline | None,
+) -> int | LaurentPoly:
+    """The block sum over the words w realizing beta of the columns C(w).
 
-    def col(word: IndexTuple) -> LaurentPoly:
+    Summing :func:`graded_dim_recursive` over every source forces the
+    peeled letter to be x = w_k, so, with C(()) = ``one`` and memoized on
+    the word,
+
+        C(w) = sum_k q^{d_x (1 + <Lambda - |w|, h_x>)}
+               [<Lambda, h_x> - sum_{j<k} a_{x w_j}]_{q^{d_x}} C(w without slot k).
+
+    C(w) is dim_q R^Lambda(beta) e(w), so it is zero exactly when e(w) is.
+    The embedding R^Lambda(m) into R^Lambda(n) maps e(w') to e(w' i), so
+    C(w[:-1]) = 0 forces C(w) = 0: a memo miss looks that prefix up first.
+    The pairings are kept as one running vector over the nodes, and the
+    terms are added up per letter x before the one shift of x is applied.
+    ``factor(f, d_x)`` and ``shifted(value, e)`` give the arithmetic:
+    quantum integers and q^e, or the plain f and the identity at q = 1.
+    """
+    memo: dict = {(): one}
+    zero, d = one * 0, c.symmetrizer
+    columns = [[row[y] for row in c.matrix] for y in range(c.n)]
+
+    def col(word: IndexTuple) -> int | LaurentPoly:
         hit = memo.get(word)
         if hit is None:
             budget.check(deadline, "block sum")
-            hit = LaurentPoly.zero()
-            for k, x in enumerate(word):
-                row, dx = c.matrix[x], c.symmetrizer[x]
-                factor = quantum_int(lam.coeffs[x] - sum(row[y] for y in word[:k]), dx)
-                if not factor.is_zero():
-                    shift = dx * (1 + lam.coeffs[x] - sum(row[y] for y in word))
-                    hit = hit + factor.shift(shift) * col(word[:k] + word[k + 1 :])
+            hit = zero
+            if col(word[:-1]) != 0:
+                pairing, per_letter = list(lam.coeffs), {}
+                for k, x in enumerate(word):
+                    rest = col(word[:k] + word[k + 1 :]) if pairing[x] else 0
+                    if rest != 0:
+                        per_letter[x] = per_letter.get(x, zero) + factor(pairing[x], d[x]) * rest
+                    pairing = [p - a for p, a in zip(pairing, columns[x])]
+                for x, acc in per_letter.items():
+                    hit = hit + shifted(acc, d[x] * (1 + pairing[x]))
             memo[word] = hit
         return hit
 
-    return sum((col(w) for w in tuples_with_content(beta)), LaurentPoly.zero())
+    return sum((col(w) for w in tuples_with_content(beta)), zero)
+
+
+def block_graded_dim(
+    c: CartanData, lam: Weight, beta: RootElement, deadline: Deadline | None = None
+) -> LaurentPoly:
+    """Graded dimension of the whole block R^Lambda(beta): the column
+    recursion of :func:`_column_sum` in Laurent polynomials, with one
+    quantum integer per slot and one shift per letter."""
+    return _column_sum(c, lam, beta, LaurentPoly.one(), quantum_int, LaurentPoly.shift, deadline)
 
 
 def block_dim(
-    c: CartanData,
-    lam: Weight,
-    beta: RootElement,
-    deadline: Deadline | None = None,
+    c: CartanData, lam: Weight, beta: RootElement, deadline: Deadline | None = None
 ) -> int:
-    """Ungraded dimension of the whole block R^Lambda(beta)."""
-    return eval_one(block_graded_dim(c, lam, beta, deadline=deadline))
+    """Ungraded dimension of the whole block R^Lambda(beta): the same column
+    recursion in plain integers, where each factor is the integer f itself
+    and every shift is the identity.  It builds no polynomial;
+    :func:`block_graded_dim` at q = 1 is checked against it."""
+    return _column_sum(c, lam, beta, 1, lambda f, dx: f, lambda v, e: v, deadline)
 
 
 def algebra_graded_dim(
-    c: CartanData,
-    lam: Weight,
-    n: int,
-    deadline: Deadline | None = None,
+    c: CartanData, lam: Weight, n: int, deadline: Deadline | None = None
 ) -> LaurentPoly:
     """Graded dimension of R^Lambda(n): the sum over all blocks of size n."""
-    total = LaurentPoly.zero()
-    for beta in blocks_of_size(c, n):
-        total = total + block_graded_dim(c, lam, beta, deadline=deadline)
-    return total
+    blocks = (block_graded_dim(c, lam, beta, deadline) for beta in blocks_of_size(c, n))
+    return sum(blocks, LaurentPoly.zero())
 
 
 def algebra_dim(
-    c: CartanData,
-    lam: Weight,
-    n: int,
-    deadline: Deadline | None = None,
+    c: CartanData, lam: Weight, n: int, deadline: Deadline | None = None
 ) -> int:
     """Ungraded dimension of R^Lambda(n)."""
-    return sum(
-        block_dim(c, lam, beta, deadline=deadline)
-        for beta in blocks_of_size(c, n)
-    )
+    return sum(block_dim(c, lam, beta, deadline) for beta in blocks_of_size(c, n))

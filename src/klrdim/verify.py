@@ -14,6 +14,7 @@ from typing import Iterator
 from . import budget
 from .budget import Deadline
 from .cartan import CartanData, Weight
+from .errors import PreconditionFail
 from .dims import (
     blocks_of_size,
     block_dim,
@@ -65,7 +66,11 @@ class VerifyReport:
 
     def walk_blocks(self, c: CartanData, max_n: int) -> Iterator[tuple]:
         """Every block of size <= max_n with its tuples.  Counts each block,
-        and counts it as failed if a mismatch is recorded while it is open."""
+        and counts it as failed if a mismatch is recorded while it is open.
+        A negative ``max_n`` would walk no block and pass vacuously, so it
+        raises :class:`PreconditionFail` instead."""
+        if max_n < 0:
+            raise PreconditionFail(f"max_n must be >= 0, got {max_n}")
         for n in range(max_n + 1):
             for beta in blocks_of_size(c, n):
                 self.blocks += 1

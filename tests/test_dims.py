@@ -464,13 +464,38 @@ class TestBlocks:
 
 def assert_block_sums_match(c, lam, beta):
     """The block sums (the word recursion) against the per-pair closed formula
-    and the per-pair integer products."""
+    and the per-pair integer products, and the graded block at q = 1 against
+    the integer block."""
     tuples = list(tuples_with_content(beta))
     closed = LaurentPoly.zero()
     for nu, nuprime in product(tuples, repeat=2):
         closed = closed + graded_dim(c, lam, nu, nuprime)
-    assert block_graded_dim(c, lam, beta) == closed
-    assert block_dim(c, lam, beta) == sum(dim(c, lam, a, b) for a, b in product(tuples, repeat=2))
+    graded, plain = block_graded_dim(c, lam, beta), block_dim(c, lam, beta)
+    assert graded == closed
+    assert plain == sum(dim(c, lam, a, b) for a, b in product(tuples, repeat=2))
+    assert eval_one(graded) == plain
+
+
+class TestPrefixCut:
+    """The theorem behind the block sums' prefix cut, through the per-pair
+    walk only: e(nu[:-1]) = 0 in R^Lambda(n-1) forces e(nu) = 0 in
+    R^Lambda(n), because the embedding maps e(nu[:-1]) to e(nu)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(*[st.integers(0, 2)] * 3),
+        st.lists(st.integers(0, 2), min_size=1, max_size=5),
+    )
+    # Zero at the first letter: <Lambda, h_0> = 0.
+    @example(seed=0, lam=(0, 1, 1), nu=[0, 1])
+    # Two equal letters at level one: the nilHecke piece on two strands.
+    @example(seed=0, lam=(1, 0, 0), nu=[0, 0, 1])
+    def test_zero_prefix_forces_zero_word(self, seed, lam, nu):
+        c = random_cartan(random.Random(seed))
+        lam, nu = Weight(lam), tuple(nu)
+        if dim(c, lam, nu[:-1], nu[:-1]) == 0:
+            assert dim(c, lam, nu, nu) == 0
 
 
 class TestDeadline:

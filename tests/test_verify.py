@@ -8,7 +8,7 @@ import klrdim.perms
 import klrdim.qpoly
 from klrdim.budget import Deadline
 from klrdim.cartan import Weight, builtin_cartan
-from klrdim.errors import TimeBudgetExceeded
+from klrdim.errors import PreconditionFail, TimeBudgetExceeded
 from klrdim.verify import SCOPES, VerifyReport, verify_suite
 
 
@@ -66,6 +66,15 @@ class TestSuites:
         c = builtin_cartan("A2")
         (report,) = verify_suite("oracle", c, Weight((2, 0)), max_n=2)
         assert report.suite == "oracle" and report.ok
+
+    @pytest.mark.parametrize("scope", SCOPES)
+    def test_negative_max_n_is_rejected(self, scope):
+        # A negative cap walks no block, so every suite would pass vacuously.
+        c, lam = builtin_cartan("A2"), Weight((1, 1))
+        with pytest.raises(PreconditionFail, match="max_n"):
+            verify_suite(scope, c, lam, max_n=-1)
+        reports = verify_suite(scope, c, lam, max_n=0)
+        assert all(r.ok and r.blocks == 1 for r in reports)
 
     def test_scopes_constant(self):
         assert SCOPES == ("oracle", "divided", "levelred", "basis", "all")
