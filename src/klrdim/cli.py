@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import basis as basis_mod
-from . import dims, idempotents, levelred
+from . import budget, dims, idempotents, levelred
 from .budget import Deadline
 from .cartan import (
     CartanData,
@@ -31,7 +31,7 @@ from .cartan import (
     cartan_from_json,
 )
 from .errors import BadShape, KlrError, OutOfRange, PreconditionFail
-from .perms import block_form_of
+from .perms import BlockForm, block_form_of, sorting_perm
 from .qpoly import LaurentPoly, eval_one
 from .verify import SCOPES, verify_suite
 
@@ -52,9 +52,6 @@ class Context:
             raise OutOfRange(
                 f"unknown node label {label}; known labels: {self.labels}"
             ) from None
-
-    def label_of(self, index: int) -> int:
-        return self.labels[index]
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -97,13 +94,17 @@ def _context(args) -> Context:
     return Context(c, labels, args.format, deadline)
 
 
-def _weight(ctx: Context, args) -> Weight:
-    coeffs = _parse_int_list(args.weight)
+def _node_vector(ctx: Context, text: str, what: str) -> tuple[int, ...]:
+    coeffs = _parse_int_list(text)
     if len(coeffs) != ctx.cartan.n:
         raise PreconditionFail(
-            f"weight needs {ctx.cartan.n} coefficients (node order), got {len(coeffs)}"
+            f"{what} needs {ctx.cartan.n} coefficients (node order), got {len(coeffs)}"
         )
-    w = Weight(tuple(coeffs))
+    return tuple(coeffs)
+
+
+def _weight(ctx: Context, args) -> Weight:
+    w = Weight(_node_vector(ctx, args.weight, "weight"))
     if not w.is_dominant:
         raise PreconditionFail("weight coefficients must be non-negative")
     return w
@@ -114,16 +115,17 @@ def _tuple(ctx: Context, text: str) -> tuple[int, ...]:
 
 
 def _beta(ctx: Context, text: str) -> RootElement:
-    coeffs = _parse_int_list(text)
-    if len(coeffs) != ctx.cartan.n:
-        raise PreconditionFail(
-            f"block needs {ctx.cartan.n} multiplicities (node order), got {len(coeffs)}"
-        )
-    return RootElement(tuple(coeffs))
+    return RootElement(_node_vector(ctx, text, "block"))
+
+
+def _grouped(ctx: Context, args) -> tuple[tuple[int, ...], BlockForm]:
+    """--mu and its grouped form, in the --letters order when one is given."""
+    mu = _tuple(ctx, args.mu)
+    return mu, block_form_of(mu, _tuple(ctx, args.letters) if args.letters else None)
 
 
 def _labels_of(ctx: Context, nu) -> list[int]:
-    return [ctx.label_of(i) for i in nu]
+    return [ctx.labels[i] for i in nu]
 
 
 def _poly_json(p: LaurentPoly) -> dict:
@@ -161,18 +163,6 @@ def _cmd_gdim(args) -> int:
     return 0
 
 
-def _pair_table(ctx: Context, lam: Weight, beta: RootElement):
-    tuples = list(dims.tuples_with_content(beta))
-    rows = []
-    total = 0
-    for nu in tuples:
-        for nuprime in tuples:
-            v = dims.dim(ctx.cartan, lam, nu, nuprime, deadline=ctx.deadline)
-            rows.append((nu, nuprime, v))
-            total += v
-    return rows, total
-
-
 def _cmd_dim(args) -> int:
     ctx = _context(args)
     lam = _weight(ctx, args)
@@ -202,7 +192,13 @@ def _cmd_dim(args) -> int:
             str(v),
         )
         return 0
-    rows, total = _pair_table(ctx, lam, beta)
+    tuples = list(dims.tuples_with_content(beta))
+    rows = [
+        (nu, nuprime, dims.dim(ctx.cartan, lam, nu, nuprime, deadline=ctx.deadline))
+        for nu in tuples
+        for nuprime in tuples
+    ]
+    total = sum(v for _, _, v in rows)
     lines = [
         f"e({','.join(map(str, _labels_of(ctx, nu)))}) "
         f"e({','.join(map(str, _labels_of(ctx, nuprime)))})  {v}"
@@ -323,13 +319,7 @@ def _cmd_nonzero(args) -> int:
 def _cmd_basis(args) -> int:
     ctx = _context(args)
     lam = _weight(ctx, args)
-    mu = _tuple(ctx, args.mu)
-    letters = (
-        tuple(ctx.index_of(x) for x in _parse_int_list(args.letters))
-        if args.letters
-        else None
-    )
-    form = block_form_of(mu, letters)
+    mu, form = _grouped(ctx, args)
     mb = basis_mod.monomial_basis(ctx.cartan, lam, mu, form)
     bounds = basis_mod.exponent_bounds(ctx.cartan, lam, mu, form)
     doc = {
@@ -349,8 +339,7 @@ def _cmd_basis(args) -> int:
     if mb is not None and args.list:
         elements = []
         for w, r in mb.elements():
-            if ctx.deadline is not None:
-                ctx.deadline.check("basis enumeration")
+            budget.check(ctx.deadline, "basis enumeration")
             elements.append({"w": list(w), "r": list(r)})
             lines.append(f"w={list(w)} r={list(r)}")
         doc["elements"] = elements
@@ -361,14 +350,7 @@ def _cmd_basis(args) -> int:
 def _cmd_reduce(args) -> int:
     ctx = _context(args)
     lam = _weight(ctx, args)
-    parts = []
-    for chunk in args.split.split(";"):
-        coeffs = _parse_int_list(chunk)
-        if len(coeffs) != ctx.cartan.n:
-            raise PreconditionFail(
-                f"each split part needs {ctx.cartan.n} coefficients"
-            )
-        parts.append(Weight(tuple(coeffs)))
+    parts = [Weight(_node_vector(ctx, chunk, "split part")) for chunk in args.split.split(";")]
     if args.nu is not None and args.mu is not None:
         nu = _tuple(ctx, args.nu)
         mu = _tuple(ctx, args.mu)
@@ -409,15 +391,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_tilde(args) -> int:
     ctx = _context(args)
-    mu = _tuple(ctx, args.mu)
-    letters = (
-        tuple(ctx.index_of(x) for x in _parse_int_list(args.letters))
-        if args.letters
-        else None
-    )
-    form = block_form_of(mu, letters)
-    from .perms import sorting_perm
-
+    mu, form = _grouped(ctx, args)
     d = sorting_perm(mu, form)
     doc = {
         "command": "tilde",

@@ -16,9 +16,11 @@ and the same dimension is computed by an independent restriction recursion
 (:func:`graded_dim_recursive`) so the two routes cross-check each other
 exactly.
 
-The divided-power route sums over far fewer permutations by collapsing each
-run block of equal letters to a factorial times shifted factors, and the
-single-letter case collapses entirely to closed nilHecke products.
+The divided-power route sums over far fewer permutations: only the minimal
+coset representatives of the run-block Young subgroup, with each slot's
+factor raised by the slot's offset inside its run block, times the product
+of the block factorials.  The single-letter case collapses entirely to
+closed nilHecke products.
 
 A whole block is summed by one recursion on the target word alone: the
 column C(w) = dim_q R^Lambda(beta) e(w), run in Laurent polynomials for
@@ -38,7 +40,7 @@ from typing import Callable, Iterator, Sequence
 from . import budget
 from .budget import Deadline
 from .cartan import CartanData, RootElement, Weight, root_pairing
-from .errors import LengthMismatch
+from .errors import LengthMismatch, PreconditionFail
 from .perms import IndexTuple, Perm, min_coset_reps, run_blocks
 from .qpoly import LaurentPoly, quantum_int
 
@@ -154,7 +156,8 @@ def graded_dim(
     shift = sum(d[t - 1] * (dim_factor_id(c, lam, nu, t) - 1) for t in range(1, n + 1))
     # A summand is the product of [f]_{q^d} over its slots, so it depends
     # only on the multiset of (f, d) pairs: count the multisets, then
-    # multiply once per distinct one.
+    # multiply once per distinct one.  A large f makes a single product
+    # slow, so the deadline is checked at every multiplication too.
     multisets: Counter = Counter()
     for factors in _surviving_factors(c, lam, nu, nuprime, "graded dimension sum", deadline):
         multisets[tuple(sorted(zip(factors, d)))] += 1
@@ -162,6 +165,7 @@ def graded_dim(
     for pairs, count in multisets.items():
         term = LaurentPoly.one()
         for f, dx in pairs:
+            budget.check(deadline, "graded dimension sum")
             term = term * quantum_int(f, dx)
         total = total + term.scale(count)
     return total.shift(shift)
@@ -248,23 +252,6 @@ def graded_dim_recursive(
 # ---------------------------------------------------------------------------
 
 
-def divided_factor(
-    c: CartanData,
-    lam: Weight,
-    w: Perm,
-    nu: Sequence[int],
-    t: int,
-    cumulative: Sequence[int],
-) -> int:
-    """Run-block shifted factor: the plain factor plus the offset of slot t
-    inside its run block."""
-    base = dim_factor(c, lam, w, nu, t)
-    for i in range(len(cumulative) - 1):
-        if cumulative[i] < t <= cumulative[i + 1]:
-            return base + (t - cumulative[i] - 1)
-    raise LengthMismatch(f"slot {t} outside the block structure")
-
-
 def dim_divided(
     c: CartanData,
     lam: Weight,
@@ -273,21 +260,21 @@ def dim_divided(
 ) -> int:
     """Ungraded dimension of e(nu) R^Lambda e(nu) via run blocks.
 
-    Sums shifted factors over only the block-ascending stabilizer
-    representatives and multiplies by the block factorials; agrees with
+    Sums products of factors, each raised by its slot's offset inside its
+    run block, over only the block-ascending stabilizer representatives and
+    multiplies by the block factorials; agrees with
     ``dim(c, lam, nu, nu)`` while touching far fewer permutations.
     """
     nu = tuple(nu)
-    blocks = run_blocks(nu)
-    cumulative = blocks.cumulative
-    n = len(nu)
-    pre = prod(factorial(b) for b in blocks.sizes)
+    sizes = run_blocks(nu).sizes
+    offsets = [k for b in sizes for k in range(b)]
+    pre = prod(factorial(b) for b in sizes)
     total = 0
     for w in min_coset_reps(nu):
         budget.check(deadline, "divided-power sum")
         term = 1
-        for t in range(1, n + 1):
-            term *= divided_factor(c, lam, w, nu, t, cumulative)
+        for t in range(1, len(nu) + 1):
+            term *= dim_factor(c, lam, w, nu, t) + offsets[t - 1]
             if term == 0:
                 break
         total += term
@@ -329,22 +316,26 @@ def nilhecke_dim(level: int, size: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every way to write total as an ordered sum of ``parts`` non-negative
+    integers, in lexicographic order."""
+    if parts < 1:
+        raise PreconditionFail(f"need at least one part, got {parts}")
+    if parts == 1:
+        yield (total,)
+        return
+    for k in range(total + 1):
+        for rest in _compositions(total - k, parts - 1):
+            yield (k,) + rest
+
+
 def blocks_of_size(c: CartanData, n: int) -> Iterator[RootElement]:
     """All root elements of total size n supported on the nodes of c,
     in lexicographic multiplicity order."""
     if n < 0:
         raise ValueError("size must be >= 0")
-
-    def rec(i: int, remaining: int, acc: list[int]) -> Iterator[RootElement]:
-        if i == c.n - 1:
-            yield RootElement(tuple(acc + [remaining]))
-            return
-        for k in range(remaining + 1):
-            yield from rec(i + 1, remaining - k, acc + [k])
-
-    if c.n == 0:
-        return
-    yield from rec(0, n, [])
+    for coeffs in _compositions(n, c.n):
+        yield RootElement(coeffs)
 
 
 def tuples_with_content(beta: RootElement) -> Iterator[IndexTuple]:

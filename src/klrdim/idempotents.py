@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from . import budget
+from .basis import block_levels
 from .budget import Deadline
 from .cartan import CartanData, Weight
-from .dims import dim, dim_divided, dim_factor_id
+from .dims import dim, dim_divided
 from .errors import PreconditionFail
 from .perms import BlockForm, as_block_form
 
@@ -75,13 +76,9 @@ def nonzero_blockwise(
     letters recur across blocks.
     """
     form = nu if isinstance(nu, BlockForm) else as_block_form(nu)
-    cumulative = form.cumulative
-    pairs = []
-    for i in range(form.count):
-        head = dim_factor_id(c, lam, form.tuple, cumulative[i] + 1)
-        pairs.append((head, form.sizes[i]))
+    pairs = tuple(zip(block_levels(c, lam, form), form.sizes))
     ok = all(head >= size for head, size in pairs)
-    return NonzeroVerdict(ok, "blockwise", tuple(pairs))
+    return NonzeroVerdict(ok, "blockwise", pairs)
 
 
 def nonzero_by_shuffle(

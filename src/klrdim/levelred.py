@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 from . import budget
 from .budget import Deadline
 from .cartan import CartanData, RootElement, Weight
-from .dims import block_dim, dim, graded_dim
+from .dims import _compositions, block_dim, blocks_of_size, dim, graded_dim
 from .errors import BadShape, LengthMismatch, PreconditionFail
 from .qpoly import LaurentPoly
 
@@ -203,16 +203,7 @@ def _splits(coeffs: Sequence[int], parts: int) -> Iterator[tuple[tuple[int, ...]
     """Every way to write each entry of coeffs as an ordered sum of ``parts``
     non-negative integers, as one coefficient tuple per part.  The first
     entry's composition varies slowest; each composition is lexicographic."""
-
-    def comps(m: int, slots: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            yield (m,)
-            return
-        for k in range(m + 1):
-            for rest in comps(m - k, slots - 1):
-                yield (k,) + rest
-
-    for choice in iproduct(*(list(comps(m, parts)) for m in coeffs)):
+    for choice in iproduct(*(list(_compositions(m, parts)) for m in coeffs)):
         yield tuple(tuple(col[slot] for col in choice) for slot in range(parts))
 
 
@@ -274,8 +265,6 @@ def reduce_algebra_dim(
 ) -> int:
     """dim R^Lambda(n) by level-reducing every block of size n and summing;
     equals :func:`klrdim.dims.algebra_dim`."""
-    from .dims import blocks_of_size
-
     if cache is None:
         cache = {}
     return sum(

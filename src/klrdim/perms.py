@@ -11,7 +11,9 @@ built as products of per-letter matchings -- their size is the product of
 letter-multiplicity factorials, never n!.  The dimension sums in
 :mod:`klrdim.dims` walk the same matchings themselves, so that they can cut
 off a prefix whose factor is zero; :func:`transport_perms` enumerates them
-whole, for the basis machinery and the cross-checks.
+whole, for the basis machinery and the cross-checks.  The minimal coset
+representatives of :func:`min_coset_reps` are the same slot-by-slot walk,
+held ascending inside each run block.
 
 >>> list(transport_perms((0, 0), (0, 0)))
 [(1, 2), (2, 1)]
@@ -212,10 +214,10 @@ def as_block_form(nu: Sequence[int]) -> BlockForm:
     Raises :class:`NotBlockForm` when some letter recurs in a later run.
     """
     nu = tuple(nu)
-    runs = run_blocks(nu)
-    if len(set(runs.letters)) != len(runs.letters):
+    form = block_form_of(nu)
+    if form.tuple != nu:
         raise NotBlockForm(f"letters repeat across blocks in {nu}")
-    return BlockForm(nu, runs.letters, runs.sizes)
+    return form
 
 
 def min_coset_reps(nu: Sequence[int]) -> Iterator[Perm]:
@@ -224,41 +226,35 @@ def min_coset_reps(nu: Sequence[int]) -> Iterator[Perm]:
 
     These are the minimal-length representatives of the left cosets of the
     run-block Young subgroup that meet the stabilizer {w : w*nu = nu}; the
-    stabilizer factors uniquely as (these) * (Young subgroup).  Built
-    directly by handing each block an ascending subset of its letter's
-    slots, so only the product of per-letter multinomials is ever touched
-    (a single representative for a constant tuple), never the stabilizer.
+    stabilizer factors uniquely as (these) * (Young subgroup).  Walks the
+    slots of nu in turn, like the transport walk: slot k takes a free slot
+    of its letter, above the one slot k-1 took when both lie in the same
+    run block, and low enough to leave a free slot above it for every
+    later slot of its block.  So every branch ends in a representative,
+    and only the product of per-letter multinomials is ever touched (a
+    single representative for a constant tuple), never the stabilizer.
     """
-    from itertools import combinations
-
     nu = tuple(nu)
-    blocks = run_blocks(nu)
-    positions: dict[int, list[int]] = {}
-    for p, x in enumerate(nu, start=1):
-        positions.setdefault(x, []).append(p)
-    taken = {x: [False] * len(ps) for x, ps in positions.items()}
     n = len(nu)
+    taken = [False] * n
     w = [0] * n
-    cumulative = blocks.cumulative
 
-    def rec(i: int) -> Iterator[Perm]:
-        if i == blocks.count:
+    def walk(k: int) -> Iterator[Perm]:
+        if k == n:
             yield tuple(w)
             return
-        x = blocks.letters[i]
-        ps = positions[x]
-        flags = taken[x]
-        free = [idx for idx in range(len(ps)) if not flags[idx]]
-        lo = cumulative[i]
-        for chosen in combinations(free, blocks.sizes[i]):
-            for offset, idx in enumerate(chosen):
-                flags[idx] = True
-                w[lo + offset] = ps[idx]
-            yield from rec(i + 1)
-            for idx in chosen:
-                flags[idx] = False
+        x = nu[k]
+        lo = w[k - 1] if k and nu[k - 1] == x else 0
+        free = [p for p in range(lo, n) if nu[p] == x and not taken[p]]
+        # Without this cut, a run block of m equal letters enters 2^m dead branches.
+        later = next((j for j in range(k + 1, n) if nu[j] != x), n) - k - 1
+        for p in free[: len(free) - later]:
+            taken[p] = True
+            w[k] = p + 1
+            yield from walk(k + 1)
+            taken[p] = False
 
-    yield from rec(0)
+    yield from walk(0)
 
 
 def sorting_perm(mu: Sequence[int], form: BlockForm) -> Perm:

@@ -13,7 +13,7 @@ from typing import Iterator
 
 from . import budget
 from .budget import Deadline
-from .cartan import CartanData, Weight
+from .cartan import CartanData, Weight, validate_cartan
 from .errors import PreconditionFail
 from .dims import (
     blocks_of_size,
@@ -33,8 +33,6 @@ from .levelred import (
 from .basis import exponent_bounds, graded_dim_blockwise
 from .perms import block_form_of
 from .qpoly import eval_one
-
-SCOPES = ("oracle", "divided", "levelred", "basis", "all")
 
 
 @dataclass
@@ -188,8 +186,6 @@ def verify_levelred(
                         )
     # The graded analogue must FAIL on one nilHecke strand at level two:
     # the reduction sum gives 1+1 while the true graded dimension is 1+q^2.
-    from .cartan import validate_cartan
-
     rank1 = validate_cartan([[2]])
     two = Weight((2,))
     halves = (Weight((1,)), Weight((1,)))
@@ -248,6 +244,7 @@ _SUITES = {
     "levelred": verify_levelred,
     "basis": verify_basis,
 }
+SCOPES = (*_SUITES, "all")
 
 
 def verify_suite(
@@ -260,10 +257,7 @@ def verify_suite(
     """Run one named suite, or all of them; returns one report per suite."""
     if scope not in SCOPES:
         raise ValueError(f"unknown suite {scope!r}; pick one of {SCOPES}")
-    if scope == "all":
-        names = ("oracle", "divided", "levelred", "basis")
-    else:
-        names = (scope,)
+    names = _SUITES if scope == "all" else (scope,)
     out = []
     for name in names:
         n_cap = min(max_n, 2) if name == "levelred" else max_n

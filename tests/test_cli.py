@@ -187,6 +187,13 @@ class TestReduce:
         assert code == 0
         assert doc["match"] is True
 
+    def test_short_split_part(self, capsys):
+        code, _, err = invoke(
+            capsys, "reduce", "--cartan", "A2", "--weight", "1,1",
+            "--split", "1,0;1", "--beta", "1,1",
+        )
+        assert code == 1 and "PreconditionFail" in err
+
 
 class TestVerify:
     def test_oracle_suite(self, capsys):
@@ -296,6 +303,14 @@ class TestErrorsAndDeterminism:
         code, _, err = invoke(
             capsys, "block", "--cartan", "A3", "--weight", "3,3,3",
             "--beta", "3,3,3", "--time-budget", "0.05",
+        )
+        assert code == 1
+        assert "TimeBudgetExceeded" in err and "Traceback" not in err
+
+    def test_time_budget_aborts_graded_products(self, capsys):
+        code, _, err = invoke(
+            capsys, "gdim", "--cartan", "A2", "--weight", "200,200",
+            "--nu", "1,2,1,2,1,2", "--nuprime", "2,1,2,1,2,1", "--time-budget", "0.05",
         )
         assert code == 1
         assert "TimeBudgetExceeded" in err and "Traceback" not in err

@@ -189,11 +189,12 @@ class TestPrunedWalk:
 
     def test_walk_checks_every_node(self):
         # Level 3 on three equal letters: no factor is zero, so the walk
-        # enters every prefix: 1 + 3 + 6 + 6 nodes.
+        # enters every prefix: 1 + 3 + 6 + 6 nodes.  graded_dim also checks
+        # once per multiplication: 5 distinct factor multisets of 3 slots.
         deadline = Recording(3600)
         dim(RANK1, Weight((3,)), (0, 0, 0), (0, 0, 0), deadline=deadline)
         graded_dim(RANK1, Weight((3,)), (0, 0, 0), (0, 0, 0), deadline=deadline)
-        assert deadline.seen == {"dimension sum": 16, "graded dimension sum": 16}
+        assert deadline.seen == {"dimension sum": 16, "graded dimension sum": 16 + 15}
 
     @pytest.mark.parametrize("fn, label", [
         (dim, "dimension sum"), (graded_dim, "graded dimension sum"),
@@ -400,9 +401,10 @@ class TestBlocks:
 
         for c in battery_types()[:3]:
             for n in range(5):
-                got = list(blocks_of_size(c, n))
+                got = [b.coeffs for b in blocks_of_size(c, n)]
                 assert len(got) == comb(n + c.n - 1, c.n - 1)
-                assert len(set(b.coeffs for b in got)) == len(got)
+                assert len(set(got)) == len(got)
+                assert got == sorted(got)
 
     def test_tuples_with_content_count(self):
         from math import factorial
@@ -510,6 +512,13 @@ class TestDeadline:
     def test_expired_budget_aborts_block_sums(self, fn):
         with pytest.raises(TimeBudgetExceeded):
             fn(A2, Weight((3, 3)), RootElement((2, 2)), deadline=Deadline(1e-9))
+
+    def test_graded_products_are_checked(self):
+        # Only 36 transport permutations, but each product multiplies
+        # quantum integers of degree about 400: seconds without a check.
+        nu, nuprime = (0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0)
+        with pytest.raises(TimeBudgetExceeded):
+            graded_dim(A2, Weight((200, 200)), nu, nuprime, deadline=Deadline(0.05))
 
 
 class TestLengthMismatch:

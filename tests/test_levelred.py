@@ -269,3 +269,15 @@ class TestSplitEnumerations:
                 total = total + p
             assert total == lam
             assert all(p.is_dominant for p in parts)
+
+    def test_dominant_splits_order(self):
+        got = [tuple(p.coeffs for p in parts) for parts in dominant_splits(Weight((1, 2)), 2)]
+        assert got == [
+            ((0, 0), (1, 2)), ((0, 1), (1, 1)), ((0, 2), (1, 0)),
+            ((1, 0), (0, 2)), ((1, 1), (0, 1)), ((1, 2), (0, 0)),
+        ]
+
+    @pytest.mark.parametrize("parts", [0, -1])
+    def test_dominant_splits_need_a_part(self, parts):
+        with pytest.raises(PreconditionFail):
+            list(dominant_splits(Weight((1, 2)), parts))

@@ -1,5 +1,6 @@
 """Permutation combinatorics: transport sets, codes, blocks, shuffles."""
 
+import time
 from itertools import permutations, product
 
 import pytest
@@ -207,6 +208,23 @@ class TestMinCosetReps:
                     assert w not in produced
                     produced[w] = (d, u)
             assert set(produced) == set(transport_perms(nu, nu))
+
+    def test_constant_tuple_walks_one_branch(self):
+        # A walk that entered dead branches would visit 2^24 nodes here.
+        start = time.perf_counter()
+        assert list(min_coset_reps((0,) * 24)) == [tuple(range(1, 25))]
+        assert time.perf_counter() - start < 1.0
+
+    def test_order_is_lexicographic(self):
+        # The walk yields exactly the run-ascending stabilizer elements,
+        # in lexicographic one-line order.
+        for n in range(7):
+            for nu in product(range(3), repeat=n):
+                ascending = [
+                    w for w in transport_perms(nu, nu)
+                    if all(w[k - 1] < w[k] for k in range(1, n) if nu[k - 1] == nu[k])
+                ]
+                assert list(min_coset_reps(nu)) == sorted(ascending)
 
 
 class TestSortingPerm:
