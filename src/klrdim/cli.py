@@ -570,6 +570,10 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    # Dimensions grow factorially; print them past the interpreter's
+    # default cap on int-to-str digits (4300).
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         code = run()
         sys.stdout.flush()

@@ -22,25 +22,28 @@ factor raised by the slot's offset inside its run block, times the product
 of the block factorials.  The single-letter case collapses entirely to
 closed nilHecke products.
 
-A whole block is summed by one recursion on the target word alone: the
-column C(w) = dim_q R^Lambda(beta) e(w), run in Laurent polynomials for
+A whole block is summed over its target words alone: the column
+C(w) = dim_q R^Lambda(beta) e(w) obeys the peeling recurrence with the source
+summed out.  One walk by word length builds the nonzero columns of length
+m + 1 from those of length m, in Laurent polynomials for
 :func:`block_graded_dim` and in plain integers for :func:`block_dim`.  The
-embedding R^Lambda(m) into R^Lambda(n) maps e(w') to e(w' i), so a word whose
-prefix has a zero column has a zero column too and is cut at once.  The
-per-pair closed formula and integer products are what block sums are checked
-against.
+embedding R^Lambda(m) into R^Lambda(n) maps e(w') to e(w' i), so a zero word
+has only zero extensions: zero words are not stored, so they are never
+extended.  R^Lambda(n) is the direct sum of its blocks, so an algebra sum is
+the same walk once over every word of length n.  The per-pair closed formula
+and integer products are what block sums are checked against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from math import factorial, prod
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import budget
 from .budget import Deadline
 from .cartan import CartanData, RootElement, Weight, root_pairing
-from .errors import LengthMismatch, PreconditionFail
+from .errors import BadShape, LengthMismatch, PreconditionFail
 from .perms import IndexTuple, Perm, min_coset_reps, run_blocks
 from .qpoly import LaurentPoly, quantum_int
 
@@ -360,79 +363,90 @@ def tuples_with_content(beta: RootElement) -> Iterator[IndexTuple]:
 
 
 def _column_sum(
-    c: CartanData, lam: Weight, beta: RootElement, one: int | LaurentPoly,
-    factor: Callable, shifted: Callable, deadline: Deadline | None,
+    c: CartanData, lam: Weight, bound: Sequence[int], size: int, graded: bool,
+    deadline: Deadline | None,
 ) -> int | LaurentPoly:
-    """The block sum over the words w realizing beta of the columns C(w).
+    """The sum of the columns C(w) over the words w of length ``size`` whose
+    content is at most ``bound`` in every letter.
 
     Summing :func:`graded_dim_recursive` over every source forces the
-    peeled letter to be x = w_k, so, with C(()) = ``one`` and memoized on
-    the word,
+    peeled letter to be x = w_k, so, with C(()) = 1,
 
         C(w) = sum_k q^{d_x (1 + <Lambda - |w|, h_x>)}
                [<Lambda, h_x> - sum_{j<k} a_{x w_j}]_{q^{d_x}} C(w without slot k).
 
     C(w) is dim_q R^Lambda(beta) e(w), so it is zero exactly when e(w) is.
-    The embedding R^Lambda(m) into R^Lambda(n) maps e(w') to e(w' i), so
-    C(w[:-1]) = 0 forces C(w) = 0: a memo miss looks that prefix up first.
-    The pairings are kept as one running vector over the nodes, and the
-    terms are added up per letter x before the one shift of x is applied.
-    ``factor(f, d_x)`` and ``shifted(value, e)`` give the arithmetic:
-    quantum integers and q^e, or the plain f and the identity at q = 1.
+    The walk goes by word length: one dict holds the nonzero columns of
+    length m, and each of its words is extended by every letter still under
+    the bound; the deletions of a longer word are looked up in that dict.
+    Zero words are not stored, so they are never extended: the embedding
+    R^Lambda(m) into R^Lambda(n) maps e(w') to e(w' i), so C(w') = 0 forces
+    C(w' i) = 0, and a word missing from the dict is zero.  The pairings
+    are kept as one running vector over the nodes, and the terms are added
+    up per letter x before the one shift of x is applied.  ``graded`` picks
+    the arithmetic: Laurent polynomials, with quantum integers and shifts by
+    q^e, or plain integers at q = 1, where [f] is f and every shift is the
+    identity.
     """
-    memo: dict = {(): one}
-    zero, d = one * 0, c.symmetrizer
-    columns = [[row[y] for row in c.matrix] for y in range(c.n)]
-
-    def col(word: IndexTuple) -> int | LaurentPoly:
-        hit = memo.get(word)
-        if hit is None:
-            budget.check(deadline, "block sum")
-            hit = zero
-            if col(word[:-1]) != 0:
-                pairing, per_letter = list(lam.coeffs), {}
+    if len(lam.coeffs) != c.n or len(bound) != c.n:
+        raise BadShape(f"the weight and the block need one entry per node, {c.n} in all")
+    if size < 0:
+        raise ValueError("size must be >= 0")
+    one, factor, shifted = (LaurentPoly.one(), quantum_int, LaurentPoly.shift) if graded else _AT_ONE
+    zero, d, columns = one * 0, c.symmetrizer, list(zip(*c.matrix))
+    level: dict = {(): one}
+    for _ in range(size):
+        level, stems = {}, level
+        for stem in stems:
+            for i in range(c.n):
+                if stem.count(i) == bound[i]:
+                    continue
+                budget.check(deadline, "block sum")
+                word, pairing, per_letter = stem + (i,), list(lam.coeffs), {}
                 for k, x in enumerate(word):
-                    rest = col(word[:k] + word[k + 1 :]) if pairing[x] else 0
-                    if rest != 0:
+                    if pairing[x] and (rest := stems.get(word[:k] + word[k + 1 :])) is not None:
                         per_letter[x] = per_letter.get(x, zero) + factor(pairing[x], d[x]) * rest
                     pairing = [p - a for p, a in zip(pairing, columns[x])]
-                for x, acc in per_letter.items():
-                    hit = hit + shifted(acc, d[x] * (1 + pairing[x]))
-            memo[word] = hit
-        return hit
+                value = sum((shifted(v, d[x] * (1 + pairing[x])) for x, v in per_letter.items()), zero)
+                if value != 0:
+                    level[word] = value
+    return sum(level.values(), zero)
 
-    return sum((col(w) for w in tuples_with_content(beta)), zero)
+
+# The column walk's arithmetic at q = 1: C(()), the factor and the shift.
+_AT_ONE = (1, lambda f, dx: f, lambda v, e: v)
 
 
 def block_graded_dim(
     c: CartanData, lam: Weight, beta: RootElement, deadline: Deadline | None = None
 ) -> LaurentPoly:
-    """Graded dimension of the whole block R^Lambda(beta): the column
-    recursion of :func:`_column_sum` in Laurent polynomials, with one
-    quantum integer per slot and one shift per letter."""
-    return _column_sum(c, lam, beta, LaurentPoly.one(), quantum_int, LaurentPoly.shift, deadline)
+    """Graded dimension of the whole block R^Lambda(beta): the column walk
+    of :func:`_column_sum` up to content beta in Laurent polynomials, with
+    one quantum integer per slot and one shift per letter."""
+    return _column_sum(c, lam, beta.coeffs, beta.size, graded=True, deadline=deadline)
 
 
 def block_dim(
     c: CartanData, lam: Weight, beta: RootElement, deadline: Deadline | None = None
 ) -> int:
     """Ungraded dimension of the whole block R^Lambda(beta): the same column
-    recursion in plain integers, where each factor is the integer f itself
-    and every shift is the identity.  It builds no polynomial;
+    walk in plain integers, where each factor is the integer f itself and
+    every shift is the identity.  It builds no polynomial;
     :func:`block_graded_dim` at q = 1 is checked against it."""
-    return _column_sum(c, lam, beta, 1, lambda f, dx: f, lambda v, e: v, deadline)
+    return _column_sum(c, lam, beta.coeffs, beta.size, graded=False, deadline=deadline)
 
 
 def algebra_graded_dim(
     c: CartanData, lam: Weight, n: int, deadline: Deadline | None = None
 ) -> LaurentPoly:
-    """Graded dimension of R^Lambda(n): the sum over all blocks of size n."""
-    blocks = (block_graded_dim(c, lam, beta, deadline) for beta in blocks_of_size(c, n))
-    return sum(blocks, LaurentPoly.zero())
+    """Graded dimension of R^Lambda(n), the direct sum of its blocks of size
+    n: one column walk over all words of length n."""
+    return _column_sum(c, lam, (n,) * c.n, n, graded=True, deadline=deadline)
 
 
 def algebra_dim(
     c: CartanData, lam: Weight, n: int, deadline: Deadline | None = None
 ) -> int:
-    """Ungraded dimension of R^Lambda(n)."""
-    return sum(block_dim(c, lam, beta, deadline) for beta in blocks_of_size(c, n))
+    """Ungraded dimension of R^Lambda(n), by the integer column walk."""
+    return _column_sum(c, lam, (n,) * c.n, n, graded=False, deadline=deadline)
+

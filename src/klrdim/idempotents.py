@@ -24,7 +24,6 @@ from .basis import block_levels
 from .budget import Deadline
 from .cartan import CartanData, Weight
 from .dims import dim, dim_divided
-from .errors import PreconditionFail
 from .perms import BlockForm, as_block_form
 
 
@@ -94,12 +93,11 @@ def nonzero_by_shuffle(
     piece opens with a letter whose pairing against its fundamental weight
     vanishes (that alone forces the level-one dimension to zero).  The
     witness of a positive verdict is the tuple of pieces, one per
-    fundamental weight, in order.
+    fundamental weight, in order.  With no fundamental weights (Lambda = 0)
+    only the empty nu survives, with the empty witness.
     """
     nu = tuple(nu)
     parts = list(fundamentals)
-    if not parts:
-        raise PreconditionFail("need at least one fundamental weight")
     n = len(nu)
     l = len(parts)
     level_one = [Weight.fundamental(c.n, t) for t in parts]

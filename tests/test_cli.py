@@ -133,6 +133,18 @@ class TestNonzero:
         assert doc["nonzero"] is True
         assert sorted(map(tuple, doc["witness"])) in ([(), (1, 2)], [((1, 2)), ()])
 
+    @pytest.mark.parametrize("nu, verdict", [("1", "zero"), ("", "nonzero")])
+    def test_shuffle_at_zero_weight(self, capsys, nu, verdict):
+        # Lambda = 0 is the sum of no fundamental weights: only the empty
+        # tuple survives, as on the other routes.
+        for method in ("direct", "shuffle"):
+            code, out, err = invoke(
+                capsys, "nonzero", "--cartan", "A2", "--weight", "0,0",
+                "--nu", nu, "--method", method,
+            )
+            assert (code, err) == (0, "")
+            assert out.split()[0] == verdict
+
 
 class TestBasisTilde:
     def test_basis_bounds(self, capsys):
@@ -419,6 +431,24 @@ class TestParserReuse:
             codes.append(code)
             assert (code, captured.out, captured.err) == fresh_interpreter(argv, env), argv
         assert codes == [0, 2, 1, 0, 0, 0, 1]
+
+
+class TestLongIntegers:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_prints_past_the_default_digit_cap(self, fmt):
+        # The A1 block of size 2 at level L has dimension 2L(L-1).  At
+        # L = 10^2200 that is 2 * 10^4400 - 2 * 10^2200, 4401 digits: past
+        # the interpreter's default cap of 4300, which this test process
+        # keeps, so the digits are spelled out rather than converted.
+        argv = ["dim", "--cartan", "A1", "--weight", "1" + "0" * 2200, "--beta", "2",
+                "--format", fmt]
+        code, out, err = fresh_interpreter(argv, {**os.environ, "PYTHONPATH": str(SRC)})
+        assert (code, err) == (0, "")
+        digits = "1" + "9" * 2199 + "8" + "0" * 2200
+        if fmt == "text":
+            assert out.strip() == digits
+        else:
+            assert f'"value": {digits}' in out
 
 
 class TestBrokenPipe:

@@ -1,9 +1,10 @@
 """The dimension engine: factors, closed formula, recursion, closed forms."""
 
 import random
+import sys
 from collections import Counter
 from itertools import product
-from math import prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,7 +30,7 @@ from klrdim.dims import (
     nilhecke_graded_dim,
     tuples_with_content,
 )
-from klrdim.errors import TimeBudgetExceeded
+from klrdim.errors import BadShape, TimeBudgetExceeded
 from klrdim.perms import transport_perms
 from klrdim.qpoly import LaurentPoly, eval_one, quantum_int
 from oracles import dim_factor_target
@@ -407,8 +408,6 @@ class TestBlocks:
                 assert got == sorted(got)
 
     def test_tuples_with_content_count(self):
-        from math import factorial
-
         beta = RootElement((2, 1, 1))
         got = list(tuples_with_content(beta))
         assert len(got) == factorial(4) // 2
@@ -457,15 +456,86 @@ class TestBlocks:
         assert_block_sums_match(c, Weight(lam), RootElement(beta))
 
     def test_block_sum_visits_each_word_once(self):
-        # One check per nonempty word of content <= (4, 4): the sum over
-        # a, b <= 4 of C(a + b, a) is 251, less the empty word.
+        # One check per extension, within (4, 4), of a nonzero word: of the
+        # 250 nonempty words of content <= (4, 4), the 8 whose prefix has a
+        # zero column are never reached.
         deadline = Recording(3600)
         block_graded_dim(A2, Weight((3, 3)), RootElement((4, 4)), deadline=deadline)
-        assert deadline.seen == {"block sum": 250}
+        assert deadline.seen == {"block sum": 242}
+
+    def test_zero_words_are_not_extended(self):
+        # At Lambda = (1, 0) the word (1,) has a zero column, so the walk
+        # evaluates it and stops.
+        deadline = Recording(3600)
+        assert block_dim(A2, Weight((1, 0)), RootElement((0, 3)), deadline=deadline) == 0
+        assert deadline.seen == {"block sum": 1}
+
+    def test_algebra_walk_checks(self):
+        # Every word of length <= 3 is nonzero at (3, 3), and each is
+        # extended by both letters: 2 + 4 + 8 + 16 words are evaluated.
+        deadline = Recording(3600)
+        algebra_graded_dim(A2, Weight((3, 3)), 4, deadline=deadline)
+        assert deadline.seen == {"block sum": 30}
+
+    def test_algebra_sums_add_the_block_sums(self):
+        for c, lam in small_battery():
+            for n in range(5):
+                assert_algebra_is_sum_of_blocks(c, lam, n)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(*[st.integers(0, 2)] * 3),
+        st.integers(0, 4),
+    )
+    def test_algebra_sums_add_the_block_sums_random(self, seed, lam, n):
+        c = random_cartan(random.Random(seed))
+        assert_algebra_is_sum_of_blocks(c, Weight(lam), n)
+
+    def test_negative_size_is_rejected(self):
+        for fn in (algebra_graded_dim, algebra_dim):
+            with pytest.raises(ValueError):
+                fn(A2, Weight((1, 1)), -1)
+
+    def test_wrong_length_is_rejected(self):
+        for fn in (block_graded_dim, block_dim):
+            for beta in ((1,), (1, 1, 1)):
+                with pytest.raises(BadShape):
+                    fn(A2, Weight((1, 1)), RootElement(beta))
+            with pytest.raises(BadShape):
+                fn(A2, Weight((1, 1, 1)), RootElement((1, 1)))
+        for fn in (algebra_graded_dim, algebra_dim):
+            with pytest.raises(BadShape):
+                fn(A2, Weight((1,)), 2)
+
+    def test_long_words_need_no_deep_stack(self):
+        # The nilHecke block of 300 strands at level 300 has dimension
+        # (300!)^2.  The walk loops over word lengths, so it runs with the
+        # recursion limit only 150 frames above this test.
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        c, lam, expected = builtin_cartan("A1"), Weight((300,)), factorial(300) ** 2
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 150)
+        try:
+            assert block_dim(c, lam, RootElement((300,))) == expected
+            assert algebra_dim(c, lam, 300) == expected
+        finally:
+            sys.setrecursionlimit(limit)
+
+
+def assert_algebra_is_sum_of_blocks(c, lam, n):
+    """The algebra walk, bounded by n in every letter, against the sum of
+    the block walks over the blocks of size n, graded and ungraded."""
+    blocks = list(blocks_of_size(c, n))
+    graded = sum((block_graded_dim(c, lam, beta) for beta in blocks), LaurentPoly.zero())
+    assert algebra_graded_dim(c, lam, n) == graded
+    assert algebra_dim(c, lam, n) == sum(block_dim(c, lam, beta) for beta in blocks)
 
 
 def assert_block_sums_match(c, lam, beta):
-    """The block sums (the word recursion) against the per-pair closed formula
+    """The block sums (the column walk) against the per-pair closed formula
     and the per-pair integer products, and the graded block at q = 1 against
     the integer block."""
     tuples = list(tuples_with_content(beta))
@@ -479,8 +549,8 @@ def assert_block_sums_match(c, lam, beta):
 
 
 class TestPrefixCut:
-    """The theorem behind the block sums' prefix cut, through the per-pair
-    walk only: e(nu[:-1]) = 0 in R^Lambda(n-1) forces e(nu) = 0 in
+    """The theorem that lets the block walk drop zero words, through the
+    per-pair walk only: e(nu[:-1]) = 0 in R^Lambda(n-1) forces e(nu) = 0 in
     R^Lambda(n), because the embedding maps e(nu[:-1]) to e(nu)."""
 
     @settings(max_examples=80, deadline=None)
@@ -508,10 +578,18 @@ class TestDeadline:
         with pytest.raises(TimeBudgetExceeded):
             dim(RANK1, lam, nu, nu, deadline=deadline)
 
-    @pytest.mark.parametrize("fn", [block_graded_dim, block_dim])
-    def test_expired_budget_aborts_block_sums(self, fn):
+    @pytest.mark.parametrize(
+        "fn, size",
+        [
+            pytest.param(block_graded_dim, RootElement((2, 2)), id="block_graded_dim"),
+            pytest.param(block_dim, RootElement((2, 2)), id="block_dim"),
+            pytest.param(algebra_graded_dim, 4, id="algebra_graded_dim"),
+            pytest.param(algebra_dim, 4, id="algebra_dim"),
+        ],
+    )
+    def test_expired_budget_aborts_block_sums(self, fn, size):
         with pytest.raises(TimeBudgetExceeded):
-            fn(A2, Weight((3, 3)), RootElement((2, 2)), deadline=Deadline(1e-9))
+            fn(A2, Weight((3, 3)), size, deadline=Deadline(1e-9))
 
     def test_graded_products_are_checked(self):
         # Only 36 transport permutations, but each product multiplies
