@@ -8,13 +8,17 @@ graded dimension of the idempotent-truncated piece e(nu) R^Lambda e(nu') is
 
 where the integer dimension factor F(w, nu, t) pairs the weight, reduced by
 the letters at positions before t that w keeps below slot t, against the
-coroot of the letter at t.  F(w, nu, t) depends only on w(1), ..., w(t), so
-:func:`graded_dim` and :func:`dim` share one depth-first walk that assigns
-the slots of nu in turn and cuts off every completion of a prefix whose
-factor is zero.  Evaluating at q = 1 gives plain products of the factors,
-and the same dimension is computed by an independent restriction recursion
-(:func:`graded_dim_recursive`) so the two routes cross-check each other
-exactly.
+coroot of the letter at t.  F(w, nu, t) depends only on which slots of nu'
+the positions before t took, not on the order they took them in, so by
+distributivity :func:`graded_dim` and :func:`dim` share one walk over the
+positions of nu whose states are the sets of slots taken so far: at most
+2^n states in place of prod_x m_x! permutations.  A zero factor or a state
+that sums to zero has only zero completions, so neither is carried on.  The
+walk runs in Laurent polynomials for the graded dimension and in plain
+integers for the ungraded one.  The same dimension is computed by an
+independent restriction recursion (:func:`graded_dim_recursive`), which
+peels nu from the right and shares no code or memo with the walk, so the
+two routes cross-check each other exactly.
 
 The divided-power route sums over far fewer permutations: only the minimal
 coset representatives of the run-block Young subgroup, with each slot's
@@ -36,7 +40,6 @@ and integer products are what block sums are checked against.
 
 from __future__ import annotations
 
-from collections import Counter
 from math import factorial, prod
 from typing import Iterator, Sequence
 
@@ -93,47 +96,51 @@ def crossing_degree(c: CartanData, w: Perm, nu: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _surviving_factors(
+def _transport_sum(
     c: CartanData,
     lam: Weight,
     nu: IndexTuple,
     nuprime: IndexTuple,
+    graded: bool,
     where: str,
     deadline: Deadline | None,
-) -> Iterator[list[int]]:
-    """The factors of every transport permutation with no zero factor.
+) -> int | LaurentPoly:
+    """The closed-formula sum over the transport permutations w (w*nu = nu')
+    of the products of the slot factors [F(w, nu, t)]_{q^{d_{nu_t}}}, before
+    the global shift.
 
-    Walks the w with w*nu = nu' depth first, in lexicographic one-line
-    order, choosing w(t) among the free slots of nu' that hold nu_t.  The
-    factor at slot t is :func:`dim_factor`'s, read off the slots of nu'
-    already taken below w(t), so it depends only on the prefix: a zero
-    factor cuts off every completion of that prefix.  Checks the deadline
-    at every node it enters.  Yields one list, refilled for each w.
+    F(w, nu, t), :func:`dim_factor`'s factor, depends only on the set of
+    slots of nu' that the positions before t took, so by distributivity the
+    sum is a walk over the positions of nu whose states map that set, an int
+    bitmask, to the sum over every prefix that took it.  Position t extends
+    a state by each free slot of nu' that holds nu_t and has a nonzero
+    factor.  A state whose value is zero has only zero completions, so it is
+    dropped.  The answer is the value of the full set; no state reaches it
+    when nu' does not rearrange nu.  The deadline is checked once per state
+    and, in Laurent arithmetic, once per multiplication, since a large
+    factor makes one product slow.  ``graded`` picks the arithmetic, as in
+    :func:`_column_sum`.
     """
-    n = len(nu)
-    if sorted(nu) != sorted(nuprime):
-        return
-    taken = [False] * n
-    factors = [0] * n
-
-    def walk(t: int) -> Iterator[list[int]]:
-        budget.check(deadline, where)
-        if t == n:
-            yield factors
-            return
-        x = nu[t]
-        row = c.matrix[x]
-        f = lam.coeffs[x]
-        for p, y in enumerate(nuprime):
-            if taken[p]:
-                f -= row[y]
-            elif y == x and f:
-                taken[p] = True
-                factors[t] = f
-                yield from walk(t + 1)
-                taken[p] = False
-
-    yield from walk(0)
+    one, factor, _ = (LaurentPoly.one(), quantum_int, LaurentPoly.shift) if graded else _AT_ONE
+    zero, d = one * 0, c.symmetrizer
+    states: dict = {0: one}
+    slots = [(1 << p, y) for p, y in enumerate(nuprime)]
+    for x in nu:
+        row, stems, states = c.matrix[x], states, {}
+        for taken, value in stems.items():
+            budget.check(deadline, where)
+            f = lam.coeffs[x]
+            for bit, y in slots:
+                if taken & bit:
+                    f -= row[y]
+                elif y == x and f:
+                    if graded:
+                        budget.check(deadline, where)
+                    grown, term = taken | bit, factor(f, d[x]) * value
+                    prev = states.get(grown)
+                    states[grown] = term if prev is None else prev + term
+        states = {taken: value for taken, value in states.items() if value != 0}
+    return states.get((1 << len(nu)) - 1, zero)
 
 
 def graded_dim(
@@ -145,33 +152,22 @@ def graded_dim(
 ) -> LaurentPoly:
     """Graded dimension of e(nu) R^Lambda e(nu') as an exact Laurent polynomial.
 
-    Zero when no permutation transports nu to nu'; every coefficient of the
-    result is non-negative even though individual summands need not be.
+    The walk of :func:`_transport_sum` over the sets of slots of nu' taken,
+    in Laurent polynomials, times one global shift: the per-slot q-shift of
+    the closed formula uses the identity factors only, so it is one monomial
+    shared by every summand.  Zero when no permutation transports nu to nu';
+    every coefficient of the result is non-negative even though individual
+    summands need not be.
     """
     nu = tuple(nu)
     nuprime = tuple(nuprime)
     if len(nu) != len(nuprime):
         raise LengthMismatch("tuples must have the same length")
-    n = len(nu)
     d = [c.symmetrizer[x] for x in nu]
-    # The per-slot q-shift uses the identity factors only, so it is one
-    # global monomial shared by every summand.
-    shift = sum(d[t - 1] * (dim_factor_id(c, lam, nu, t) - 1) for t in range(1, n + 1))
-    # A summand is the product of [f]_{q^d} over its slots, so it depends
-    # only on the multiset of (f, d) pairs: count the multisets, then
-    # multiply once per distinct one.  A large f makes a single product
-    # slow, so the deadline is checked at every multiplication too.
-    multisets: Counter = Counter()
-    for factors in _surviving_factors(c, lam, nu, nuprime, "graded dimension sum", deadline):
-        multisets[tuple(sorted(zip(factors, d)))] += 1
-    total = LaurentPoly.zero()
-    for pairs, count in multisets.items():
-        term = LaurentPoly.one()
-        for f, dx in pairs:
-            budget.check(deadline, "graded dimension sum")
-            term = term * quantum_int(f, dx)
-        total = total + term.scale(count)
-    return total.shift(shift)
+    shift = sum(d[t - 1] * (dim_factor_id(c, lam, nu, t) - 1) for t in range(1, len(nu) + 1))
+    return _transport_sum(
+        c, lam, nu, nuprime, graded=True, where="graded dimension sum", deadline=deadline
+    ).shift(shift)
 
 
 def dim(
@@ -181,19 +177,19 @@ def dim(
     nuprime: Sequence[int],
     deadline: Deadline | None = None,
 ) -> int:
-    """Ungraded dimension of e(nu) R^Lambda e(nu'), by direct integer products.
+    """Ungraded dimension of e(nu) R^Lambda e(nu'), by the walk of
+    :func:`_transport_sum` in plain integers.
 
-    Deliberately not computed as q -> 1 of :func:`graded_dim`: it shares
-    only the walk over transport permutations, and multiplies the integer
-    factors itself, so the two results check each other's arithmetic.
+    Deliberately not computed as q -> 1 of :func:`graded_dim`: the same walk
+    multiplies the integer factors themselves and builds no polynomial, so
+    the two results check each other's arithmetic.
     """
     nu = tuple(nu)
     nuprime = tuple(nuprime)
     if len(nu) != len(nuprime):
         raise LengthMismatch("tuples must have the same length")
-    return sum(
-        prod(factors)
-        for factors in _surviving_factors(c, lam, nu, nuprime, "dimension sum", deadline)
+    return _transport_sum(
+        c, lam, nu, nuprime, graded=False, where="dimension sum", deadline=deadline
     )
 
 
@@ -413,7 +409,7 @@ def _column_sum(
     return sum(level.values(), zero)
 
 
-# The column walk's arithmetic at q = 1: C(()), the factor and the shift.
+# The walks' arithmetic at q = 1: the unit, the factor [f] and the shift.
 _AT_ONE = (1, lambda f, dx: f, lambda v, e: v)
 
 

@@ -63,3 +63,7 @@ class ZeroEdge(KlrError):
 
 class TimeBudgetExceeded(KlrError):
     """An enumeration ran past its wall-clock budget."""
+
+
+class TooManyTerms(KlrError):
+    """A quantum integer would have more terms than the library builds."""

@@ -9,9 +9,10 @@ Everything here is a pure function over immutable tuples.  Enumerations are
 lazy generators in lexicographic one-line order, and transport sets are
 built as products of per-letter matchings -- their size is the product of
 letter-multiplicity factorials, never n!.  The dimension sums in
-:mod:`klrdim.dims` walk the same matchings themselves, so that they can cut
-off a prefix whose factor is zero; :func:`transport_perms` enumerates them
-whole, for the basis machinery and the cross-checks.  The minimal coset
+:mod:`klrdim.dims` enumerate no permutations: they walk the sets of target
+slots taken, which the matchings sharing a prefix's slots merge into;
+:func:`transport_perms` enumerates the matchings whole, for the basis
+machinery and the cross-checks.  The minimal coset
 representatives of :func:`min_coset_reps` are the same slot-by-slot walk,
 held ascending inside each run block.
 

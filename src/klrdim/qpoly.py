@@ -10,6 +10,9 @@ Quantum integers are built directly as the explicit geometric sums
     [m]_d = q^{d(m-1)} + q^{d(m-3)} + ... + q^{d(1-m)}      (m > 0)
 
 with [0] = 0 and [-m] = -[m]; this avoids any rational-function machinery.
+A quantum integer of more than :data:`MAX_TERMS` terms is refused with
+:class:`~klrdim.errors.TooManyTerms`: one dict entry per term would exhaust
+memory inside a single call, before any time budget could stop it.
 Quantum binomials are computed by exact division, which must leave no
 remainder -- a nonzero remainder signals an internal bug, never bad input.
 
@@ -26,7 +29,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DivisionInexact
+from .errors import DivisionInexact, TooManyTerms
+
+# The most terms a quantum integer may have: [m] has |m| of them.
+MAX_TERMS = 1 << 20
 
 
 class LaurentPoly:
@@ -195,10 +201,15 @@ def quantum_int(m: int, d: int = 1) -> LaurentPoly:
     """The quantum integer [m] in the variable q^d.
 
     [m] = q_d^{m-1} + q_d^{m-3} + ... + q_d^{1-m} for m > 0, [0] = 0 and
-    [-m] = -[m], where q_d = q^d.
+    [-m] = -[m], where q_d = q^d.  Raises :class:`TooManyTerms` when |m|
+    exceeds :data:`MAX_TERMS`.
     """
     if d <= 0:
         raise ValueError("d must be a positive integer")
+    if abs(m) > MAX_TERMS:
+        raise TooManyTerms(
+            f"the quantum integer [{m}] would have {abs(m)} terms, over the cap of {MAX_TERMS}"
+        )
     if m == 0:
         return LaurentPoly.zero()
     sign = 1 if m > 0 else -1

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,12 @@ import pytest
 
 from klrdim import cli
 from klrdim.cli import run
+
+
+# The nilHecke pair on 18 strands at level 18: the pair walk extends every
+# one of the 2^18 - 1 proper sets of taken slots, which takes about 2 s on a
+# 2-CPU machine, far past a budget of a few ms.
+EIGHTEEN_ONES = ",".join(["1"] * 18)
 
 
 def invoke(capsys, *argv):
@@ -304,11 +311,21 @@ class TestErrorsAndDeterminism:
 
     def test_time_budget_aborts(self, capsys):
         code, _, err = invoke(
-            capsys, "dim", "--cartan", "A1", "--weight", "6",
-            "--nu", "1,1,1,1,1,1,1,1,1,1", "--nuprime", "1,1,1,1,1,1,1,1,1,1",
-            "--time-budget", "0.005",
+            capsys, "dim", "--cartan", "A1", "--weight", "18",
+            "--nu", EIGHTEEN_ONES, "--nuprime", EIGHTEEN_ONES, "--time-budget", "0.005",
         )
         assert code == 1 and "TimeBudgetExceeded" in err
+
+    def test_long_pair_ends_in_the_budget(self, capsys):
+        # 1200 equal letters: a walk that recursed once per slot would
+        # overflow the stack before the budget ran out.
+        ones = ",".join(["1"] * 1200)
+        code, _, err = invoke(
+            capsys, "dim", "--cartan", "A1", "--weight", "5000",
+            "--nu", ones, "--nuprime", ones, "--time-budget", "0.5",
+        )
+        assert code == 1
+        assert "TimeBudgetExceeded" in err and "Traceback" not in err
 
     def test_time_budget_aborts_block(self, capsys):
         # The whole block takes about 2 s on a 2-CPU machine.
@@ -400,15 +417,15 @@ REUSE_SEQUENCE = [
     ["dim", "--cartan", "A2", "--weight", "1,1", "--nu", "1,2", "--nuprime", "2,1"],
     ["dim", "--cartan", "A2", "--weight", "1,1", "--beta", "1,1"],
     ["tilde", "--cartan", "A2", "--mu", "1,2,1"],
-    ["dim", "--cartan", "A1", "--weight", "6", "--nu", "1,1,1,1,1,1,1,1,1,1",
-     "--nuprime", "1,1,1,1,1,1,1,1,1,1", "--time-budget", "0.005"],
+    ["dim", "--cartan", "A1", "--weight", "18", "--nu", EIGHTEEN_ONES,
+     "--nuprime", EIGHTEEN_ONES, "--time-budget", "0.005"],
 ]
 
 
-def fresh_interpreter(argv, env):
+def fresh_interpreter(argv, env, preexec_fn=None):
     proc = subprocess.run(
         [sys.executable, "-m", "klrdim.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=preexec_fn,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -449,6 +466,20 @@ class TestLongIntegers:
             assert out.strip() == digits
         else:
             assert f'"value": {digits}' in out
+
+    def test_huge_graded_weight_is_refused_under_a_memory_limit(self):
+        # [10^8] would take one dict entry per term, far more than the 1 GiB
+        # of address space this child gets; the term cap refuses it first.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        argv = ["gdim", "--cartan", "A2", "--weight", "100000000,100000000",
+                "--nu", "1", "--nuprime", "1", "--time-budget", "0.05"]
+        code, out, err = fresh_interpreter(
+            argv, {**os.environ, "PYTHONPATH": str(SRC)}, preexec_fn=limit_memory
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: TooManyTerms: ") and "Traceback" not in err
 
 
 class TestBrokenPipe:

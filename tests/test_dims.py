@@ -3,8 +3,9 @@
 import random
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from itertools import product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +31,7 @@ from klrdim.dims import (
     nilhecke_graded_dim,
     tuples_with_content,
 )
-from klrdim.errors import BadShape, TimeBudgetExceeded
+from klrdim.errors import BadShape, TimeBudgetExceeded, TooManyTerms
 from klrdim.perms import transport_perms
 from klrdim.qpoly import LaurentPoly, eval_one, quantum_int
 from oracles import dim_factor_target
@@ -151,6 +152,20 @@ class TestGradedDim:
                             assert all(coeff > 0 for _, coeff in g.items())
 
 
+@contextmanager
+def shallow_stack(headroom=150):
+    """Set the recursion limit ``headroom`` frames above the calling test."""
+    depth, frame = 0, sys._getframe(2)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 def brute_force(c, lam, nu, nuprime):
     """dim and graded_dim as the closed formula reads: every transport
     permutation, every slot's :func:`dim_factor`, no pruning."""
@@ -180,6 +195,15 @@ class TestPrunedWalk:
     @example(seed=0, lam=(0, 1, 1), pair=((0, 1, 2), (2, 1, 0)))
     # Level one, three equal letters: negative factors from slot 2 on.
     @example(seed=0, lam=(1, 0, 0), pair=((0, 0, 0), (0, 0, 0)))
+    # Seven equal letters at level 7: 5040 permutations, 128 sets of slots.
+    @example(seed=0, lam=(7, 0, 0), pair=((0,) * 7, (0,) * 7))
+    # A run of six with one other letter, moved: paths merge within the run.
+    @example(seed=2, lam=(6, 0, 0), pair=((0, 0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0)))
+    # Level one on six letters with d = 2 (the long node of a C2 inside):
+    # every state of two taken slots cancels to 0.
+    @example(seed=8, lam=(0, 1, 0), pair=((1,) * 6, (1,) * 6))
+    # Products of both signs: the negative ones cancel part of the sum, 48.
+    @example(seed=0, lam=(0, 0, 1), pair=((2, 0, 2, 0, 2), (2, 0, 2, 2, 0)))
     def test_matches_brute_force(self, seed, lam, pair):
         c = random_cartan(random.Random(seed))
         lam = Weight(lam)
@@ -189,13 +213,35 @@ class TestPrunedWalk:
         assert graded_dim(c, lam, nu, nuprime) == graded
 
     def test_walk_checks_every_node(self):
-        # Level 3 on three equal letters: no factor is zero, so the walk
-        # enters every prefix: 1 + 3 + 6 + 6 nodes.  graded_dim also checks
-        # once per multiplication: 5 distinct factor multisets of 3 slots.
+        # Level 3 on three equal letters: no factor is zero and no state
+        # cancels, so the walk extends every set of taken slots of size 0,
+        # 1 and 2: 1 + 3 + 3 states.  graded_dim also checks once per
+        # multiplication, one per free slot of each state: 3 + 3*2 + 3*1.
         deadline = Recording(3600)
         dim(RANK1, Weight((3,)), (0, 0, 0), (0, 0, 0), deadline=deadline)
         graded_dim(RANK1, Weight((3,)), (0, 0, 0), (0, 0, 0), deadline=deadline)
-        assert deadline.seen == {"dimension sum": 16, "graded dimension sum": 16 + 15}
+        assert deadline.seen == {"dimension sum": 7, "graded dimension sum": 7 + 12}
+
+    def test_long_pairs_need_no_deep_stack(self):
+        # A300 at Lambda = (1, ..., 1) on nu = nu' = (0, 1, ..., 299): the one
+        # transport permutation has the factor [1] at slot 1 and [2] at every
+        # later slot, whose left neighbour is taken below it, and the shift
+        # is 299, so graded_dim is (q^2 + 1)^299.  The walk loops over the
+        # slots, so it runs with the recursion limit 150 frames above this test.
+        c, lam, nu = builtin_cartan("A300"), Weight((1,) * 300), tuple(range(300))
+        with shallow_stack():
+            assert dim(c, lam, nu, nu) == 2**299
+            assert graded_dim(c, lam, nu, nu) == LaurentPoly.from_pairs(
+                (2 * k, comb(299, k)) for k in range(300)
+            )
+
+    def test_huge_weights_answer_in_integers_only(self):
+        # [10^2200] is past the quantum integers' term cap; the integer walk
+        # builds none, and the pair's one factor is the weight itself.
+        lam = Weight((10**2200, 0))
+        assert dim(A2, lam, (0,), (0,)) == 10**2200
+        with pytest.raises(TooManyTerms):
+            graded_dim(A2, lam, (0,), (0,))
 
     @pytest.mark.parametrize("fn, label", [
         (dim, "dimension sum"), (graded_dim, "graded dimension sum"),
@@ -512,17 +558,10 @@ class TestBlocks:
         # The nilHecke block of 300 strands at level 300 has dimension
         # (300!)^2.  The walk loops over word lengths, so it runs with the
         # recursion limit only 150 frames above this test.
-        depth, frame = 0, sys._getframe()
-        while frame is not None:
-            depth, frame = depth + 1, frame.f_back
         c, lam, expected = builtin_cartan("A1"), Weight((300,)), factorial(300) ** 2
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(depth + 150)
-        try:
+        with shallow_stack():
             assert block_dim(c, lam, RootElement((300,))) == expected
             assert algebra_dim(c, lam, 300) == expected
-        finally:
-            sys.setrecursionlimit(limit)
 
 
 def assert_algebra_is_sum_of_blocks(c, lam, n):

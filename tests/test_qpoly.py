@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from klrdim.errors import DivisionInexact
+from klrdim.errors import DivisionInexact, TooManyTerms
 from klrdim.qpoly import (
+    MAX_TERMS,
     LaurentPoly,
     divide_exact,
     eval_one,
@@ -53,6 +54,11 @@ class TestQuantumInt:
         assert eval_one(quantum_int(5, 1)) == 5
         for m in range(-7, 8):
             assert eval_one(quantum_int(m, 3)) == m
+
+    @pytest.mark.parametrize("m", [MAX_TERMS + 1, -MAX_TERMS - 1, 10**2200])
+    def test_refused_past_the_cap(self, m):
+        with pytest.raises(TooManyTerms):
+            quantum_int(m, 1)
 
 
 class TestFactorialBinomial:
