@@ -17,7 +17,7 @@ from klrdim import (
     dominant_splits,
     graded_dim,
     reduce_block_dim,
-    reduce_pair_dim,
+    reduce_pair_dim_multi,
     reduce_pair_graded,
     validate_cartan,
 )
@@ -29,7 +29,7 @@ halves = (Weight((1,)), Weight((1,)))
 
 for n in (1, 2, 3):
     nu = (0,) * n
-    reduced = reduce_pair_dim(rank1, two, nu, nu, halves)
+    reduced = reduce_pair_dim_multi(rank1, two, nu, nu, halves)
     direct = dim(rank1, two, nu, nu)
     print(f"{n} strands: reduction {reduced} == direct {direct}")
 

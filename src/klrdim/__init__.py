@@ -66,25 +66,16 @@ from .levelred import (
     dominant_splits,
     reduce_algebra_dim,
     reduce_block_dim,
-    reduce_pair_dim,
     reduce_pair_dim_multi,
     reduce_pair_graded,
 )
 from .perms import (
     BlockForm,
-    BlockStructure,
     act_right,
     as_block_form,
     block_form_of,
-    coinversion_code,
-    compose,
-    from_coinversion_code,
-    merge_perm,
     min_coset_reps,
-    run_blocks,
-    shuffle_splits,
     sorting_perm,
-    split_perm,
     transport_perms,
 )
 from .qpoly import (
@@ -110,11 +101,9 @@ __all__ = [
     "NonzeroVerdict", "nonzero_blockwise", "nonzero_by_shuffle",
     "nonzero_direct", "nonzero_divided",
     "dominant_splits", "reduce_algebra_dim", "reduce_block_dim",
-    "reduce_pair_dim", "reduce_pair_dim_multi", "reduce_pair_graded",
-    "BlockForm", "BlockStructure", "act_right", "as_block_form",
-    "block_form_of", "coinversion_code", "compose", "from_coinversion_code",
-    "merge_perm", "min_coset_reps", "run_blocks", "shuffle_splits",
-    "sorting_perm", "split_perm", "transport_perms",
+    "reduce_pair_dim_multi", "reduce_pair_graded",
+    "BlockForm", "act_right", "as_block_form", "block_form_of",
+    "min_coset_reps", "sorting_perm", "transport_perms",
     "LaurentPoly", "eval_one", "quantum_binomial", "quantum_factorial",
     "quantum_int",
     "VerifyReport", "verify_suite",

@@ -40,6 +40,7 @@ and integer products are what block sums are checked against.
 
 from __future__ import annotations
 
+from itertools import groupby
 from math import factorial, prod
 from typing import Iterator, Sequence
 
@@ -47,8 +48,8 @@ from . import budget
 from .budget import Deadline
 from .cartan import CartanData, RootElement, Weight, root_pairing
 from .errors import BadShape, LengthMismatch, PreconditionFail
-from .perms import IndexTuple, Perm, min_coset_reps, run_blocks
-from .qpoly import LaurentPoly, quantum_int
+from .perms import IndexTuple, Perm, min_coset_reps
+from .qpoly import LaurentPoly, quantum_factorial, quantum_int
 
 
 def dim_factor(c: CartanData, lam: Weight, w: Perm, nu: Sequence[int], t: int) -> int:
@@ -208,7 +209,9 @@ def graded_dim_recursive(
     the weight reduced by the letters of nu' before k, times an explicit
     power of q^{d_x}, times the dimension one size down.  Memoized on the
     (prefix, remaining-target) pair, so a shared ``memo`` dict makes whole
-    block sweeps cheap.
+    block sweeps cheap.  Those keys hold for one Cartan matrix and weight
+    only: a ``memo`` records the pair it was first filled for, and raises
+    :class:`PreconditionFail` when it is passed with another.
     """
     nu = tuple(nu)
     nuprime = tuple(nuprime)
@@ -216,6 +219,8 @@ def graded_dim_recursive(
         raise LengthMismatch("tuples must have the same length")
     if memo is None:
         memo = {}
+    if memo.setdefault("filled for", (c, lam)) != (c, lam):
+        raise PreconditionFail("this memo was filled for other Cartan data or another weight")
 
     def rec(prefix: IndexTuple, rest: IndexTuple) -> LaurentPoly:
         if not prefix:
@@ -257,15 +262,17 @@ def dim_divided(
     nu: Sequence[int],
     deadline: Deadline | None = None,
 ) -> int:
-    """Ungraded dimension of e(nu) R^Lambda e(nu) via run blocks.
+    """Ungraded dimension of e(nu) R^Lambda e(nu) via the runs of equal
+    adjacent letters of nu.
 
     Sums products of factors, each raised by its slot's offset inside its
-    run block, over only the block-ascending stabilizer representatives and
-    multiplies by the block factorials; agrees with
-    ``dim(c, lam, nu, nu)`` while touching far fewer permutations.
+    run, over only the run-ascending stabilizer representatives of
+    :func:`~klrdim.perms.min_coset_reps`, and multiplies by the factorials
+    of the run sizes; agrees with ``dim(c, lam, nu, nu)`` while touching
+    far fewer permutations.
     """
     nu = tuple(nu)
-    sizes = run_blocks(nu).sizes
+    sizes = [len(list(run)) for _, run in groupby(nu)]
     offsets = [k for b in sizes for k in range(b)]
     pre = prod(factorial(b) for b in sizes)
     total = 0
@@ -289,17 +296,19 @@ def nilhecke_graded_dim(level: int, size: int, d: int = 1) -> LaurentPoly:
     """Graded dimension of the cyclotomic nilHecke algebra on ``size``
     strands at the given level, in the variable q^d.
 
-    The closed product: a Poincare polynomial in q^{-2d} for the strand
-    crossings times one truncated geometric series per strand for the
-    dot exponents.
+    The closed product q^{d s (L - s)} [s]! [L] [L-1] ... [L-s+1] in
+    quantum integers of q^d, for level L and size s: the quantum factorial
+    for the strand crossings and one quantum integer per strand for the dot
+    exponents.  Zero when s > L.  Its quantum integers obey the term cap of
+    :func:`~klrdim.qpoly.quantum_int`.
     """
     if level < 0 or size < 0:
         raise ValueError("level and size must be >= 0")
-    out = LaurentPoly.one()
-    for k in range(1, size + 1):
-        out = out * LaurentPoly.from_pairs((-2 * d * j, 1) for j in range(k))
+    if size > level:
+        return LaurentPoly.zero()
+    out = quantum_factorial(size, d).shift(d * size * (level - size))
     for t in range(1, size + 1):
-        out = out * LaurentPoly.from_pairs((2 * d * j, 1) for j in range(level - t + 1))
+        out = out * quantum_int(level - t + 1, d)
     return out
 
 

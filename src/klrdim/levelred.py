@@ -97,8 +97,16 @@ def _peel(
     return total
 
 
-def _check_split(lam: Weight, split: Sequence[Weight], cache: dict) -> None:
-    """Validate the split once per ``cache``: a passing verdict is kept."""
+def _check_split(c: CartanData, lam: Weight, split: Sequence[Weight], cache: dict) -> None:
+    """Validate the split once per ``cache``: a passing verdict is kept.
+
+    The part dimensions in ``cache`` are keyed without the Cartan data, so
+    the cache records the Cartan data it was first filled for and refuses
+    any other.
+    """
+    filled_for = cache.setdefault("filled for", c)
+    if filled_for is not c and filled_for != c:
+        raise PreconditionFail("this cache was filled for other Cartan data")
     key = ("split", lam.coeffs, tuple(part.coeffs for part in split))
     if key in cache:
         return
@@ -123,7 +131,7 @@ def reduce_pair_dim_multi(
     cache: dict | None = None,
 ) -> int:
     """dim e(nu) R^Lambda e(mu) as a sum over l-part matched shuffle splits
-    of products of the part dimensions.
+    of products of the part dimensions, for any number l >= 1 of parts.
 
     The sum peels off one weight part at a time: each pair of part-1
     subwords multiplies the same sum for the remainders over the other
@@ -133,11 +141,13 @@ def reduce_pair_dim_multi(
     across pairs, so they are memoized on (part weight, sub-source,
     sub-target), the remainder sums on (tail weights, remainders), and the
     subword counts on the word; pass an external ``cache`` dict to share
-    them across calls with the same Cartan data.
+    them across calls with the same Cartan data.  A cache passed with
+    other Cartan data than it was filled for raises
+    :class:`PreconditionFail`.
     """
     if cache is None:
         cache = {}
-    _check_split(lam, split, cache)
+    _check_split(c, lam, split, cache)
     nu = tuple(nu)
     mu = tuple(mu)
     if len(nu) != len(mu):
@@ -152,21 +162,6 @@ def reduce_pair_dim_multi(
         return hit
 
     return _peel(split, nu, mu, part_dim, 0, "level reduction sum", deadline, cache)
-
-
-def reduce_pair_dim(
-    c: CartanData,
-    lam: Weight,
-    nu: Sequence[int],
-    mu: Sequence[int],
-    split: Sequence[Weight],
-    deadline: Deadline | None = None,
-) -> int:
-    """Two-part level reduction of a pair dimension (the base case the
-    multi-part version iterates)."""
-    if len(split) != 2:
-        raise PreconditionFail("pairwise reduction needs exactly two weight parts")
-    return reduce_pair_dim_multi(c, lam, nu, mu, split, deadline=deadline)
 
 
 def reduce_pair_graded(
@@ -184,7 +179,7 @@ def reduce_pair_graded(
     failure is demonstrated.
     """
     cache: dict = {}
-    _check_split(lam, split, cache)
+    _check_split(c, lam, split, cache)
     nu = tuple(nu)
     mu = tuple(mu)
     if len(nu) != len(mu):
@@ -222,7 +217,7 @@ def reduce_block_dim(
     with their weights."""
     if cache is None:
         cache = {}
-    _check_split(lam, split, cache)
+    _check_split(c, lam, split, cache)
     l = len(split)
 
     def inner(i: int, part: tuple[int, ...]) -> int:

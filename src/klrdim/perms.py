@@ -5,39 +5,35 @@ A permutation w of {1..n} is a tuple ``(w(1), ..., w(n))`` of the values
 inversion statistics.  The left action on index tuples permutes places:
 ``(w*nu)_k = nu_{w^-1(k)}``.
 
-Everything here is a pure function over immutable tuples.  Enumerations are
-lazy generators in lexicographic one-line order, and transport sets are
-built as products of per-letter matchings -- their size is the product of
-letter-multiplicity factorials, never n!.  The dimension sums in
-:mod:`klrdim.dims` enumerate no permutations: they walk the sets of target
-slots taken, which the matchings sharing a prefix's slots merge into;
-:func:`transport_perms` enumerates the matchings whole, for the basis
-machinery and the cross-checks.  The minimal coset
-representatives of :func:`min_coset_reps` are the same slot-by-slot walk,
-held ascending inside each run block.
+Everything here is a pure function over immutable tuples, and each one has
+a library caller.  Enumerations are lazy generators in lexicographic
+one-line order, and transport sets are built as products of per-letter
+matchings -- their size is the product of letter-multiplicity factorials,
+never n!.  The dimension sums in :mod:`klrdim.dims` enumerate no
+permutations: they walk the sets of target slots taken, which the matchings
+sharing a prefix's slots merge into; :func:`transport_perms` enumerates the
+matchings whole, for the basis machinery.  The minimal coset
+representatives of :func:`min_coset_reps`, which the divided-power route
+sums over, are the same slot-by-slot walk, held ascending inside each run
+of equal letters.  :class:`BlockForm` and :func:`sorting_perm` group a
+tuple by letter for the monomial bases.
 
 >>> list(transport_perms((0, 0), (0, 0)))
 [(1, 2), (2, 1)]
->>> coinversion_code((2, 1, 3))
-(0, 0, 2)
+>>> list(min_coset_reps((1, 2, 1)))
+[(1, 2, 3), (3, 2, 1)]
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Sequence
 
-from .errors import IncompatibleContent, LengthMismatch, NotBlockForm, OutOfRange
+from .errors import IncompatibleContent, LengthMismatch, NotBlockForm
 
 Perm = tuple[int, ...]
 IndexTuple = tuple[int, ...]
-
-
-def compose(w: Perm, u: Perm) -> Perm:
-    """Function composition (w o u)(k) = w(u(k))."""
-    return tuple(w[u[k] - 1] for k in range(len(u)))
 
 
 def act_right(nu: Sequence[int], w: Perm) -> IndexTuple:
@@ -50,38 +46,6 @@ def simple_transposition(n: int, a: int) -> Perm:
     w = list(range(1, n + 1))
     w[a - 1], w[a] = w[a], w[a - 1]
     return tuple(w)
-
-
-# ---------------------------------------------------------------------------
-# Inversion statistics and the coinversion code
-# ---------------------------------------------------------------------------
-
-
-def coinversion_code(w: Perm) -> tuple[int, ...]:
-    """Per-position counts of earlier smaller values; entry t lies in 0..t-1."""
-    out = []
-    for t in range(1, len(w) + 1):
-        wt = w[t - 1]
-        out.append(sum(1 for j in range(t - 1) if w[j] < wt))
-    return tuple(out)
-
-
-def from_coinversion_code(code: Sequence[int]) -> Perm:
-    """Invert :func:`coinversion_code` by right-to-left decoding.
-
-    Entry t of the code is the rank (minus one) of w(t) among the first t
-    values, so peeling positions from the right picks the (code_t+1)-th
-    smallest unused value each time.
-    """
-    n = len(code)
-    for t, k in enumerate(code, start=1):
-        if not 0 <= k < t:
-            raise OutOfRange(f"code entry {k} at position {t} not in 0..{t - 1}")
-    remaining = list(range(1, n + 1))
-    out = [0] * n
-    for t in range(n, 0, -1):
-        out[t - 1] = remaining.pop(code[t - 1])
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -133,44 +97,11 @@ def transport_perms(nu: Sequence[int], nuprime: Sequence[int]) -> Iterator[Perm]
 
 
 @dataclass(frozen=True)
-class BlockStructure:
-    """Sizes of a tuple's maximal runs plus their cumulative boundaries
-    ``(c_0=0, c_1, ..., c_p=n)``; run letters may repeat non-adjacently."""
-
-    sizes: tuple[int, ...]
-    letters: tuple[int, ...]
-
-    @property
-    def cumulative(self) -> tuple[int, ...]:
-        out = [0]
-        for b in self.sizes:
-            out.append(out[-1] + b)
-        return tuple(out)
-
-    @property
-    def count(self) -> int:
-        return len(self.sizes)
-
-
-def run_blocks(nu: Sequence[int]) -> BlockStructure:
-    """Group a tuple into maximal runs of equal adjacent letters."""
-    sizes: list[int] = []
-    letters: list[int] = []
-    for x in nu:
-        if letters and letters[-1] == x:
-            sizes[-1] += 1
-        else:
-            letters.append(x)
-            sizes.append(1)
-    return BlockStructure(tuple(sizes), tuple(letters))
-
-
-@dataclass(frozen=True)
 class BlockForm:
     """A tuple grouped into blocks of repeated letters that are pairwise
-    distinct across *all* blocks (the stricter grouping the basis machinery
-    needs, as opposed to :func:`run_blocks` which only separates adjacent
-    runs)."""
+    distinct across *all* blocks (stricter than runs of equal adjacent
+    letters, which may repeat a letter non-adjacently); the grouping the
+    basis machinery needs."""
 
     tuple: IndexTuple
     letters: tuple[int, ...]
@@ -275,55 +206,4 @@ def sorting_perm(mu: Sequence[int], form: BlockForm) -> Perm:
     for pos, x in enumerate(mu):
         w[pos] = next_slot[x]
         next_slot[x] += 1
-    return tuple(w)
-
-
-# ---------------------------------------------------------------------------
-# Shuffle splits
-# ---------------------------------------------------------------------------
-
-ShuffleSplit = tuple[tuple[int, ...], ...]
-
-
-def shuffle_splits(n: int, parts: int) -> Iterator[ShuffleSplit]:
-    """All ordered ways to split positions 1..n into ``parts`` ascending
-    (possibly empty) subsequences; there are parts**n of them."""
-    if parts < 1:
-        raise ValueError("need at least one part")
-    for assignment in product(range(parts), repeat=n):
-        split: list[list[int]] = [[] for _ in range(parts)]
-        for pos, part in enumerate(assignment, start=1):
-            split[part].append(pos)
-        yield tuple(tuple(p) for p in split)
-
-
-def split_perm(w: Perm, split: ShuffleSplit) -> tuple[Perm, Perm, ShuffleSplit]:
-    """Cut w along a two-part split of its domain.
-
-    Returns the two rank permutations induced on the parts together with
-    the image split (the sorted images of the parts); :func:`merge_perm`
-    reassembles w from them.
-    """
-    s1, s2 = split
-    out_perms = []
-    images = []
-    for part in (s1, s2):
-        vals = [w[p - 1] for p in part]
-        ranks = sorted(vals)
-        pos_of = {v: r + 1 for r, v in enumerate(ranks)}
-        out_perms.append(tuple(pos_of[v] for v in vals))
-        images.append(tuple(ranks))
-    return out_perms[0], out_perms[1], (images[0], images[1])
-
-
-def merge_perm(w1: Perm, w2: Perm, split: ShuffleSplit, images: ShuffleSplit) -> Perm:
-    """Reassemble the permutation cut by :func:`split_perm`:
-    position split_i[m] maps to images_i[w_i(m)]."""
-    n = sum(len(p) for p in split)
-    w = [0] * n
-    for wi, si, ti in ((w1, split[0], images[0]), (w2, split[1], images[1])):
-        if len(si) != len(wi) or len(ti) != len(wi):
-            raise LengthMismatch("split parts and permutations disagree")
-        for m, pos in enumerate(si):
-            w[pos - 1] = ti[wi[m] - 1]
     return tuple(w)

@@ -3,15 +3,18 @@
 None of these runs on a production path.  Each restates a quantity the
 library computes some other way -- the left action, Coxeter length, the
 target-side dimension factor, the bar involution -- so that the tests can
-compare the two.  Conventions are those of :mod:`klrdim.perms`: one-line
-tuples, 1-based positions, ``(w*nu)_k = nu_{w^-1(k)}``.
+compare the two, or builds what a test compares against: products of
+permutations, run boundaries and shuffle splits.  Conventions are those of
+:mod:`klrdim.perms`: one-line tuples, 1-based positions,
+``(w*nu)_k = nu_{w^-1(k)}``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate, groupby, product
 from math import factorial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from klrdim.cartan import CartanData, Weight
 from klrdim.errors import LengthMismatch, OutOfRange
@@ -21,6 +24,11 @@ from klrdim.qpoly import LaurentPoly
 
 def identity_perm(n: int) -> Perm:
     return tuple(range(1, n + 1))
+
+
+def compose(w: Perm, u: Perm) -> Perm:
+    """Function composition (w o u)(k) = w(u(k))."""
+    return tuple(w[u[k] - 1] for k in range(len(u)))
 
 
 def perm_length(w: Perm) -> int:
@@ -61,6 +69,24 @@ def transport_count(nu: Sequence[int], nuprime: Sequence[int]) -> int:
     for m in cnt.values():
         out *= factorial(m)
     return out
+
+
+def run_bounds(nu: Sequence[int]) -> tuple[int, ...]:
+    """Boundaries (0, c_1, ..., n) of the maximal runs of equal adjacent
+    letters of nu; a letter may recur in a later run."""
+    return tuple(accumulate((len(list(run)) for _, run in groupby(nu)), initial=0))
+
+
+def shuffle_splits(n: int, parts: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """All ordered ways to split positions 1..n into ``parts`` ascending
+    (possibly empty) subsequences; there are parts**n of them."""
+    if parts < 1:
+        raise ValueError("need at least one part")
+    for assignment in product(range(parts), repeat=n):
+        split: list[list[int]] = [[] for _ in range(parts)]
+        for pos, part in enumerate(assignment, start=1):
+            split[part].append(pos)
+        yield tuple(tuple(p) for p in split)
 
 
 def block_of_slot(form: BlockForm, k: int) -> int:

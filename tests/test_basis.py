@@ -28,21 +28,22 @@ from klrdim.perms import (
     act_right,
     as_block_form,
     block_form_of,
-    compose,
     simple_transposition,
     sorting_perm,
 )
-from oracles import act_on_tuple, block_of_slot, perm_length, smaller_before
+from oracles import (
+    act_on_tuple, block_of_slot, compose, perm_length, run_bounds, smaller_before,
+)
 
 RANK1 = validate_cartan([[2]])
 A2 = builtin_cartan("A2")
 
 
-def young_elements(form):
-    """All elements of the block Young subgroup of a grouped tuple."""
-    bounds = form.cumulative
+def young_elements(bounds):
+    """All elements of the Young subgroup of the blocks with cumulative
+    boundaries ``bounds`` = (0, c_1, ..., n)."""
     n = bounds[-1]
-    blocks = [list(range(bounds[i] + 1, bounds[i + 1] + 1)) for i in range(form.count)]
+    blocks = [list(range(bounds[i] + 1, bounds[i + 1] + 1)) for i in range(len(bounds) - 1)]
     from itertools import permutations
 
     pools = [list(permutations(b)) for b in blocks]
@@ -194,7 +195,7 @@ class TestFactorTransport:
                 form = block_form_of(mu)
                 d = sorting_perm(mu, form)
                 cumulative = form.cumulative
-                for w in young_elements(form):
+                for w in young_elements(form.cumulative):
                     wd = compose(w, d)
                     for i in range(form.count):
                         fiber = [
@@ -218,18 +219,17 @@ class TestFactorTransport:
         # full form with nontrivial block-ascending representatives d:
         # F(d*w, nu, k) = F(d, nu, w_i(k)) - 2|{a in block, a<k, w_i(a)<w_i(k)}|
         #                 + 2 (w_i(k) - block start offset)
-        from klrdim.perms import min_coset_reps, run_blocks
+        from klrdim.perms import min_coset_reps
 
         c = builtin_cartan(name)
         lam = Weight((2, 1))
         for n in range(1, 5):
             for nu in product(range(c.n), repeat=n):
-                blocks = run_blocks(nu)
-                cumulative = blocks.cumulative
+                cumulative = run_bounds(nu)
                 for d in min_coset_reps(nu):
-                    for w in young_elements(blocks):
+                    for w in young_elements(cumulative):
                         dw = compose(d, w)
-                        for i in range(blocks.count):
+                        for i in range(len(cumulative) - 1):
                             lo, hi = cumulative[i], cumulative[i + 1]
                             for k in range(lo + 1, hi + 1):
                                 inside = sum(
@@ -257,7 +257,7 @@ class TestFactorTransport:
                     continue
                 cumulative = form.cumulative
                 by_block: dict[tuple, dict[int, int]] = {}
-                for w in young_elements(form):
+                for w in young_elements(form.cumulative):
                     for i in range(form.count):
                         lo, hi = cumulative[i], cumulative[i + 1]
                         key_w = tuple(w[lo:hi])

@@ -1,11 +1,15 @@
 """The dimension engine: factors, closed formula, recursion, closed forms."""
 
+import os
 import random
+import resource
+import subprocess
 import sys
 from collections import Counter
 from contextlib import contextmanager
 from itertools import product
 from math import comb, factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -31,7 +35,7 @@ from klrdim.dims import (
     nilhecke_graded_dim,
     tuples_with_content,
 )
-from klrdim.errors import BadShape, TimeBudgetExceeded, TooManyTerms
+from klrdim.errors import BadShape, PreconditionFail, TimeBudgetExceeded, TooManyTerms
 from klrdim.perms import transport_perms
 from klrdim.qpoly import LaurentPoly, eval_one, quantum_int
 from oracles import dim_factor_target
@@ -298,6 +302,16 @@ class TestOracle:
         second = graded_dim_recursive(c, lam, (0, 1, 0), (0, 0, 1), memo=memo)
         assert first == second == graded_dim(c, lam, (0, 1, 0), (0, 0, 1))
 
+    def test_memo_refuses_other_data(self):
+        # The memo is keyed on (prefix, remaining target) alone: reused for
+        # Lambda = (2,0) after (1,0) it would answer 1, not q^2 + 1.
+        memo = {}
+        assert graded_dim_recursive(A2, Weight((1, 0)), (0,), (0,), memo=memo) == P((0, 1))
+        for c, lam in ((A2, Weight((2, 0))), (builtin_cartan("G2"), Weight((1, 0)))):
+            with pytest.raises(PreconditionFail):
+                graded_dim_recursive(c, lam, (0,), (0,), memo=memo)
+        assert graded_dim_recursive(A2, Weight((2, 0)), (0,), (0,)) == P((0, 1), (2, 1))
+
 
 class TestDim:
     def test_a2_level_one_pairs(self):
@@ -386,6 +400,26 @@ class TestNilHecke:
     def test_graded_small(self):
         assert nilhecke_graded_dim(2, 1) == P((0, 1), (2, 1))
         assert nilhecke_graded_dim(0, 0) == LaurentPoly.one()
+        assert nilhecke_graded_dim(1, 2).is_zero()
+
+    def test_huge_level_is_refused_under_a_memory_limit(self):
+        # One term per dot exponent would take 10^8 dict entries, far more
+        # than the 1 GiB of address space this child gets; the quantum
+        # integers' term cap refuses the product first.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        script = (
+            "from klrdim.dims import nilhecke_graded_dim\n"
+            "try:\n    nilhecke_graded_dim(10**8, 1)\n"
+            "except Exception as exc:\n    print(type(exc).__name__)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+            preexec_fn=limit_memory,
+        )
+        assert (proc.stdout, proc.stderr) == ("TooManyTerms\n", "")
 
     def test_graded_matches_engine(self):
         for l in range(7):

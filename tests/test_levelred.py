@@ -18,12 +18,11 @@ from klrdim.levelred import (
     _subwords,
     dominant_splits,
     reduce_block_dim,
-    reduce_pair_dim,
     reduce_pair_dim_multi,
     reduce_pair_graded,
 )
-from klrdim.perms import shuffle_splits
 from klrdim.qpoly import LaurentPoly, eval_one
+from oracles import shuffle_splits
 
 RANK1 = validate_cartan([[2]])
 TWO = Weight((2,))
@@ -32,25 +31,24 @@ HALVES = (Weight((1,)), Weight((1,)))
 
 class TestPairReduction:
     def test_single_strand(self):
-        assert reduce_pair_dim(RANK1, TWO, (0,), (0,), HALVES) == 2
+        assert reduce_pair_dim_multi(RANK1, TWO, (0,), (0,), HALVES) == 2
         assert dim(RANK1, TWO, (0,), (0,)) == 2
 
     def test_two_strands(self):
-        assert reduce_pair_dim(RANK1, TWO, (0, 0), (0, 0), HALVES) == 4
+        assert reduce_pair_dim_multi(RANK1, TWO, (0, 0), (0, 0), HALVES) == 4
         assert dim(RANK1, TWO, (0, 0), (0, 0)) == 4
 
     def test_empty(self):
-        assert reduce_pair_dim(RANK1, TWO, (), (), HALVES) == 1
+        assert reduce_pair_dim_multi(RANK1, TWO, (), (), HALVES) == 1
 
     def test_multi_specializes_to_pair(self):
+        # A two-part split is the pairwise reduction.
         c = builtin_cartan("A2")
         lam = Weight((1, 1))
         split = (Weight((1, 0)), Weight((0, 1)))
         for nu in tuples_with_content(RootElement((1, 1))):
             for mu in tuples_with_content(RootElement((1, 1))):
-                assert reduce_pair_dim(c, lam, nu, mu, split) == reduce_pair_dim_multi(
-                    c, lam, nu, mu, split
-                )
+                assert reduce_pair_dim_multi(c, lam, nu, mu, split) == dim(c, lam, nu, mu)
 
     def test_all_fundamental_parts(self):
         c = builtin_cartan("A2")
@@ -84,9 +82,9 @@ class TestPairReduction:
 
     def test_bad_split_rejected(self):
         with pytest.raises(PreconditionFail):
-            reduce_pair_dim(RANK1, TWO, (0,), (0,), (Weight((1,)), Weight((2,))))
+            reduce_pair_dim_multi(RANK1, TWO, (0,), (0,), (Weight((1,)), Weight((2,))))
         with pytest.raises(PreconditionFail):
-            reduce_pair_dim(RANK1, TWO, (0,), (0,), (Weight((3,)), Weight((-1,))))
+            reduce_pair_dim_multi(RANK1, TWO, (0,), (0,), (Weight((3,)), Weight((-1,))))
         with pytest.raises(PreconditionFail):
             reduce_pair_dim_multi(RANK1, TWO, (0,), (0,), ())
 
@@ -118,6 +116,37 @@ class TestPairReduction:
                 direct = dim(c, lam, nu, mu)
                 assert reduce_pair_dim_multi(c, lam, nu, mu, split, cache=cache) == direct
                 assert eval_one(reduce_pair_graded(c, lam, nu, mu, split)) == direct
+
+
+class TestCacheReuse:
+    """The part dimensions in a cache are keyed without the Cartan data, so
+    a cache filled on A2 must not serve G2: for (0,1) it would answer 2
+    where dim gives 4, and for (0,1,1) 4 where dim gives 24."""
+
+    LAM = Weight((1, 1))
+    SPLIT = (Weight((1, 0)), Weight((0, 1)))
+
+    @pytest.mark.parametrize("word,g2_dim", [((0, 1), 4), ((0, 1, 1), 24)])
+    def test_pair_cache_refuses_other_cartan_data(self, word, g2_dim):
+        a2, g2 = builtin_cartan("A2"), builtin_cartan("G2")
+        cache = {}
+        filled = reduce_pair_dim_multi(a2, self.LAM, word, word, self.SPLIT, cache=cache)
+        assert filled == dim(a2, self.LAM, word, word)
+        with pytest.raises(PreconditionFail):
+            reduce_pair_dim_multi(g2, self.LAM, word, word, self.SPLIT, cache=cache)
+        assert reduce_pair_dim_multi(g2, self.LAM, word, word, self.SPLIT) == g2_dim
+        assert dim(g2, self.LAM, word, word) == g2_dim
+
+    def test_block_cache_refuses_other_cartan_data(self):
+        a2, g2 = builtin_cartan("A2"), builtin_cartan("G2")
+        beta = RootElement((1, 2))
+        cache = {}
+        assert reduce_block_dim(a2, self.LAM, beta, self.SPLIT, cache=cache) == block_dim(
+            a2, self.LAM, beta
+        )
+        with pytest.raises(PreconditionFail):
+            reduce_block_dim(g2, self.LAM, beta, self.SPLIT, cache=cache)
+        assert reduce_block_dim(g2, self.LAM, beta, self.SPLIT) == block_dim(g2, self.LAM, beta)
 
 
 class TestMatchedSubwords:
@@ -197,7 +226,7 @@ class TestMatchedSubwords:
         with pytest.raises(LengthMismatch):
             reduce_pair_dim_multi(RANK1, TWO, (0,), (0, 0), (TWO,))
         with pytest.raises(LengthMismatch):
-            reduce_pair_dim(RANK1, TWO, (0,), (0, 0), HALVES)
+            reduce_pair_dim_multi(RANK1, TWO, (0,), (0, 0), HALVES)
         with pytest.raises(LengthMismatch):
             reduce_pair_graded(RANK1, TWO, (0,), (0, 0), HALVES)
 

@@ -1,39 +1,28 @@
-"""Permutation combinatorics: transport sets, codes, blocks, shuffles."""
+"""Permutation combinatorics: transport sets, grouped forms, coset
+representatives, sorting permutations, and the oracles' shuffle splits."""
 
 import time
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from klrdim.errors import (
-    IncompatibleContent,
-    LengthMismatch,
-    NotBlockForm,
-    OutOfRange,
-)
+from klrdim.errors import IncompatibleContent, LengthMismatch, NotBlockForm
 from klrdim.perms import (
     act_right,
     as_block_form,
     block_form_of,
-    coinversion_code,
-    compose,
-    from_coinversion_code,
-    merge_perm,
     min_coset_reps,
-    run_blocks,
-    shuffle_splits,
     simple_transposition,
     sorting_perm,
-    split_perm,
     transport_perms,
 )
 from oracles import (
     act_on_tuple,
+    compose,
     identity_perm,
     perm_inverse,
     perm_length,
+    run_bounds,
+    shuffle_splits,
     smaller_before,
     transport_count,
 )
@@ -78,37 +67,6 @@ class TestSmallerBefore:
         assert smaller_before(S3_S1, 2) == frozenset()
 
 
-class TestCoinversionCode:
-    def test_identity(self):
-        for n in range(1, 7):
-            assert coinversion_code(identity_perm(n)) == tuple(range(n))
-
-    def test_s1_in_s3(self):
-        assert coinversion_code(S3_S1) == (0, 0, 2)
-
-    def test_roundtrip_s4(self):
-        for w in all_perms(4):
-            assert from_coinversion_code(coinversion_code(w)) == w
-
-    def test_bijection_up_to_5(self):
-        for n in range(6):
-            codes = {coinversion_code(w) for w in all_perms(n)}
-            expected = set(product(*(range(j + 1) for j in range(n))))
-            assert codes == expected
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.permutations(list(range(1, 8))))
-    def test_roundtrip_random(self, w):
-        w = tuple(w)
-        assert from_coinversion_code(coinversion_code(w)) == w
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            from_coinversion_code((0, 2))
-        with pytest.raises(OutOfRange):
-            from_coinversion_code((1,))
-
-
 class TestTransport:
     def test_repeated_letter_pair(self):
         assert list(transport_perms((0, 0), (0, 0))) == [(1, 2), (2, 1)]
@@ -149,12 +107,6 @@ class TestTransport:
 
 
 class TestBlocks:
-    def test_run_blocks(self):
-        b = run_blocks((0, 0, 1, 0))
-        assert b.sizes == (2, 1, 1)
-        assert b.letters == (0, 1, 0)
-        assert b.cumulative == (0, 2, 3, 4)
-
     def test_block_form_first_occurrence(self):
         f = block_form_of((2, 1, 1))
         assert f.tuple == (2, 1, 1)
@@ -190,13 +142,12 @@ class TestMinCosetReps:
     def test_unique_factorization(self, letters, n):
         # stabilizer == reps * (block Young subgroup), uniquely
         for nu in product(range(letters), repeat=n):
-            blocks = run_blocks(nu)
-            bounds = blocks.cumulative
+            bounds = run_bounds(nu)
             young = []
             for w in all_perms(n):
                 if all(
                     bounds[i] < w[k] <= bounds[i + 1]
-                    for i in range(blocks.count)
+                    for i in range(len(bounds) - 1)
                     for k in range(bounds[i], bounds[i + 1])
                 ):
                     young.append(w)
@@ -279,25 +230,3 @@ class TestShuffles:
             assert sorted(seen) == [1, 2, 3, 4]
             for part in split:
                 assert list(part) == sorted(part)
-
-
-class TestSplitMerge:
-    def test_one_sided(self):
-        w = (3, 1, 2)
-        w1, w2, images = split_perm(w, ((1, 2, 3), ()))
-        assert w1 == w and w2 == () and images == ((1, 2, 3), ())
-
-    def test_tiny(self):
-        w1, w2, images = split_perm((2, 1), ((1,), (2,)))
-        assert w1 == (1,) and w2 == (1,)
-        assert images == ((2,), (1,))
-
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
-    def test_merge_recovers(self, n):
-        for w in all_perms(n):
-            count = 0
-            for split in shuffle_splits(n, 2):
-                w1, w2, images = split_perm(w, split)
-                assert merge_perm(w1, w2, split, images) == w
-                count += 1
-            assert count == 2 ** n

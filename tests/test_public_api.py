@@ -1,6 +1,9 @@
 """The package's public surface: ``klrdim.__all__``."""
 
 import ast
+import doctest
+import importlib
+import pkgutil
 import types
 from pathlib import Path
 
@@ -31,3 +34,17 @@ def test_demo_imports_are_public():
     used = demo_imports()
     assert used  # the demos do import from the package
     assert used <= set(klrdim.__all__)
+
+
+def test_docstring_examples_run():
+    # A stale ``>>>`` example in a library docstring fails here.
+    modules = [klrdim] + [
+        importlib.import_module(f"klrdim.{info.name}")
+        for info in pkgutil.iter_modules(klrdim.__path__)
+    ]
+    attempted = 0
+    for module in modules:
+        result = doctest.testmod(module)
+        assert result.failed == 0, module.__name__
+        attempted += result.attempted
+    assert attempted > 0
