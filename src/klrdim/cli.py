@@ -7,6 +7,13 @@ and is deterministic: identical requests produce byte-identical output.
 Exit codes: 0 on success, 1 on domain errors (bad Cartan data, incompatible
 tuples, exceeded time budgets, ...), 2 on usage errors.  Verification
 mismatches are data, not errors: ``verify`` exits 0 and reports them.
+
+A plain request -- a command, then options spelled in full, each flag
+alone and each other option with one value that does not start with
+``-`` -- is read straight from the option tables of the argparse parser,
+with each value's type and choices applied as argparse applies them.
+Argparse parses every other form of request, so help and every usage
+error come from it alone.
 """
 
 from __future__ import annotations
@@ -548,9 +555,75 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _plain_tables() -> dict[str, tuple[dict, dict, frozenset]]:
+    """Per command: each full option string of a ``store`` or ``store_true``
+    action mapped to its action, the namespace argparse starts that command
+    from, and the required destinations."""
+    (commands,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    tables = {}
+    for name, sub in commands.choices.items():
+        options, start = {}, {"command": name}
+        for action in sub._actions:
+            if action.default is not argparse.SUPPRESS:
+                start[action.dest] = action.default
+            if type(action) in (argparse._StoreAction, argparse._StoreTrueAction):
+                options.update(dict.fromkeys(action.option_strings, action))
+        start.update(sub._defaults)
+        required = frozenset(a.dest for a in sub._actions if a.required)
+        tables[name] = (options, start, required)
+    return tables
+
+
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a plain request, or None for any other
+    form: an unknown command or option, an abbreviation, ``--opt=value``, a
+    value that starts with ``-``, a bad type or choice, or a missing
+    required option.  A repeated option keeps its last value, as in
+    argparse."""
+    table = _plain_tables().get(argv[0]) if argv else None
+    if table is None:
+        return None
+    options, start, required = table
+    values = dict(start)
+    given = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            return None
+        given.add(action.dest)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        text = next(tokens, None)
+        if text is None or text.startswith("-"):
+            return None
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= given:
+        return None
+    return argparse.Namespace(**values)
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Answer one request and return its exit code.
+
+    A plain request skips argparse (:func:`_parse_plain`); argparse parses
+    every other form, and prints help and usage errors (exit 2).
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_plain(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except KlrError as exc:

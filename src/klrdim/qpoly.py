@@ -10,9 +10,10 @@ Quantum integers are built directly as the explicit geometric sums
     [m]_d = q^{d(m-1)} + q^{d(m-3)} + ... + q^{d(1-m)}      (m > 0)
 
 with [0] = 0 and [-m] = -[m]; this avoids any rational-function machinery.
-A quantum integer of more than :data:`MAX_TERMS` terms is refused with
-:class:`~klrdim.errors.TooManyTerms`: one dict entry per term would exhaust
-memory inside a single call, before any time budget could stop it.
+A quantum integer or factorial of more than :data:`MAX_TERMS` terms is
+refused with :class:`~klrdim.errors.TooManyTerms`: one dict entry per term
+would exhaust memory inside a single call, before any time budget could
+stop it.
 Quantum binomials are computed by exact division, which must leave no
 remainder -- a nonzero remainder signals an internal bug, never bad input.
 
@@ -158,6 +159,9 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A constant equals its integer (see __eq__), so it hashes as one.
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(tuple(sorted(self._terms.items())))
 
     # -- rendering ---------------------------------------------------------
@@ -219,12 +223,22 @@ def quantum_int(m: int, d: int = 1) -> LaurentPoly:
 
 @lru_cache(maxsize=None)
 def quantum_factorial(m: int, d: int = 1) -> LaurentPoly:
-    """The quantum factorial [m]! = [1][2]...[m], with [0]! = 1."""
+    """The quantum factorial [m]! = [1][2]...[m], with [0]! = 1.
+
+    [m]! has m(m-1)/2 + 1 terms; raises :class:`TooManyTerms` when that
+    exceeds :data:`MAX_TERMS`.
+    """
     if m < 0:
         raise ValueError("quantum factorial needs m >= 0")
-    if m == 0:
-        return LaurentPoly.one()
-    return quantum_factorial(m - 1, d) * quantum_int(m, d)
+    terms = m * (m - 1) // 2 + 1
+    if terms > MAX_TERMS:
+        raise TooManyTerms(
+            f"the quantum factorial [{m}]! would have {terms} terms, over the cap of {MAX_TERMS}"
+        )
+    out = LaurentPoly.one()
+    for k in range(1, m + 1):
+        out = out * quantum_int(k, d)
+    return out
 
 
 def quantum_binomial(m: int, n: int, d: int = 1) -> LaurentPoly:

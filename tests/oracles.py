@@ -6,12 +6,15 @@ target-side dimension factor, the bar involution -- so that the tests can
 compare the two, or builds what a test compares against: products of
 permutations, run boundaries and shuffle splits.  Conventions are those of
 :mod:`klrdim.perms`: one-line tuples, 1-based positions,
-``(w*nu)_k = nu_{w^-1(k)}``.
+``(w*nu)_k = nu_{w^-1(k)}``.  :func:`shallow_stack` lowers the recursion
+limit for tests of deep inputs.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from contextlib import contextmanager
 from itertools import accumulate, groupby, product
 from math import factorial
 from typing import Iterator, Sequence
@@ -126,3 +129,17 @@ def dim_factor_target(
 def bar(p: LaurentPoly) -> LaurentPoly:
     """The bar involution q -> q^-1 (negates every exponent)."""
     return LaurentPoly({-e: c for e, c in p.items()})
+
+
+@contextmanager
+def shallow_stack(headroom=150):
+    """Set the recursion limit ``headroom`` frames above the calling test."""
+    depth, frame = 0, sys._getframe(2)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)

@@ -1,10 +1,15 @@
 """Command line front end: output values, JSON schema, exit codes."""
 
+import argparse
+import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -419,6 +424,12 @@ REUSE_SEQUENCE = [
     ["tilde", "--cartan", "A2", "--mu", "1,2,1"],
     ["dim", "--cartan", "A1", "--weight", "18", "--nu", EIGHTEEN_ONES,
      "--nuprime", EIGHTEEN_ONES, "--time-budget", "0.005"],
+    # Forms that only argparse reads, and a repeated option, whose last
+    # value counts on both paths.
+    ["gdim", "--car", "A2", "--weight", "1,1", "--nu", "1,2"],
+    ["gdim", "--cartan", "A2", "--weight", "1,1", "--nu=1,2"],
+    ["dim", "--cartan", "A2", "--weight", "-1,0", "--beta", "1,1"],
+    ["dim", "--cartan", "A2", "--weight", "1,1", "--beta", "1,1", "--beta", "2,1"],
 ]
 
 
@@ -447,7 +458,116 @@ class TestParserReuse:
             captured = capsys.readouterr()
             codes.append(code)
             assert (code, captured.out, captured.err) == fresh_interpreter(argv, env), argv
-        assert codes == [0, 2, 1, 0, 0, 0, 1]
+        assert codes == [0, 2, 1, 0, 0, 0, 1, 0, 0, 2, 0]
+
+
+# A valid value for each option that takes one.
+VALID = {
+    "--cartan": "A2", "--weight": "1,1", "--format": "json", "--time-budget": "2.5",
+    "--nu": "1,2", "--nuprime": "2,1", "--beta": "1,1", "--n": "2", "--method": "shuffle",
+    "--mu": "1,2", "--letters": "2,1", "--split": "1,0;0,1", "--suite": "oracle",
+    "--max-n": "2",
+}
+# Values put in place of a valid one: some start with '-', some fail a type
+# or a choice, the rest are accepted.
+REPLACEMENTS = ("-1,0", "-3", "--", "xml", "nan", "0", "", "1 2", "text")
+
+
+def subcommands():
+    (action,) = [
+        a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return action.choices
+
+
+def corpus():
+    """(request, plain) for every command with every subset of its options,
+    each given a valid value, in the parser's order and shuffled."""
+    rng = random.Random(13)
+    for name, sub in subcommands().items():
+        actions = [a for a in sub._actions if a.option_strings and a.dest != "help"]
+        for size in range(len(actions) + 1):
+            for subset in combinations(actions, size):
+                plain = all(a in subset for a in actions if a.required)
+                groups = [
+                    [a.option_strings[0]] + ([] if a.nargs == 0 else [VALID[a.option_strings[0]]])
+                    for a in subset
+                ]
+                yield [name, *(t for g in groups for t in g)], plain
+                rng.shuffle(groups)
+                yield [name, *(t for g in groups for t in g)], plain
+
+
+def mutations(argv):
+    """Requests one edit away from ``argv``."""
+    yield ["frobnicate", *argv[1:]]
+    yield ["-h", *argv]
+    yield argv + ["-h"]
+    yield argv + ["--"]
+    yield argv + ["stray"]
+    yield argv[:-1]
+    for i in range(1, len(argv)):
+        token, rest = argv[i], argv[i + 1:]
+        if token.startswith("--"):
+            yield argv[:i] + [token[:-1]] + rest
+            yield argv[:i] + rest
+            yield argv + [token]
+            if rest and not rest[0].startswith("--"):
+                yield argv[:i] + [f"{token}={rest[0]}"] + rest[1:]
+                yield argv + [token, rest[0]]
+        else:
+            for value in REPLACEMENTS:
+                yield argv[:i] + [value] + rest
+
+
+def argparse_vars(argv):
+    """What argparse makes of ``argv``: its namespace, or its exit code."""
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(cli._build_parser().parse_args(argv))
+    except SystemExit as exc:
+        return f"exit {exc.code}"
+
+
+class TestPlainParse:
+    def test_matches_argparse_on_a_corpus(self):
+        accepted = refused = 0
+        for request, plain in corpus():
+            ns = cli._parse_plain(request)
+            assert (ns is not None) == plain, request
+            for argv in [request, *mutations(request)]:
+                ns = cli._parse_plain(argv)
+                if ns is None:
+                    refused += 1
+                else:
+                    accepted += 1
+                    assert vars(ns) == argparse_vars(argv), argv
+        assert accepted > 5_000 and refused > 50_000
+
+    @pytest.mark.parametrize("argv", [
+        ["dim", "--cartan", "A2", "--weight", "-1,0", "--beta", "1,1"],
+        ["gdim", "--cartan", "A2"],
+        ["gdim", "--cartan", "A2", "--weight", "1,1", "--nu", "1", "--format", "xml"],
+        ["algebra", "--cartan", "A2", "--weight", "1,1", "--n", "two"],
+        ["gdim", "--cartan", "A2", "--weight", "1,1", "--nu"],
+        [],
+    ])
+    def test_usage_errors_are_left_to_argparse(self, argv):
+        assert cli._parse_plain(argv) is None
+        assert argparse_vars(argv) == "exit 2"
+
+    def test_negative_numbers_are_left_to_argparse(self):
+        # argparse reads '-3' as a value, since no option looks like a number.
+        argv = ["verify", "--cartan", "A2", "--weight", "1,1", "--max-n", "-3"]
+        assert cli._parse_plain(argv) is None
+        assert argparse_vars(argv)["max_n"] == -3
+
+    def test_plain_requests_share_no_state(self):
+        argv = ["dim", "--cartan", "A2", "--weight", "1,1", "--beta", "1,1", "--all-pairs"]
+        first = cli._parse_plain(argv)
+        second = cli._parse_plain(argv[:-1])
+        assert (first.all_pairs, second.all_pairs) == (True, False)
+        assert vars(second) == argparse_vars(argv[:-1])
 
 
 class TestLongIntegers:

@@ -6,7 +6,6 @@ import resource
 import subprocess
 import sys
 from collections import Counter
-from contextlib import contextmanager
 from itertools import product
 from math import comb, factorial, prod
 from pathlib import Path
@@ -38,7 +37,7 @@ from klrdim.dims import (
 from klrdim.errors import BadShape, PreconditionFail, TimeBudgetExceeded, TooManyTerms
 from klrdim.perms import transport_perms
 from klrdim.qpoly import LaurentPoly, eval_one, quantum_int
-from oracles import dim_factor_target
+from oracles import dim_factor_target, shallow_stack
 
 RANK1 = validate_cartan([[2]])
 A2 = builtin_cartan("A2")
@@ -154,20 +153,6 @@ class TestGradedDim:
                         for nuprime in tuples:
                             g = graded_dim(c, lam, nu, nuprime)
                             assert all(coeff > 0 for _, coeff in g.items())
-
-
-@contextmanager
-def shallow_stack(headroom=150):
-    """Set the recursion limit ``headroom`` frames above the calling test."""
-    depth, frame = 0, sys._getframe(2)
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + headroom)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 def brute_force(c, lam, nu, nuprime):
@@ -420,6 +405,11 @@ class TestNilHecke:
             preexec_fn=limit_memory,
         )
         assert (proc.stdout, proc.stderr) == ("TooManyTerms\n", "")
+
+    def test_many_strands_are_refused(self):
+        # [2000]! would have 1999001 terms, over the cap.
+        with pytest.raises(TooManyTerms):
+            nilhecke_graded_dim(3000, 2000)
 
     def test_graded_matches_engine(self):
         for l in range(7):

@@ -14,7 +14,7 @@ from klrdim.qpoly import (
     quantum_factorial,
     quantum_int,
 )
-from oracles import bar
+from oracles import bar, shallow_stack
 
 polys = st.dictionaries(
     st.integers(min_value=-8, max_value=8),
@@ -72,6 +72,24 @@ class TestFactorialBinomial:
         for m in range(1, 9):
             assert quantum_factorial(m) == quantum_int(m) * quantum_factorial(m - 1)
 
+    def test_factorial_needs_no_deep_stack(self):
+        # 47 factors with the recursion limit 20 frames above this test.
+        expected = LaurentPoly.one()
+        for k in range(1, 48):
+            expected = expected * quantum_int(k, 2)
+        with shallow_stack(headroom=20):
+            assert quantum_factorial(47, 2) == expected
+
+    @pytest.mark.parametrize("fn, args", [
+        (quantum_factorial, (3000,)),
+        (quantum_factorial, (1449, 3)),
+        (quantum_binomial, (3000, 1)),
+    ], ids=["factorial-3000", "factorial-1449-d3", "binomial-3000-1"])
+    def test_factorial_refused_past_the_cap(self, fn, args):
+        # [m]! has m(m-1)/2 + 1 terms: 1049077 at m = 1449, past 2^20.
+        with pytest.raises(TooManyTerms):
+            fn(*args)
+
     def test_binomial_three_one(self):
         assert quantum_binomial(3, 1) == quantum_int(3, 1)
 
@@ -89,6 +107,18 @@ class TestFactorialBinomial:
             divide_exact(P((1, 1), (0, 1)), P((1, 2)))
         with pytest.raises(DivisionInexact):
             divide_exact(P((2, 1), (0, 1)), P((1, 1), (0, 1)))
+
+
+class TestEquality:
+    @pytest.mark.parametrize("k", [-3, 0, 1, 7])
+    def test_constants_hash_as_their_integers(self, k):
+        p = LaurentPoly({0: k})
+        assert p == k and hash(p) == hash(k)
+        assert len({k, p}) == 1
+
+    def test_one_and_1_are_one_set_member(self):
+        assert len({1, LaurentPoly.one()}) == 1
+        assert len({LaurentPoly.one(), quantum_int(2)}) == 2
 
 
 class TestRingLaws:
