@@ -25,6 +25,8 @@ from itertools import product as iproduct
 from math import factorial, prod
 from typing import Iterator, Sequence
 
+from . import budget
+from .budget import Deadline
 from .cartan import CartanData, Weight, tuple_content
 from .dims import dim_factor, dim_factor_id, nilhecke_graded_dim
 from .errors import IncompatibleContent, PreconditionFail, ZeroEdge
@@ -113,16 +115,22 @@ def monomial_basis(
     return MonomialBasis(mu, form, sorting_perm(mu, form), bounds)
 
 
-def graded_dim_blockwise(c: CartanData, lam: Weight, form: BlockForm) -> LaurentPoly:
+def graded_dim_blockwise(
+    c: CartanData, lam: Weight, form: BlockForm, deadline: Deadline | None = None
+) -> LaurentPoly:
     """Graded dimension of the diagonal subspace at a grouped tuple, as the
     product of one nilHecke graded dimension per block (level = the block's
-    head pairing, strands = the block size, in the variable q^{d_letter})."""
+    head pairing, strands = the block size, in the variable q^{d_letter}).
+    The deadline is checked before each multiplication, here and in
+    :func:`~klrdim.dims.nilhecke_graded_dim`."""
     levels = block_levels(c, lam, form)
     out = LaurentPoly.one()
     for i in range(form.count):
-        out = out * nilhecke_graded_dim(
-            levels[i], form.sizes[i], c.symmetrizer[form.letters[i]]
+        block = nilhecke_graded_dim(
+            levels[i], form.sizes[i], c.symmetrizer[form.letters[i]], deadline=deadline
         )
+        budget.check(deadline, "nilHecke product")
+        out = out * block
     return out
 
 

@@ -173,6 +173,10 @@ def _cmd_gdim(args) -> int:
 def _cmd_dim(args) -> int:
     ctx = _context(args)
     lam = _weight(ctx, args)
+    if (args.nu is not None or args.nuprime is not None) and (
+        args.beta is not None or args.all_pairs
+    ):
+        raise PreconditionFail("give either --nu/--nuprime or --beta (with --all-pairs), not both")
     if args.nu is not None and args.nuprime is not None:
         nu = _tuple(ctx, args.nu)
         nuprime = _tuple(ctx, args.nuprime)
@@ -358,6 +362,8 @@ def _cmd_reduce(args) -> int:
     ctx = _context(args)
     lam = _weight(ctx, args)
     parts = [Weight(_node_vector(ctx, chunk, "split part")) for chunk in args.split.split(";")]
+    if (args.nu is not None or args.mu is not None) and args.beta is not None:
+        raise PreconditionFail("give either --nu/--mu or --beta, not both")
     if args.nu is not None and args.mu is not None:
         nu = _tuple(ctx, args.nu)
         mu = _tuple(ctx, args.mu)

@@ -47,9 +47,9 @@ from typing import Iterator, Sequence
 from . import budget
 from .budget import Deadline
 from .cartan import CartanData, RootElement, Weight, root_pairing
-from .errors import BadShape, LengthMismatch, PreconditionFail
+from .errors import BadShape, LengthMismatch, PreconditionFail, TooManyTerms
 from .perms import IndexTuple, Perm, min_coset_reps
-from .qpoly import LaurentPoly, quantum_factorial, quantum_int
+from .qpoly import MAX_TERMS, LaurentPoly, quantum_int
 
 
 def dim_factor(c: CartanData, lam: Weight, w: Perm, nu: Sequence[int], t: int) -> int:
@@ -292,23 +292,34 @@ def dim_divided(
 # ---------------------------------------------------------------------------
 
 
-def nilhecke_graded_dim(level: int, size: int, d: int = 1) -> LaurentPoly:
+def nilhecke_graded_dim(
+    level: int, size: int, d: int = 1, deadline: Deadline | None = None
+) -> LaurentPoly:
     """Graded dimension of the cyclotomic nilHecke algebra on ``size``
     strands at the given level, in the variable q^d.
 
     The closed product q^{d s (L - s)} [s]! [L] [L-1] ... [L-s+1] in
     quantum integers of q^d, for level L and size s: the quantum factorial
     for the strand crossings and one quantum integer per strand for the dot
-    exponents.  Zero when s > L.  Its quantum integers obey the term cap of
-    :func:`~klrdim.qpoly.quantum_int`.
+    exponents.  Zero when s > L.  The product has s (L - 1) + 1 terms and is
+    refused with :class:`TooManyTerms` when that exceeds
+    :data:`~klrdim.qpoly.MAX_TERMS`.  It is multiplied out one quantum
+    integer at a time, with the deadline checked before each multiplication.
     """
     if level < 0 or size < 0:
         raise ValueError("level and size must be >= 0")
     if size > level:
         return LaurentPoly.zero()
-    out = quantum_factorial(size, d).shift(d * size * (level - size))
-    for t in range(1, size + 1):
-        out = out * quantum_int(level - t + 1, d)
+    terms = size * (level - 1) + 1
+    if terms > MAX_TERMS:
+        raise TooManyTerms(
+            f"the nilHecke product would have {terms} terms, over the cap of {MAX_TERMS}"
+        )
+    out = LaurentPoly.one().shift(d * size * (level - size))
+    # [s]! and then [L - s + 1] ... [L], leaving out each [1] = 1.
+    for m in (*range(2, size + 1), *range(max(level - size + 1, 2), level + 1)):
+        budget.check(deadline, "nilHecke product")
+        out = out * quantum_int(m, d)
     return out
 
 

@@ -7,8 +7,13 @@ multinomial-squared weight over decompositions of the block.  An l-part
 shuffle split is a two-part split followed by an (l-1)-part split of the
 remainder, so the pair sum peels off one weight part at a time and reduces
 the remainders over the rest, never evaluating a dimension at a sum of
-parts.  The graded analogue genuinely fails (see the tests), which is why
-everything here is integer-valued.
+parts.  Only dealt pieces that can be nonzero are paired: in the closed
+formula the first slot factor of a piece a at a part Lambda^i is
+<Lambda^i, h_{a_1}> for every permutation, so a piece whose first letter
+pairs to zero with its part has dimension 0.  This rests on the formula,
+not on the reduction identity the sums are checked against.  The graded
+analogue genuinely fails (see the tests), which is why everything here is
+integer-valued.
 """
 
 from __future__ import annotations
@@ -49,6 +54,39 @@ def _subwords(word: tuple[int, ...], where: str, deadline: Deadline | None, cach
     return by_content
 
 
+def _kept(
+    word: tuple[int, ...],
+    head: Weight,
+    tail_key: tuple[tuple[int, ...], ...],
+    where: str,
+    deadline: Deadline | None,
+    cache: dict,
+) -> dict:
+    """The dealings of :func:`_subwords` that can add to the sum: a first
+    subword that is empty or starts with a letter where ``head`` is
+    positive, and a rest that is empty or starts with a letter where the
+    tail weights, given by their coefficients in ``tail_key``, sum to a
+    positive coefficient.  Kept in ``cache`` on the head weight, the tail
+    weights and the word, and written there only once complete."""
+    key = ("kept", head.coeffs, tail_key, word)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    tail_sum = tuple(map(sum, zip(*tail_key)))
+    kept = {}
+    for content, entries in _subwords(word, where, deadline, cache).items():
+        survivors = [
+            (first, rest, k)
+            for first, rest, k in entries
+            if (not first or head.coeffs[first[0]] > 0)
+            and (not rest or tail_sum[rest[0]] > 0)
+        ]
+        if survivors:
+            kept[content] = survivors
+    cache[key] = kept
+    return kept
+
+
 def _peel(
     parts: Sequence[Weight],
     nu: tuple[int, ...],
@@ -67,6 +105,14 @@ def _peel(
     parts[0] multiplies the same sum for the remainders over parts[1:],
     weighted by how many split pairs give the subwords.  That remainder sum
     is memoized in ``cache`` on the tail weights and the two remainders.
+
+    Only the dealings that :func:`_kept` keeps are paired.  A first subword
+    starting with a letter where parts[0] is zero has first slot factor 0
+    for every permutation, so its dimension is 0.  The parts are dominant,
+    so a letter where parts[1:] sum to zero is zero in each of them, and
+    whichever later piece the remainder's first letter starts has
+    dimension 0.  Both hold for every ``part_dim`` here: a graded dimension
+    is zero when its ungraded one is.
     """
     if len(parts) == 1:
         return part_dim(parts[0], nu, mu)
@@ -86,8 +132,8 @@ def _peel(
     total = zero
     if sorted(nu) != sorted(mu):
         return total
-    mu_side = _subwords(mu, where, deadline, cache)
-    for content, nu_entries in _subwords(nu, where, deadline, cache).items():
+    mu_side = _kept(mu, head, tail_key, where, deadline, cache)
+    for content, nu_entries in _kept(nu, head, tail_key, where, deadline, cache).items():
         for first_mu, rest_mu, k_mu in mu_side.get(content, ()):
             for first_nu, rest_nu, k_nu in nu_entries:
                 budget.check(deadline, where)
@@ -137,10 +183,14 @@ def reduce_pair_dim_multi(
     subwords multiplies the same sum for the remainders over the other
     parts.  Each summand depends
     only on the subwords, so the sum runs over distinct subword pairs
-    weighted by their split counts.  Inner dimensions repeat massively
+    weighted by their split counts.  It pairs only subwords whose first
+    letter is positive in their part and remainders whose first letter is
+    positive in the sum of the later parts: every other pair has a zero
+    dimension factor.  Inner dimensions repeat massively
     across pairs, so they are memoized on (part weight, sub-source,
-    sub-target), the remainder sums on (tail weights, remainders), and the
-    subword counts on the word; pass an external ``cache`` dict to share
+    sub-target), the remainder sums on (tail weights, remainders), the
+    subword counts on the word, and the pairable subwords on (part weight,
+    tail weights, word); pass an external ``cache`` dict to share
     them across calls with the same Cartan data.  A cache passed with
     other Cartan data than it was filled for raises
     :class:`PreconditionFail`.

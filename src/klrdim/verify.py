@@ -228,7 +228,7 @@ def verify_basis(
                 )
             if mu == form.tuple:
                 closed = graded_dim(c, lam, mu, mu, deadline=deadline)
-                product = graded_dim_blockwise(c, lam, form)
+                product = graded_dim_blockwise(c, lam, form, deadline=deadline)
                 report.checked += 1
                 if closed != product:
                     report.record(

@@ -7,7 +7,8 @@ compare the two, or builds what a test compares against: products of
 permutations, run boundaries and shuffle splits.  Conventions are those of
 :mod:`klrdim.perms`: one-line tuples, 1-based positions,
 ``(w*nu)_k = nu_{w^-1(k)}``.  :func:`shallow_stack` lowers the recursion
-limit for tests of deep inputs.
+limit for tests of deep inputs, and :class:`Recording` counts a
+computation's deadline checks per label.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from itertools import accumulate, groupby, product
 from math import factorial
 from typing import Iterator, Sequence
 
+from klrdim.budget import Deadline
 from klrdim.cartan import CartanData, Weight
 from klrdim.errors import LengthMismatch, OutOfRange
 from klrdim.perms import BlockForm, IndexTuple, Perm
@@ -129,6 +131,18 @@ def dim_factor_target(
 def bar(p: LaurentPoly) -> LaurentPoly:
     """The bar involution q -> q^-1 (negates every exponent)."""
     return LaurentPoly({-e: c for e, c in p.items()})
+
+
+class Recording(Deadline):
+    """A deadline that counts its checks per label in ``seen``."""
+
+    def __init__(self, seconds):
+        super().__init__(seconds)
+        self.seen = Counter()
+
+    def check(self, where="enumeration"):
+        self.seen[where] += 1
+        super().check(where)
 
 
 @contextmanager

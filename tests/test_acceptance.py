@@ -201,7 +201,7 @@ def test_criterion_07_divided_power_equivalence():
 
 def test_criterion_08_level_reduction():
     with criterion(8, "level reduction identities and graded failure, n <= 3",
-                   budget=25.0):
+                   budget=12.0):
         for c, lam in full_battery():
             splits = [s for k in (2, 3) for s in dominant_splits(lam, k)]
             cache: dict = {}

@@ -1,5 +1,6 @@
 """Monomial-basis index sets, exponent bounds and their transforms."""
 
+import time
 from itertools import product
 from math import factorial, prod
 
@@ -14,6 +15,7 @@ from klrdim.basis import (
     graded_dim_blockwise,
     monomial_basis,
 )
+from klrdim.budget import Deadline
 from klrdim.cartan import Weight, builtin_cartan, validate_cartan
 from klrdim.dims import (
     blocks_of_size,
@@ -23,7 +25,7 @@ from klrdim.dims import (
     nilhecke_dim,
     tuples_with_content,
 )
-from klrdim.errors import PreconditionFail, ZeroEdge
+from klrdim.errors import PreconditionFail, TimeBudgetExceeded, ZeroEdge
 from klrdim.perms import (
     act_right,
     as_block_form,
@@ -154,6 +156,14 @@ class TestDiagonalFactorization:
         from klrdim.dims import nilhecke_graded_dim
 
         assert graded_dim_blockwise(RANK1, lam, form) == nilhecke_graded_dim(4, 3)
+
+    def test_deadline_reaches_the_nilhecke_product(self):
+        start = time.monotonic()
+        with pytest.raises(TimeBudgetExceeded):
+            graded_dim_blockwise(
+                RANK1, Weight((120,)), as_block_form((0,) * 80), deadline=Deadline(0.05)
+            )
+        assert time.monotonic() - start < 1
 
     def test_matches_engine(self):
         for c, lam in small_battery():

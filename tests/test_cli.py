@@ -101,6 +101,20 @@ class TestDim:
         assert code == 1
         assert "PreconditionFail" in err
 
+    @pytest.mark.parametrize("selectors", [
+        ("--nu", "1", "--beta", "1,0"),
+        ("--nuprime", "1", "--beta", "1,0"),
+        ("--nu", "1", "--nuprime", "1", "--beta", "1,0"),
+        ("--nu", "1", "--nuprime", "1", "--all-pairs"),
+        ("--nu", "1", "--beta", "1,0", "--all-pairs"),
+    ])
+    def test_pair_and_block_selectors_conflict(self, capsys, selectors):
+        code, out, err = invoke(
+            capsys, "dim", "--cartan", "A2", "--weight", "1,1", *selectors,
+        )
+        assert (code, out) == (1, "")
+        assert "PreconditionFail" in err and "not both" in err
+
 
 class TestBlockAlgebra:
     def test_block(self, capsys):
@@ -210,6 +224,19 @@ class TestReduce:
         )
         assert code == 0
         assert doc["match"] is True
+
+    @pytest.mark.parametrize("selectors", [
+        ("--nu", "1", "--mu", "1", "--beta", "1,0"),
+        ("--nu", "1", "--beta", "1,0"),
+        ("--mu", "1", "--beta", "1,0"),
+    ])
+    def test_pair_and_block_selectors_conflict(self, capsys, selectors):
+        code, out, err = invoke(
+            capsys, "reduce", "--cartan", "A2", "--weight", "1,1",
+            "--split", "1,0;0,1", *selectors,
+        )
+        assert (code, out) == (1, "")
+        assert "PreconditionFail" in err and "not both" in err
 
     def test_short_split_part(self, capsys):
         code, _, err = invoke(

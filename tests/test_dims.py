@@ -5,7 +5,7 @@ import random
 import resource
 import subprocess
 import sys
-from collections import Counter
+import time
 from itertools import product
 from math import comb, factorial, prod
 from pathlib import Path
@@ -37,7 +37,7 @@ from klrdim.dims import (
 from klrdim.errors import BadShape, PreconditionFail, TimeBudgetExceeded, TooManyTerms
 from klrdim.perms import transport_perms
 from klrdim.qpoly import LaurentPoly, eval_one, quantum_int
-from oracles import dim_factor_target, shallow_stack
+from oracles import Recording, dim_factor_target, shallow_stack
 
 RANK1 = validate_cartan([[2]])
 A2 = builtin_cartan("A2")
@@ -46,18 +46,6 @@ S2_S1 = (2, 1)
 
 def P(*pairs):
     return LaurentPoly.from_pairs(pairs)
-
-
-class Recording(Deadline):
-    """A deadline that counts its checks per label in ``seen``."""
-
-    def __init__(self, seconds):
-        super().__init__(seconds)
-        self.seen = Counter()
-
-    def check(self, where="enumeration"):
-        self.seen[where] += 1
-        super().check(where)
 
 
 class TestDimFactor:
@@ -407,7 +395,7 @@ class TestNilHecke:
         assert (proc.stdout, proc.stderr) == ("TooManyTerms\n", "")
 
     def test_many_strands_are_refused(self):
-        # [2000]! would have 1999001 terms, over the cap.
+        # The product would have 2000 * 2999 + 1 terms, over the cap.
         with pytest.raises(TooManyTerms):
             nilhecke_graded_dim(3000, 2000)
 
@@ -660,6 +648,14 @@ class TestDeadline:
         nu, nuprime = (0, 1, 0, 1, 0, 1), (1, 0, 1, 0, 1, 0)
         with pytest.raises(TimeBudgetExceeded):
             graded_dim(A2, Weight((200, 200)), nu, nuprime, deadline=Deadline(0.05))
+
+    def test_nilhecke_products_are_checked(self):
+        # 160 multiplications, the later ones of polynomials of thousands of
+        # terms: about 15 s without a check.
+        start = time.monotonic()
+        with pytest.raises(TimeBudgetExceeded):
+            nilhecke_graded_dim(120, 80, deadline=Deadline(0.05))
+        assert time.monotonic() - start < 1
 
 
 class TestLengthMismatch:

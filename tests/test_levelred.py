@@ -15,6 +15,7 @@ from klrdim.cartan import (
 from klrdim.dims import block_dim, blocks_of_size, dim, graded_dim, tuples_with_content
 from klrdim.errors import BadShape, LengthMismatch, PreconditionFail, TimeBudgetExceeded
 from klrdim.levelred import (
+    _kept,
     _subwords,
     dominant_splits,
     reduce_block_dim,
@@ -22,7 +23,7 @@ from klrdim.levelred import (
     reduce_pair_graded,
 )
 from klrdim.qpoly import LaurentPoly, eval_one
-from oracles import shuffle_splits
+from oracles import Recording, shuffle_splits
 
 RANK1 = validate_cartan([[2]])
 TWO = Weight((2,))
@@ -220,6 +221,9 @@ class TestMatchedSubwords:
             for key, value in cache.items():
                 if key[0] == "subwords":
                     assert value == _subwords(key[1], "test", None, {})
+                if key[0] == "kept":
+                    head, tail_key, word = key[1:]
+                    assert value == _kept(word, Weight(head), tail_key, "test", None, {})
             assert reduce_pair_dim_multi(c, lam, nu, mu, split, cache=cache) == expected
 
     def test_length_mismatch(self):
@@ -229,6 +233,53 @@ class TestMatchedSubwords:
             reduce_pair_dim_multi(RANK1, TWO, (0,), (0, 0), HALVES)
         with pytest.raises(LengthMismatch):
             reduce_pair_graded(RANK1, TWO, (0,), (0, 0), HALVES)
+
+
+class TestPruning:
+    """The pair sum pairs only the dealt pieces that can be nonzero: a first
+    subword that is empty or starts with a letter where the head weight is
+    positive, and a rest that is empty or starts with a letter where the
+    tail weights' sum is positive."""
+
+    @pytest.mark.parametrize("name", ["A2", "A1~"])
+    def test_shared_cache_across_sizes_and_splits(self, name):
+        # One cache, three-part splits first: their remainder peels (head
+        # Lambda^2, tail Lambda^3) fill the kept lists of words that a
+        # two-part split with the same head but a larger tail asks for
+        # next.  A memo that forgot its tail weights would hand that split
+        # the shorter list.
+        c, lam = builtin_cartan(name), Weight((2, 1))
+        splits = [s for parts in (3, 2) for s in dominant_splits(lam, parts)]
+        cache = {}
+        for n in range(4, 0, -1):
+            for beta in blocks_of_size(c, n):
+                tuples = list(tuples_with_content(beta))
+                for nu in tuples:
+                    for mu in tuples:
+                        direct = dim(c, lam, nu, mu)
+                        for split in splits:
+                            got = reduce_pair_dim_multi(c, lam, nu, mu, split, cache=cache)
+                            assert got == direct, (nu, mu, split)
+
+    @pytest.mark.parametrize("split", [
+        (Weight((2, 1)), Weight((0, 0))),
+        (Weight((0, 0)), Weight((2, 1))),
+    ], ids=["zero-tail", "zero-head"])
+    def test_zero_part_pairs_only_whole_words(self, split):
+        # A2 at Lambda = (2, 1) with one zero part.  Dealing a word of three
+        # letters checks once per dealing of each of its prefixes:
+        # 1 + 2 + 4 = 7 checks per word.  The zero part is zero at every
+        # letter, so each side keeps only the dealing that leaves it the
+        # empty word, and one pair is checked: 7 + 7 + 1.  That pair's
+        # dimension at (2, 1) walks 1 + 2 + 2 states (nu's first 0 takes
+        # either 0 of mu, its 1 takes mu's 1, its last 0 the slot left), and
+        # the empty pair at (0, 0) walks none.  With the zero part last,
+        # pairing every dealing would take 7 + 7 + 8 and 20 checks.
+        c, lam = builtin_cartan("A2"), Weight((2, 1))
+        deadline = Recording(3600)
+        got = reduce_pair_dim_multi(c, lam, (0, 1, 0), (1, 0, 0), split, deadline=deadline)
+        assert got == dim(c, lam, (0, 1, 0), (1, 0, 0))
+        assert deadline.seen == {"level reduction sum": 15, "dimension sum": 5}
 
 
 class TestBlockReduction:

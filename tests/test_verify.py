@@ -89,7 +89,7 @@ class TestSuites:
         ("divided", {"divided-power sum", "dimension sum"}),
         ("levelred", {"block sum", "dimension sum", "graded dimension sum",
                       "graded level reduction sum"}),
-        ("basis", {"graded dimension sum", "dimension sum"}),
+        ("basis", {"graded dimension sum", "dimension sum", "nilHecke product"}),
     ])
     def test_deadline_reaches_inner_calls(self, suite, labels):
         class Recording(Deadline):
