@@ -203,7 +203,7 @@ def _cmd_dim(args) -> int:
             str(v),
         )
         return 0
-    tuples = list(dims.tuples_with_content(beta))
+    tuples = dims.tuples_with_content(beta, deadline=ctx.deadline)
     rows = [
         (nu, nuprime, dims.dim(ctx.cartan, lam, nu, nuprime, deadline=ctx.deadline))
         for nu in tuples

@@ -357,25 +357,23 @@ def blocks_of_size(c: CartanData, n: int) -> Iterator[RootElement]:
         yield RootElement(coeffs)
 
 
-def tuples_with_content(beta: RootElement) -> Iterator[IndexTuple]:
-    """All index tuples realizing beta, in lexicographic order."""
-    counts = list(beta.coeffs)
-    n = beta.size
-    out: list[int] = []
+def tuples_with_content(beta: RootElement, deadline: Deadline | None = None) -> list[IndexTuple]:
+    """All index tuples realizing beta, in lexicographic order.
 
-    def rec() -> Iterator[IndexTuple]:
-        if len(out) == n:
-            yield tuple(out)
-            return
-        for x in range(len(counts)):
-            if counts[x]:
-                counts[x] -= 1
-                out.append(x)
-                yield from rec()
-                out.pop()
-                counts[x] += 1
-
-    yield from rec()
+    Built by word length, like the column walk: each word of length m, in
+    order, is extended by every letter still under its multiplicity, in
+    increasing order.  There are multinomially many words, so the deadline
+    is checked once per word extended.
+    """
+    words: list[IndexTuple] = [()]
+    for _ in range(beta.size):
+        stems, words = words, []
+        for stem in stems:
+            budget.check(deadline, "word listing")
+            for x, m in enumerate(beta.coeffs):
+                if stem.count(x) < m:
+                    words.append(stem + (x,))
+    return words
 
 
 def _column_sum(

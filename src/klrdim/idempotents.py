@@ -113,22 +113,29 @@ def nonzero_by_shuffle(
             seen[key] = hit
         return hit
 
-    def rec(pos: int) -> tuple[tuple[int, ...], ...] | None:
-        budget.check(deadline, "shuffle search")
-        if pos == n:
-            if all(piece_ok(i) for i in range(l)):
-                return tuple(tuple(p) for p in piece)
-            return None
-        x = nu[pos]
-        for i in range(l):
-            if not piece[i] and lam_head[i][x] == 0:
-                continue
+    # Depth first, in a loop over an explicit stack: picks[pos] is the piece
+    # that position pos went to, and i the first piece left to try for the
+    # next position, 0 when that position is reached afresh.
+    picks: list[int] = []
+    i = 0
+    while True:
+        pos = len(picks)
+        if i == 0:
+            budget.check(deadline, "shuffle search")
+            if pos == n and all(piece_ok(j) for j in range(l)):
+                return NonzeroVerdict(True, "shuffle", tuple(tuple(p) for p in piece))
+        if pos < n:
+            x = nu[pos]
+            while i < l and not piece[i] and not lam_head[i][x]:
+                i += 1
+        else:
+            i = l
+        if i < l:
             piece[i].append(x)
-            found = rec(pos + 1)
-            if found is not None:
-                return found
-            piece[i].pop()
-        return None
-
-    witness = rec(0)
-    return NonzeroVerdict(witness is not None, "shuffle", witness)
+            picks.append(i)
+            i = 0
+        elif picks:
+            piece[picks[-1]].pop()
+            i = picks.pop() + 1
+        else:
+            return NonzeroVerdict(False, "shuffle", None)

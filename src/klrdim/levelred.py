@@ -7,10 +7,12 @@ multinomial-squared weight over decompositions of the block.  An l-part
 shuffle split is a two-part split followed by an (l-1)-part split of the
 remainder, so the pair sum peels off one weight part at a time and reduces
 the remainders over the rest, never evaluating a dimension at a sum of
-parts.  Only dealt pieces that can be nonzero are paired: in the closed
-formula the first slot factor of a piece a at a part Lambda^i is
-<Lambda^i, h_{a_1}> for every permutation, so a piece whose first letter
-pairs to zero with its part has dimension 0.  This rests on the formula,
+parts.  Each word is dealt once per (part, sum of the later parts), in
+one forward pass over its letters that deals only pieces that can be
+nonzero: in the closed formula the first slot factor of a piece a at a
+part Lambda^i is <Lambda^i, h_{a_1}> for every permutation, so a piece
+whose first letter pairs to zero with its part has dimension 0, and
+dealing stops there.  This rests on the formula,
 not on the reduction identity the sums are checked against.  The graded
 analogue genuinely fails (see the tests), which is why everything here is
 integer-valued.
@@ -30,59 +32,41 @@ from .errors import BadShape, LengthMismatch, PreconditionFail
 from .qpoly import LaurentPoly
 
 
-def _subwords(word: tuple[int, ...], where: str, deadline: Deadline | None, cache: dict) -> dict:
+def _kept(
+    word: tuple[int, ...], head: Weight, tail_sum: tuple[int, ...], where: str,
+    deadline: Deadline | None, cache: dict,
+) -> dict:
     """Deal the letters of ``word``, in order, into a first subword and the
-    rest in every way: {content of the first subword: [(first, rest, number
-    of position splits giving them)]}.  Kept in ``cache``, which is left
-    untouched if the deadline fires partway through."""
-    key = ("subwords", word)
+    rest in every way that can add to the sum: {content of the first
+    subword: [(first, rest, number of position splits giving them)]}.
+
+    A letter may open the first subword only where ``head`` is positive,
+    and open the rest only where ``tail_sum``, the sum of the later weight
+    parts, is positive.  A dealing that fails at the letter opening one of
+    its sides has no kept extension, so the pruned deal equals dealing in
+    every way and then filtering.  Kept in ``cache`` on the head weight,
+    the tail sum and the word, and written there only once complete.
+    """
+    key = ("kept", head.coeffs, tail_sum, word)
     hit = cache.get(key)
     if hit is not None:
         return hit
     counts = {((), ()): 1}
     for x in word:
         grown: dict = {}
+        opens_first, opens_rest = head.coeffs[x] > 0, tail_sum[x] > 0
         for (first, rest), k in counts.items():
             budget.check(deadline, where)
-            for dealt in ((first + (x,), rest), (first, rest + (x,))):
+            if first or opens_first:
+                dealt = (first + (x,), rest)
+                grown[dealt] = grown.get(dealt, 0) + k
+            if rest or opens_rest:
+                dealt = (first, rest + (x,))
                 grown[dealt] = grown.get(dealt, 0) + k
         counts = grown
-    by_content: dict = {}
+    kept: dict = {}
     for (first, rest), k in counts.items():
-        by_content.setdefault(tuple(sorted(first)), []).append((first, rest, k))
-    cache[key] = by_content
-    return by_content
-
-
-def _kept(
-    word: tuple[int, ...],
-    head: Weight,
-    tail_key: tuple[tuple[int, ...], ...],
-    where: str,
-    deadline: Deadline | None,
-    cache: dict,
-) -> dict:
-    """The dealings of :func:`_subwords` that can add to the sum: a first
-    subword that is empty or starts with a letter where ``head`` is
-    positive, and a rest that is empty or starts with a letter where the
-    tail weights, given by their coefficients in ``tail_key``, sum to a
-    positive coefficient.  Kept in ``cache`` on the head weight, the tail
-    weights and the word, and written there only once complete."""
-    key = ("kept", head.coeffs, tail_key, word)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    tail_sum = tuple(map(sum, zip(*tail_key)))
-    kept = {}
-    for content, entries in _subwords(word, where, deadline, cache).items():
-        survivors = [
-            (first, rest, k)
-            for first, rest, k in entries
-            if (not first or head.coeffs[first[0]] > 0)
-            and (not rest or tail_sum[rest[0]] > 0)
-        ]
-        if survivors:
-            kept[content] = survivors
+        kept.setdefault(tuple(sorted(first)), []).append((first, rest, k))
     cache[key] = kept
     return kept
 
@@ -104,9 +88,11 @@ def _peel(
     the sides of equal content are paired, and each pair's ``part_dim`` at
     parts[0] multiplies the same sum for the remainders over parts[1:],
     weighted by how many split pairs give the subwords.  That remainder sum
-    is memoized in ``cache`` on the tail weights and the two remainders.
+    is memoized in ``cache`` on the tail weights and the two remainders:
+    it depends on each later part, not only on their sum.
 
-    Only the dealings that :func:`_kept` keeps are paired.  A first subword
+    Each word is dealt once, by :func:`_kept`, which prunes while it deals
+    and memoizes on (parts[0], the tail sum, word).  A first subword
     starting with a letter where parts[0] is zero has first slot factor 0
     for every permutation, so its dimension is 0.  The parts are dominant,
     so a letter where parts[1:] sum to zero is zero in each of them, and
@@ -132,8 +118,9 @@ def _peel(
     total = zero
     if sorted(nu) != sorted(mu):
         return total
-    mu_side = _kept(mu, head, tail_key, where, deadline, cache)
-    for content, nu_entries in _kept(nu, head, tail_key, where, deadline, cache).items():
+    tail_sum = tuple(map(sum, zip(*tail_key)))
+    mu_side = _kept(mu, head, tail_sum, where, deadline, cache)
+    for content, nu_entries in _kept(nu, head, tail_sum, where, deadline, cache).items():
         for first_mu, rest_mu, k_mu in mu_side.get(content, ()):
             for first_nu, rest_nu, k_nu in nu_entries:
                 budget.check(deadline, where)
@@ -181,19 +168,17 @@ def reduce_pair_dim_multi(
 
     The sum peels off one weight part at a time: each pair of part-1
     subwords multiplies the same sum for the remainders over the other
-    parts.  Each summand depends
-    only on the subwords, so the sum runs over distinct subword pairs
-    weighted by their split counts.  It pairs only subwords whose first
-    letter is positive in their part and remainders whose first letter is
-    positive in the sum of the later parts: every other pair has a zero
-    dimension factor.  Inner dimensions repeat massively
-    across pairs, so they are memoized on (part weight, sub-source,
-    sub-target), the remainder sums on (tail weights, remainders), the
-    subword counts on the word, and the pairable subwords on (part weight,
-    tail weights, word); pass an external ``cache`` dict to share
-    them across calls with the same Cartan data.  A cache passed with
-    other Cartan data than it was filled for raises
-    :class:`PreconditionFail`.
+    parts.  Each summand depends only on the subwords, so the sum runs over
+    distinct subword pairs weighted by their split counts.  It deals only
+    subwords whose first letter is positive in their part and remainders
+    whose first letter is positive in the sum of the later parts: every
+    other pair has a zero dimension factor.  Inner dimensions repeat
+    massively across pairs, so they are memoized on (part weight,
+    sub-source, sub-target), the remainder sums on (tail weights,
+    remainders), and the dealt subwords in one memo on (part weight, tail
+    sum, word); pass an external ``cache`` dict to share them across calls
+    with the same Cartan data.  A cache passed with other Cartan data than
+    it was filled for raises :class:`PreconditionFail`.
     """
     if cache is None:
         cache = {}

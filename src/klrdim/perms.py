@@ -14,9 +14,11 @@ permutations: they walk the sets of target slots taken, which the matchings
 sharing a prefix's slots merge into; :func:`transport_perms` enumerates the
 matchings whole, for the basis machinery.  The minimal coset
 representatives of :func:`min_coset_reps`, which the divided-power route
-sums over, are the same slot-by-slot walk, held ascending inside each run
-of equal letters.  :class:`BlockForm` and :func:`sorting_perm` group a
-tuple by letter for the monomial bases.
+sums over, come from the same walk, held ascending inside each run of
+equal letters.  That one slot walk fills the slots in turn from the
+choices each enumerator offers, in a loop over an explicit stack, so no
+recursion grows with the length of a tuple.  :class:`BlockForm` and
+:func:`sorting_perm` group a tuple by letter for the monomial bases.
 
 >>> list(transport_perms((0, 0), (0, 0)))
 [(1, 2), (2, 1)]
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import IncompatibleContent, LengthMismatch, NotBlockForm
 
@@ -49,8 +51,39 @@ def simple_transposition(n: int, a: int) -> Perm:
 
 
 # ---------------------------------------------------------------------------
-# Transport sets
+# The slot walk and transport sets
 # ---------------------------------------------------------------------------
+
+
+def _slot_walk(n: int, choices: Callable) -> Iterator[Perm]:
+    """Every w whose slot k + 1 takes, for k = 0..n-1 in turn, one of the
+    0-based target slots listed by ``choices(k, w, taken)``, lazily, in the
+    order of those lists.
+
+    ``w`` is the list of the values chosen so far (0 from index k on) and
+    ``taken`` the list of flags of the target slots they hold; ``choices``
+    is asked once per prefix.  The walk is a loop over an explicit stack of
+    choice lists, so no recursion grows with n.
+    """
+    if n == 0:
+        yield ()
+        return
+    taken, w = [False] * n, [0] * n
+    stack = [iter(choices(0, w, taken))]
+    while stack:
+        k = len(stack) - 1
+        if w[k]:
+            taken[w[k] - 1] = False
+        p = next(stack[-1], None)
+        if p is None:
+            w[k] = 0
+            stack.pop()
+        else:
+            taken[p], w[k] = True, p + 1
+            if k + 1 < n:
+                stack.append(iter(choices(k + 1, w, taken)))
+            else:
+                yield tuple(w)
 
 
 def transport_perms(nu: Sequence[int], nuprime: Sequence[int]) -> Iterator[Perm]:
@@ -58,7 +91,8 @@ def transport_perms(nu: Sequence[int], nuprime: Sequence[int]) -> Iterator[Perm]
 
     w must carry each slot of nu holding letter x onto a slot of nuprime
     holding x, so the stream is the product of per-letter matchings; it is
-    empty exactly when the two letter multisets differ.
+    empty exactly when the two letter multisets differ.  The slot walk
+    offers slot k every free slot of nuprime holding nu_k.
     """
     nu = tuple(nu)
     nuprime = tuple(nuprime)
@@ -66,29 +100,10 @@ def transport_perms(nu: Sequence[int], nuprime: Sequence[int]) -> Iterator[Perm]
         raise LengthMismatch("tuples must have the same length")
     if Counter(nu) != Counter(nuprime):
         return
-    positions: dict[int, list[int]] = {}
-    for pos, x in enumerate(nuprime, start=1):
-        positions.setdefault(x, []).append(pos)
-    used = {x: [False] * len(ps) for x, ps in positions.items()}
-    n = len(nu)
-    w = [0] * n
-
-    def rec(k: int) -> Iterator[Perm]:
-        if k == n:
-            yield tuple(w)
-            return
-        x = nu[k]
-        ps = positions[x]
-        flags = used[x]
-        for idx, q in enumerate(ps):
-            if flags[idx]:
-                continue
-            flags[idx] = True
-            w[k] = q
-            yield from rec(k + 1)
-            flags[idx] = False
-
-    yield from rec(0)
+    slots: dict[int, list[int]] = {}
+    for p, x in enumerate(nuprime):
+        slots.setdefault(x, []).append(p)
+    yield from _slot_walk(len(nu), lambda k, w, taken: [p for p in slots[nu[k]] if not taken[p]])
 
 
 # ---------------------------------------------------------------------------
@@ -158,35 +173,27 @@ def min_coset_reps(nu: Sequence[int]) -> Iterator[Perm]:
 
     These are the minimal-length representatives of the left cosets of the
     run-block Young subgroup that meet the stabilizer {w : w*nu = nu}; the
-    stabilizer factors uniquely as (these) * (Young subgroup).  Walks the
-    slots of nu in turn, like the transport walk: slot k takes a free slot
-    of its letter, above the one slot k-1 took when both lie in the same
-    run block, and low enough to leave a free slot above it for every
-    later slot of its block.  So every branch ends in a representative,
-    and only the product of per-letter multinomials is ever touched (a
-    single representative for a constant tuple), never the stabilizer.
+    stabilizer factors uniquely as (these) * (Young subgroup).  The slot
+    walk of :func:`transport_perms`, with nu as its own target and one more
+    rule: slot k takes a free slot of its letter above the one slot k-1
+    took when both lie in the same run block, and low enough to leave a
+    free slot above it for every later slot of its block.  So every branch
+    ends in a representative, and only the product of per-letter
+    multinomials is ever touched (a single representative for a constant
+    tuple), never the stabilizer.
     """
     nu = tuple(nu)
     n = len(nu)
-    taken = [False] * n
-    w = [0] * n
 
-    def walk(k: int) -> Iterator[Perm]:
-        if k == n:
-            yield tuple(w)
-            return
+    def choices(k: int, w: list[int], taken: list[bool]) -> list[int]:
         x = nu[k]
         lo = w[k - 1] if k and nu[k - 1] == x else 0
         free = [p for p in range(lo, n) if nu[p] == x and not taken[p]]
         # Without this cut, a run block of m equal letters enters 2^m dead branches.
         later = next((j for j in range(k + 1, n) if nu[j] != x), n) - k - 1
-        for p in free[: len(free) - later]:
-            taken[p] = True
-            w[k] = p + 1
-            yield from walk(k + 1)
-            taken[p] = False
+        return free[: len(free) - later]
 
-    yield from walk(0)
+    yield from _slot_walk(n, choices)
 
 
 def sorting_perm(mu: Sequence[int], form: BlockForm) -> Perm:

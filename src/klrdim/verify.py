@@ -62,18 +62,21 @@ class VerifyReport:
         if len(self.failures) < 10:
             self.failures.append(counterexample)
 
-    def walk_blocks(self, c: CartanData, max_n: int) -> Iterator[tuple]:
-        """Every block of size <= max_n with its tuples.  Counts each block,
-        and counts it as failed if a mismatch is recorded while it is open.
-        A negative ``max_n`` would walk no block and pass vacuously, so it
-        raises :class:`PreconditionFail` instead."""
+    def walk_blocks(
+        self, c: CartanData, max_n: int, deadline: Deadline | None = None
+    ) -> Iterator[tuple]:
+        """Every block of size <= max_n with its tuples, listed under the
+        deadline.  Counts each block, and counts it as failed if a mismatch
+        is recorded while it is open.  A negative ``max_n`` would walk no
+        block and pass vacuously, so it raises :class:`PreconditionFail`
+        instead."""
         if max_n < 0:
             raise PreconditionFail(f"max_n must be >= 0, got {max_n}")
         for n in range(max_n + 1):
             for beta in blocks_of_size(c, n):
                 self.blocks += 1
                 before = self.mismatches
-                yield beta, list(tuples_with_content(beta))
+                yield beta, tuples_with_content(beta, deadline=deadline)
                 self.failed_blocks += self.mismatches > before
 
     def summary(self) -> str:
@@ -101,7 +104,7 @@ def verify_oracle(
     """Closed graded formula == restriction recursion (exact Laurent
     equality) and q=1 == direct integer products, on every pair."""
     report = VerifyReport("oracle")
-    for beta, tuples in report.walk_blocks(c, max_n):
+    for beta, tuples in report.walk_blocks(c, max_n, deadline):
         memo: dict = {}
         for nu in tuples:
             for nuprime in tuples:
@@ -135,7 +138,7 @@ def verify_divided(
 ) -> VerifyReport:
     """Divided-power diagonal sums == direct diagonal dimensions."""
     report = VerifyReport("divided")
-    for beta, tuples in report.walk_blocks(c, max_n):
+    for beta, tuples in report.walk_blocks(c, max_n, deadline):
         for nu in tuples:
             budget.check(deadline, "divided suite")
             lhs = dim_divided(c, lam, nu, deadline=deadline)
@@ -154,7 +157,7 @@ def verify_levelred(
     report = VerifyReport("levelred")
     splits = [s for parts in (2, 3) for s in dominant_splits(lam, parts)]
     cache: dict = {}
-    for beta, tuples in report.walk_blocks(c, max_n):
+    for beta, tuples in report.walk_blocks(c, max_n, deadline):
         direct_block = block_dim(c, lam, beta, deadline=deadline)
         direct = {
             (nu, mu): dim(c, lam, nu, mu, deadline=deadline)
@@ -206,7 +209,7 @@ def verify_basis(
     """Exponent-bound cardinalities == dimensions, positivity ==
     nonvanishing, and the diagonal nilHecke factorization, for every tuple."""
     report = VerifyReport("basis")
-    for beta, tuples in report.walk_blocks(c, max_n):
+    for beta, tuples in report.walk_blocks(c, max_n, deadline):
         for mu in tuples:
             budget.check(deadline, "basis suite")
             form = block_form_of(mu)

@@ -4,9 +4,10 @@ None of these runs on a production path.  Each restates a quantity the
 library computes some other way -- the left action, Coxeter length, the
 target-side dimension factor, the bar involution -- so that the tests can
 compare the two, or builds what a test compares against: products of
-permutations, run boundaries and shuffle splits.  Conventions are those of
-:mod:`klrdim.perms`: one-line tuples, 1-based positions,
-``(w*nu)_k = nu_{w^-1(k)}``.  :func:`shallow_stack` lowers the recursion
+permutations, run boundaries, shuffle splits, the level-reduction dealings
+dealt in full and then filtered, and the first shuffle witness in
+assignment order.  Conventions are those of :mod:`klrdim.perms`: one-line
+tuples, 1-based positions, ``(w*nu)_k = nu_{w^-1(k)}``.  :func:`shallow_stack` lowers the recursion
 limit for tests of deep inputs, and :class:`Recording` counts a
 computation's deadline checks per label.
 """
@@ -22,6 +23,7 @@ from typing import Iterator, Sequence
 
 from klrdim.budget import Deadline
 from klrdim.cartan import CartanData, Weight
+from klrdim.dims import dim
 from klrdim.errors import LengthMismatch, OutOfRange
 from klrdim.perms import BlockForm, IndexTuple, Perm
 from klrdim.qpoly import LaurentPoly
@@ -92,6 +94,55 @@ def shuffle_splits(n: int, parts: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         for pos, part in enumerate(assignment, start=1):
             split[part].append(pos)
         yield tuple(tuple(p) for p in split)
+
+
+def every_dealing(word: Sequence[int]) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """Every way to deal ``word`` into a first subword and the rest, as
+    {(first, rest): number of assignments giving them}, in order of first
+    appearance over the assignments in ``product((0, 1), repeat=n)``
+    order (0 sends a letter to the first subword)."""
+    counts: dict = {}
+    for assignment in product((0, 1), repeat=len(word)):
+        first = tuple(x for x, side in zip(word, assignment) if side == 0)
+        rest = tuple(x for x, side in zip(word, assignment) if side == 1)
+        counts[first, rest] = counts.get((first, rest), 0) + 1
+    return counts
+
+
+def kept_dealings(
+    dealings: dict, head: Sequence[int], tail_sum: Sequence[int]
+) -> dict[tuple[int, ...], list[tuple[tuple[int, ...], tuple[int, ...], int]]]:
+    """The level-reduction dealings that can be nonzero, filtered from
+    :func:`every_dealing`'s: a first subword that is empty or starts where
+    ``head`` is positive, and a rest that is empty or starts where
+    ``tail_sum`` is.  Grouped as {sorted first subword: [(first, rest,
+    count)]}, each group in the order of ``dealings``."""
+    kept: dict = {}
+    for (first, rest), k in dealings.items():
+        if (not first or head[first[0]] > 0) and (not rest or tail_sum[rest[0]] > 0):
+            kept.setdefault(tuple(sorted(first)), []).append((first, rest, k))
+    return kept
+
+
+def first_shuffle_witness(
+    c: CartanData, nu: Sequence[int], fundamentals: Sequence[int]
+) -> tuple[tuple[int, ...], ...] | None:
+    """The shuffle witness of ``nu`` by brute force: the pieces of the first
+    assignment of positions to fundamental weights, in
+    ``product(range(l), repeat=n)`` order, whose every piece has a nonzero
+    diagonal dimension at its level-one weight; None when none does."""
+    nu = tuple(nu)
+    for assignment in product(range(len(fundamentals)), repeat=len(nu)):
+        pieces = tuple(
+            tuple(x for x, i in zip(nu, assignment) if i == part)
+            for part in range(len(fundamentals))
+        )
+        if all(
+            dim(c, Weight.fundamental(c.n, t), piece, piece) != 0
+            for t, piece in zip(fundamentals, pieces)
+        ):
+            return pieces
+    return None
 
 
 def block_of_slot(form: BlockForm, k: int) -> int:

@@ -8,6 +8,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 
 from klrdim import cli
 from klrdim.cli import run
+from oracles import shallow_stack
 
 
 # The nilHecke pair on 18 strands at level 18: the pair walk extends every
@@ -359,6 +361,18 @@ class TestErrorsAndDeterminism:
         assert code == 1
         assert "TimeBudgetExceeded" in err and "Traceback" not in err
 
+    def test_block_pairs_end_in_the_budget(self, capsys):
+        # The A2 block (12, 12) has C(24, 12) = 2,704,156 words: listing
+        # them all takes about 13 s, before the first pair is summed.
+        start = time.monotonic()
+        code, _, err = invoke(
+            capsys, "dim", "--cartan", "A2", "--weight", "1,1",
+            "--beta", "12,12", "--all-pairs", "--time-budget", "0.05",
+        )
+        assert code == 1
+        assert "TimeBudgetExceeded" in err and "Traceback" not in err
+        assert time.monotonic() - start < 1
+
     def test_time_budget_aborts_block(self, capsys):
         # The whole block takes about 2 s on a 2-CPU machine.
         code, _, err = invoke(
@@ -595,6 +609,41 @@ class TestPlainParse:
         second = cli._parse_plain(argv[:-1])
         assert (first.all_pairs, second.all_pairs) == (True, False)
         assert vars(second) == argparse_vars(argv[:-1])
+
+
+THREE_HUNDRED_ONES = ",".join(["1"] * 300)
+NILHECKE_300 = ("--cartan", "A1", "--weight", "300")
+
+
+class TestLongWords:
+    @pytest.mark.parametrize("argv", [
+        ("gdim", *NILHECKE_300, "--nu", THREE_HUNDRED_ONES),
+        ("dim", *NILHECKE_300, "--nu", THREE_HUNDRED_ONES, "--nuprime", THREE_HUNDRED_ONES),
+        ("dim", *NILHECKE_300, "--beta", "300", "--all-pairs"),
+        *(
+            ("nonzero", *NILHECKE_300, "--nu", THREE_HUNDRED_ONES, "--method", method)
+            for method in ("direct", "divided", "blockwise", "shuffle")
+        ),
+        ("basis", *NILHECKE_300, "--mu", THREE_HUNDRED_ONES, "--list"),
+        ("reduce", *NILHECKE_300, "--split", "150;150",
+         "--nu", THREE_HUNDRED_ONES, "--mu", THREE_HUNDRED_ONES),
+        ("tilde", "--cartan", "A1", "--mu", THREE_HUNDRED_ONES),
+    ], ids=[
+        "gdim", "dim-pair", "dim-all-pairs", "nonzero-direct", "nonzero-divided",
+        "nonzero-blockwise", "nonzero-shuffle", "basis-list", "reduce", "tilde",
+    ])
+    def test_no_traceback_on_300_letters(self, capsys, argv):
+        # 300 equal letters at level 300: every loop that walks the letters
+        # runs with the recursion limit only 150 frames above this test, so
+        # each request either answers or ends in a structured error.
+        with shallow_stack():
+            code = run([*argv, "--time-budget", "0.2", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["schema"] == "klr/1"
+        if code == 1:
+            assert doc["error"]["type"] == "TimeBudgetExceeded"
+        else:
+            assert code == 0 and "error" not in doc
 
 
 class TestLongIntegers:

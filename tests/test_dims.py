@@ -6,7 +6,7 @@ import resource
 import subprocess
 import sys
 import time
-from itertools import product
+from itertools import permutations, product
 from math import comb, factorial, prod
 from pathlib import Path
 
@@ -471,6 +471,12 @@ class TestBlocks:
         assert len(got) == factorial(4) // 2
         assert got == sorted(got)
 
+    def test_tuples_with_content_are_the_sorted_rearrangements(self):
+        for coeffs in product(range(3), repeat=3):
+            word = tuple(x for x, m in enumerate(coeffs) for _ in range(m))
+            expected = sorted(set(permutations(word)))
+            assert tuples_with_content(RootElement(coeffs)) == expected, coeffs
+
     def test_block_values_affine(self):
         c = builtin_cartan("A1~")
         lam = Weight((1, 2))
@@ -656,6 +662,17 @@ class TestDeadline:
         with pytest.raises(TimeBudgetExceeded):
             nilhecke_graded_dim(120, 80, deadline=Deadline(0.05))
         assert time.monotonic() - start < 1
+
+    def test_word_listing_is_checked(self):
+        # C(24, 12) = 2,704,156 words, over 10 s to list in full.
+        start = time.monotonic()
+        with pytest.raises(TimeBudgetExceeded):
+            tuples_with_content(RootElement((12, 12)), deadline=Deadline(0.05))
+        assert time.monotonic() - start < 1
+        deadline = Recording(3600)
+        assert len(tuples_with_content(RootElement((2, 1)), deadline=deadline)) == 3
+        # One check per word extended: (), then 0 and 1, then 00, 01 and 10.
+        assert deadline.seen == {"word listing": 1 + 2 + 3}
 
 
 class TestLengthMismatch:

@@ -13,6 +13,7 @@ from klrdim.idempotents import (
     nonzero_direct,
     nonzero_divided,
 )
+from oracles import first_shuffle_witness, shallow_stack
 
 RANK1 = validate_cartan([[2]])
 A2 = builtin_cartan("A2")
@@ -92,6 +93,27 @@ class TestShuffle:
                     s = nonzero_by_shuffle(c, nu, fundamentals)
                     d = nonzero_direct(c, lam, nu)
                     assert s.nonzero == d.nonzero, (lam, nu)
+
+    @pytest.mark.parametrize("name", ["A2", "A1~"])
+    def test_witness_is_the_first_passing_assignment(self, name):
+        c = builtin_cartan(name)
+        for lam in dominant_weights(c.n, 2):
+            fundamentals = tuple(i for i, k in enumerate(lam.coeffs) for _ in range(k))
+            for n in range(7):
+                for nu in product(range(c.n), repeat=n):
+                    got = nonzero_by_shuffle(c, nu, fundamentals).witness
+                    assert got == first_shuffle_witness(c, nu, fundamentals), (lam, nu)
+
+    def test_long_words_need_no_deep_stack(self):
+        # The search loops over an explicit stack, so 300 positions run with
+        # the recursion limit 150 frames above this test.  On A300 the word
+        # 0, 1, ..., 299 is a row at the first fundamental weight and goes
+        # whole into the first piece; at level one on A1, 300 equal letters
+        # are zero from their second, and the search backs out of all 300.
+        a300, word = builtin_cartan("A300"), tuple(range(300))
+        with shallow_stack():
+            assert nonzero_by_shuffle(a300, word, (0, 0)).witness == (word, ())
+            assert nonzero_by_shuffle(RANK1, (0,) * 300, (0,)).witness is None
 
 
 class TestAgreement:

@@ -16,14 +16,13 @@ from klrdim.dims import block_dim, blocks_of_size, dim, graded_dim, tuples_with_
 from klrdim.errors import BadShape, LengthMismatch, PreconditionFail, TimeBudgetExceeded
 from klrdim.levelred import (
     _kept,
-    _subwords,
     dominant_splits,
     reduce_block_dim,
     reduce_pair_dim_multi,
     reduce_pair_graded,
 )
 from klrdim.qpoly import LaurentPoly, eval_one
-from oracles import Recording, shuffle_splits
+from oracles import Recording, every_dealing, kept_dealings, shuffle_splits
 
 RANK1 = validate_cartan([[2]])
 TWO = Weight((2,))
@@ -219,11 +218,9 @@ class TestMatchedSubwords:
             with pytest.raises(TimeBudgetExceeded):
                 reduce_pair_dim_multi(c, lam, nu, mu, split, deadline=deadline, cache=cache)
             for key, value in cache.items():
-                if key[0] == "subwords":
-                    assert value == _subwords(key[1], "test", None, {})
                 if key[0] == "kept":
-                    head, tail_key, word = key[1:]
-                    assert value == _kept(word, Weight(head), tail_key, "test", None, {})
+                    head, tail_sum, word = key[1:]
+                    assert value == _kept(word, Weight(head), tail_sum, "test", None, {})
             assert reduce_pair_dim_multi(c, lam, nu, mu, split, cache=cache) == expected
 
     def test_length_mismatch(self):
@@ -245,9 +242,9 @@ class TestPruning:
     def test_shared_cache_across_sizes_and_splits(self, name):
         # One cache, three-part splits first: their remainder peels (head
         # Lambda^2, tail Lambda^3) fill the kept lists of words that a
-        # two-part split with the same head but a larger tail asks for
-        # next.  A memo that forgot its tail weights would hand that split
-        # the shorter list.
+        # two-part split with the same head but a larger tail sum asks for
+        # next.  A memo that forgot its tail sum would hand that split the
+        # shorter list.
         c, lam = builtin_cartan(name), Weight((2, 1))
         splits = [s for parts in (3, 2) for s in dominant_splits(lam, parts)]
         cache = {}
@@ -261,25 +258,38 @@ class TestPruning:
                             got = reduce_pair_dim_multi(c, lam, nu, mu, split, cache=cache)
                             assert got == direct, (nu, mu, split)
 
+    def test_pruned_deal_equals_dealing_then_filtering(self):
+        # Every word of up to six letters over three, against every pattern
+        # of positive head and tail-sum coefficients: 1093 words x 64.
+        patterns = list(product((0, 1), repeat=3))
+        for n in range(7):
+            for word in product(range(3), repeat=n):
+                dealt = every_dealing(word)
+                for head, tail_sum in product(patterns, repeat=2):
+                    got = _kept(word, Weight(head), tail_sum, "test", None, {})
+                    assert got == kept_dealings(dealt, head, tail_sum), (word, head, tail_sum)
+
     @pytest.mark.parametrize("split", [
         (Weight((2, 1)), Weight((0, 0))),
         (Weight((0, 0)), Weight((2, 1))),
     ], ids=["zero-tail", "zero-head"])
     def test_zero_part_pairs_only_whole_words(self, split):
         # A2 at Lambda = (2, 1) with one zero part.  Dealing a word of three
-        # letters checks once per dealing of each of its prefixes:
-        # 1 + 2 + 4 = 7 checks per word.  The zero part is zero at every
-        # letter, so each side keeps only the dealing that leaves it the
-        # empty word, and one pair is checked: 7 + 7 + 1.  That pair's
-        # dimension at (2, 1) walks 1 + 2 + 2 states (nu's first 0 takes
-        # either 0 of mu, its 1 takes mu's 1, its last 0 the slot left), and
-        # the empty pair at (0, 0) walks none.  With the zero part last,
-        # pairing every dealing would take 7 + 7 + 8 and 20 checks.
+        # letters checks once per kept dealing of each of its proper
+        # prefixes.  The zero part is zero at every letter, so no letter may
+        # open its side: each prefix keeps only the dealing that leaves that
+        # side empty, 1 + 1 + 1 = 3 checks per word, and one pair is
+        # checked: 3 + 3 + 1.  That pair's dimension at (2, 1) walks
+        # 1 + 2 + 2 states (nu's first 0 takes either 0 of mu, its 1 takes
+        # mu's 1, its last 0 the slot left), and the empty pair at (0, 0)
+        # walks none.  With the zero part last, dealing every way (1 + 2 + 4
+        # per word) and pairing every dealing would take 7 + 7 + 8 and 20
+        # checks.
         c, lam = builtin_cartan("A2"), Weight((2, 1))
         deadline = Recording(3600)
         got = reduce_pair_dim_multi(c, lam, (0, 1, 0), (1, 0, 0), split, deadline=deadline)
         assert got == dim(c, lam, (0, 1, 0), (1, 0, 0))
-        assert deadline.seen == {"level reduction sum": 15, "dimension sum": 5}
+        assert deadline.seen == {"level reduction sum": 7, "dimension sum": 5}
 
 
 class TestBlockReduction:

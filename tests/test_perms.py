@@ -22,6 +22,7 @@ from oracles import (
     perm_inverse,
     perm_length,
     run_bounds,
+    shallow_stack,
     shuffle_splits,
     smaller_before,
     transport_count,
@@ -165,6 +166,14 @@ class TestMinCosetReps:
         start = time.perf_counter()
         assert list(min_coset_reps((0,) * 24)) == [tuple(range(1, 25))]
         assert time.perf_counter() - start < 1.0
+
+    def test_long_words_need_no_deep_stack(self):
+        # The slot walk loops over an explicit stack, so 300 slots run with
+        # the recursion limit 150 frames above this test.
+        identity = tuple(range(1, 301))
+        with shallow_stack():
+            assert list(min_coset_reps((0,) * 300)) == [identity]
+            assert next(transport_perms((0,) * 300, (0,) * 300)) == identity
 
     def test_order_is_lexicographic(self):
         # The walk yields exactly the run-ascending stabilizer elements,

@@ -10,6 +10,7 @@ from klrdim.budget import Deadline
 from klrdim.cartan import Weight, builtin_cartan
 from klrdim.errors import PreconditionFail, TimeBudgetExceeded
 from klrdim.verify import SCOPES, VerifyReport, verify_suite
+from oracles import Recording
 
 
 class TestReport:
@@ -102,6 +103,14 @@ class TestSuites:
                                  max_n=2, deadline=Recording(3600))
         assert report.ok
         assert labels <= seen
+
+    @pytest.mark.parametrize("suite", ["oracle", "divided", "levelred", "basis"])
+    def test_deadline_reaches_the_word_listing(self, suite):
+        # A1 up to size 2: listing the words of (1) checks once and those
+        # of (2) twice, once per word extended.
+        deadline = Recording(3600)
+        verify_suite(suite, builtin_cartan("A1"), Weight((2,)), max_n=2, deadline=deadline)
+        assert deadline.seen["word listing"] == 1 + 2
 
     def test_deadline_aborts(self):
         c = builtin_cartan("A3")
