@@ -22,7 +22,6 @@ from .basis import (
     MonomialBasis,
     basis_counts_121,
     block_levels,
-    check_bounds_under_swap,
     exponent_bounds,
     graded_dim_blockwise,
     monomial_basis,
@@ -64,14 +63,12 @@ from .idempotents import (
 )
 from .levelred import (
     dominant_splits,
-    reduce_algebra_dim,
     reduce_block_dim,
     reduce_pair_dim_multi,
     reduce_pair_graded,
 )
 from .perms import (
     BlockForm,
-    act_right,
     as_block_form,
     block_form_of,
     min_coset_reps,
@@ -81,16 +78,14 @@ from .perms import (
 from .qpoly import (
     LaurentPoly,
     eval_one,
-    quantum_binomial,
     quantum_factorial,
     quantum_int,
 )
 from .verify import VerifyReport, verify_suite
 
 __all__ = [
-    "MonomialBasis", "basis_counts_121", "block_levels",
-    "check_bounds_under_swap", "exponent_bounds", "graded_dim_blockwise",
-    "monomial_basis",
+    "MonomialBasis", "basis_counts_121", "block_levels", "exponent_bounds",
+    "graded_dim_blockwise", "monomial_basis",
     "Deadline",
     "CartanData", "RootElement", "Weight", "builtin_cartan",
     "cartan_from_json", "root_pairing", "tuple_content", "validate_cartan",
@@ -100,12 +95,11 @@ __all__ = [
     "nilhecke_graded_dim", "tuples_with_content",
     "NonzeroVerdict", "nonzero_blockwise", "nonzero_by_shuffle",
     "nonzero_direct", "nonzero_divided",
-    "dominant_splits", "reduce_algebra_dim", "reduce_block_dim",
-    "reduce_pair_dim_multi", "reduce_pair_graded",
-    "BlockForm", "act_right", "as_block_form", "block_form_of",
-    "min_coset_reps", "sorting_perm", "transport_perms",
-    "LaurentPoly", "eval_one", "quantum_binomial", "quantum_factorial",
-    "quantum_int",
+    "dominant_splits", "reduce_block_dim", "reduce_pair_dim_multi",
+    "reduce_pair_graded",
+    "BlockForm", "as_block_form", "block_form_of", "min_coset_reps",
+    "sorting_perm", "transport_perms",
+    "LaurentPoly", "eval_one", "quantum_factorial", "quantum_int",
     "VerifyReport", "verify_suite",
 ]
 

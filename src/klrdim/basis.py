@@ -34,9 +34,7 @@ from .perms import (
     BlockForm,
     IndexTuple,
     Perm,
-    act_right,
     block_form_of,
-    simple_transposition,
     sorting_perm,
     transport_perms,
 )
@@ -75,14 +73,12 @@ def exponent_bounds(
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """Index data of a monomial basis: the source tuple, the grouped target,
-    its sorting permutation, and the per-slot exponent bounds.  Elements are
-    (permutation, exponent vector) pairs; the actual algebra elements are
-    never constructed."""
+    """Index data of a monomial basis: the source tuple, the grouped target
+    and the per-slot exponent bounds.  Elements are (permutation, exponent
+    vector) pairs; the actual algebra elements are never constructed."""
 
     mu: IndexTuple
     form: BlockForm
-    sort_perm: Perm
     bounds: tuple[int, ...]
 
     @property
@@ -112,7 +108,7 @@ def monomial_basis(
     bounds = exponent_bounds(c, lam, mu, form)
     if any(b <= 0 for b in bounds):
         return None
-    return MonomialBasis(mu, form, sorting_perm(mu, form), bounds)
+    return MonomialBasis(mu, form, bounds)
 
 
 def graded_dim_blockwise(
@@ -132,43 +128,6 @@ def graded_dim_blockwise(
         budget.check(deadline, "nilHecke product")
         out = out * block
     return out
-
-
-def check_bounds_under_swap(
-    c: CartanData,
-    lam: Weight,
-    mu: Sequence[int],
-    form: BlockForm,
-    a: int,
-) -> bool:
-    """Verify how exponent bounds transform under one adjacent swap.
-
-    Requires the sorting permutation to descend at a (slots a, a+1 of mu
-    out of block order); then swapping them leaves all other bounds fixed,
-    shifts slot a's bound onto slot a+1, and slot a picks up the coroot
-    pairing of the swapped letters.  Returns True when all three hold.
-    """
-    mu = tuple(mu)
-    n = len(mu)
-    if not 1 <= a < n:
-        raise PreconditionFail(f"swap position {a} outside 1..{n - 1}")
-    d = sorting_perm(mu, form)
-    if d[a - 1] < d[a]:
-        raise PreconditionFail("sorting permutation must descend at the swap")
-    swapped = act_right(mu, simple_transposition(n, a))
-    before = exponent_bounds(c, lam, mu, form)
-    after = exponent_bounds(c, lam, swapped, form)
-    pairing = c.matrix[mu[a - 1]][mu[a]]  # <alpha_{mu_{a+1}}, h_{mu_a}>
-    for k in range(1, n + 1):
-        if k == a:
-            expect = after[a] + pairing
-        elif k == a + 1:
-            expect = after[a - 1]
-        else:
-            expect = after[k - 1]
-        if before[k - 1] != expect:
-            return False
-    return True
 
 
 def basis_counts_121(l1: int, l2: int, a12: int, a21: int) -> tuple[int, int, int]:

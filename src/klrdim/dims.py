@@ -34,13 +34,15 @@ m + 1 from those of length m, in Laurent polynomials for
 embedding R^Lambda(m) into R^Lambda(n) maps e(w') to e(w' i), so a zero word
 has only zero extensions: zero words are not stored, so they are never
 extended.  R^Lambda(n) is the direct sum of its blocks, so an algebra sum is
-the same walk once over every word of length n.  The per-pair closed formula
-and integer products are what block sums are checked against.
+the same walk once over every word of length n, and the command line lists
+the blocks of R^Lambda(n) from that one walk, adding up its columns by
+content.  The per-pair closed formula and integer products are what block
+sums are checked against.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import combinations_with_replacement, groupby
 from math import factorial, prod
 from typing import Iterator, Sequence
 
@@ -120,7 +122,7 @@ def _transport_sum(
     when nu' does not rearrange nu.  The deadline is checked once per state
     and, in Laurent arithmetic, once per multiplication, since a large
     factor makes one product slow.  ``graded`` picks the arithmetic, as in
-    :func:`_column_sum`.
+    :func:`_columns`.
     """
     one, factor, _ = (LaurentPoly.one(), quantum_int, LaurentPoly.shift) if graded else _AT_ONE
     zero, d = one * 0, c.symmetrizer
@@ -340,12 +342,10 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     integers, in lexicographic order."""
     if parts < 1:
         raise PreconditionFail(f"need at least one part, got {parts}")
-    if parts == 1:
-        yield (total,)
-        return
-    for k in range(total + 1):
-        for rest in _compositions(total - k, parts - 1):
-            yield (k,) + rest
+    # The parts are the gaps between parts - 1 ascending bars in 0..total.
+    # Bars in lexicographic order give the parts in lexicographic order.
+    for bars in combinations_with_replacement(range(total + 1), parts - 1):
+        yield tuple(b - a for a, b in zip((0, *bars), (*bars, total)))
 
 
 def blocks_of_size(c: CartanData, n: int) -> Iterator[RootElement]:
@@ -376,12 +376,12 @@ def tuples_with_content(beta: RootElement, deadline: Deadline | None = None) -> 
     return words
 
 
-def _column_sum(
+def _columns(
     c: CartanData, lam: Weight, bound: Sequence[int], size: int, graded: bool,
     deadline: Deadline | None,
-) -> int | LaurentPoly:
-    """The sum of the columns C(w) over the words w of length ``size`` whose
-    content is at most ``bound`` in every letter.
+) -> dict:
+    """The nonzero columns {w: C(w)} over the words w of length ``size``
+    whose content is at most ``bound`` in every letter.
 
     Summing :func:`graded_dim_recursive` over every source forces the
     peeled letter to be x = w_k, so, with C(()) = 1,
@@ -424,7 +424,7 @@ def _column_sum(
                 value = sum((shifted(v, d[x] * (1 + pairing[x])) for x, v in per_letter.items()), zero)
                 if value != 0:
                     level[word] = value
-    return sum(level.values(), zero)
+    return level
 
 
 # The walks' arithmetic at q = 1: the unit, the factor [f] and the shift.
@@ -434,10 +434,12 @@ _AT_ONE = (1, lambda f, dx: f, lambda v, e: v)
 def block_graded_dim(
     c: CartanData, lam: Weight, beta: RootElement, deadline: Deadline | None = None
 ) -> LaurentPoly:
-    """Graded dimension of the whole block R^Lambda(beta): the column walk
-    of :func:`_column_sum` up to content beta in Laurent polynomials, with
-    one quantum integer per slot and one shift per letter."""
-    return _column_sum(c, lam, beta.coeffs, beta.size, graded=True, deadline=deadline)
+    """Graded dimension of the whole block R^Lambda(beta): the sum of the
+    columns that the walk of :func:`_columns` builds up to content beta in
+    Laurent polynomials, with one quantum integer per slot and one shift per
+    letter."""
+    columns = _columns(c, lam, beta.coeffs, beta.size, graded=True, deadline=deadline)
+    return sum(columns.values(), LaurentPoly.zero())
 
 
 def block_dim(
@@ -447,7 +449,7 @@ def block_dim(
     walk in plain integers, where each factor is the integer f itself and
     every shift is the identity.  It builds no polynomial;
     :func:`block_graded_dim` at q = 1 is checked against it."""
-    return _column_sum(c, lam, beta.coeffs, beta.size, graded=False, deadline=deadline)
+    return sum(_columns(c, lam, beta.coeffs, beta.size, graded=False, deadline=deadline).values())
 
 
 def algebra_graded_dim(
@@ -455,12 +457,13 @@ def algebra_graded_dim(
 ) -> LaurentPoly:
     """Graded dimension of R^Lambda(n), the direct sum of its blocks of size
     n: one column walk over all words of length n."""
-    return _column_sum(c, lam, (n,) * c.n, n, graded=True, deadline=deadline)
+    columns = _columns(c, lam, (n,) * c.n, n, graded=True, deadline=deadline)
+    return sum(columns.values(), LaurentPoly.zero())
 
 
 def algebra_dim(
     c: CartanData, lam: Weight, n: int, deadline: Deadline | None = None
 ) -> int:
     """Ungraded dimension of R^Lambda(n), by the integer column walk."""
-    return _column_sum(c, lam, (n,) * c.n, n, graded=False, deadline=deadline)
+    return sum(_columns(c, lam, (n,) * c.n, n, graded=False, deadline=deadline).values())
 

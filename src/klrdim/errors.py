@@ -38,7 +38,7 @@ class LengthMismatch(KlrError):
 
 
 class OutOfRange(KlrError):
-    """A coinversion code entry violates its positional bound."""
+    """A node label that the Cartan data does not define."""
 
 
 class IncompatibleContent(KlrError):

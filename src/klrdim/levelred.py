@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Sequence
 from . import budget
 from .budget import Deadline
 from .cartan import CartanData, RootElement, Weight
-from .dims import _compositions, block_dim, blocks_of_size, dim, graded_dim
+from .dims import _compositions, block_dim, dim, graded_dim
 from .errors import BadShape, LengthMismatch, PreconditionFail
 from .qpoly import LaurentPoly
 
@@ -283,24 +283,6 @@ def reduce_block_dim(
                 break
         total += term
     return total
-
-
-def reduce_algebra_dim(
-    c: CartanData,
-    lam: Weight,
-    n: int,
-    split: Sequence[Weight],
-    deadline: Deadline | None = None,
-    cache: dict | None = None,
-) -> int:
-    """dim R^Lambda(n) by level-reducing every block of size n and summing;
-    equals :func:`klrdim.dims.algebra_dim`."""
-    if cache is None:
-        cache = {}
-    return sum(
-        reduce_block_dim(c, lam, beta, split, deadline=deadline, cache=cache)
-        for beta in blocks_of_size(c, n)
-    )
 
 
 def dominant_splits(lam: Weight, parts: int) -> Iterator[tuple[Weight, ...]]:

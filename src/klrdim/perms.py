@@ -38,18 +38,6 @@ Perm = tuple[int, ...]
 IndexTuple = tuple[int, ...]
 
 
-def act_right(nu: Sequence[int], w: Perm) -> IndexTuple:
-    """Right action (nu * w)_k = nu_{w(k)}; inverse of the left action."""
-    return tuple(nu[w[k] - 1] for k in range(len(w)))
-
-
-def simple_transposition(n: int, a: int) -> Perm:
-    """The adjacent swap of a and a+1 inside the symmetric group on n."""
-    w = list(range(1, n + 1))
-    w[a - 1], w[a] = w[a], w[a - 1]
-    return tuple(w)
-
-
 # ---------------------------------------------------------------------------
 # The slot walk and transport sets
 # ---------------------------------------------------------------------------

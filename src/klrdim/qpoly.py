@@ -14,13 +14,11 @@ A quantum integer or factorial of more than :data:`MAX_TERMS` terms is
 refused with :class:`~klrdim.errors.TooManyTerms`: one dict entry per term
 would exhaust memory inside a single call, before any time budget could
 stop it.
-Quantum binomials are computed by exact division, which must leave no
-remainder -- a nonzero remainder signals an internal bug, never bad input.
+:func:`divide_exact` divides exactly and raises
+:class:`~klrdim.errors.DivisionInexact` on any remainder.
 
 >>> print(quantum_int(3, 2))
 q^4+1+q^-4
->>> print(quantum_binomial(3, 1))
-q^2+1+q^-2
 >>> eval_one(quantum_factorial(3))
 6
 """
@@ -105,11 +103,6 @@ class LaurentPoly:
         out = LaurentPoly.__new__(LaurentPoly)
         out._terms = {e: -c for e, c in self._terms.items()}
         return out
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         if isinstance(other, int):
@@ -239,19 +232,6 @@ def quantum_factorial(m: int, d: int = 1) -> LaurentPoly:
     for k in range(1, m + 1):
         out = out * quantum_int(k, d)
     return out
-
-
-def quantum_binomial(m: int, n: int, d: int = 1) -> LaurentPoly:
-    """The quantum binomial [m choose n] = [m]! / ([m-n]! [n]!).
-
-    Computed by exact division of the factorial polynomials; a nonzero
-    remainder would mean the arithmetic itself is broken.
-    """
-    if not 0 <= n <= m:
-        raise ValueError("quantum binomial needs 0 <= n <= m")
-    num = quantum_factorial(m, d)
-    num = divide_exact(num, quantum_factorial(n, d))
-    return divide_exact(num, quantum_factorial(m - n, d))
 
 
 def divide_exact(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:

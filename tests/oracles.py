@@ -2,13 +2,16 @@
 
 None of these runs on a production path.  Each restates a quantity the
 library computes some other way -- the left action, Coxeter length, the
-target-side dimension factor, the bar involution -- so that the tests can
-compare the two, or builds what a test compares against: products of
-permutations, run boundaries, shuffle splits, the level-reduction dealings
-dealt in full and then filtered, and the first shuffle witness in
-assignment order.  Conventions are those of :mod:`klrdim.perms`: one-line
-tuples, 1-based positions, ``(w*nu)_k = nu_{w^-1(k)}``.  :func:`shallow_stack` lowers the recursion
-limit for tests of deep inputs, and :class:`Recording` counts a
+target-side dimension factor, the bar involution, the blocks of an algebra
+summed one walk each -- so that the tests can compare the two, or builds
+what a test compares against: products of permutations, the right action
+and adjacent swaps, run boundaries, shuffle splits, the level-reduction
+dealings dealt in full and then filtered, the first shuffle witness in
+assignment order, and quantum binomials by exact division.
+:func:`check_bounds_under_swap` checks a lemma on the exponent bounds.
+Conventions are those of :mod:`klrdim.perms`: one-line tuples, 1-based
+positions, ``(w*nu)_k = nu_{w^-1(k)}``.  :func:`shallow_stack` lowers the
+recursion limit for tests of deep inputs, and :class:`Recording` counts a
 computation's deadline checks per label.
 """
 
@@ -21,12 +24,13 @@ from itertools import accumulate, groupby, product
 from math import factorial
 from typing import Iterator, Sequence
 
+from klrdim.basis import exponent_bounds
 from klrdim.budget import Deadline
-from klrdim.cartan import CartanData, Weight
-from klrdim.dims import dim
-from klrdim.errors import LengthMismatch, OutOfRange
-from klrdim.perms import BlockForm, IndexTuple, Perm
-from klrdim.qpoly import LaurentPoly
+from klrdim.cartan import CartanData, RootElement, Weight
+from klrdim.dims import block_graded_dim, blocks_of_size, dim
+from klrdim.errors import LengthMismatch, OutOfRange, PreconditionFail
+from klrdim.perms import BlockForm, IndexTuple, Perm, sorting_perm
+from klrdim.qpoly import LaurentPoly, divide_exact, quantum_factorial
 
 
 def identity_perm(n: int) -> Perm:
@@ -57,6 +61,18 @@ def act_on_tuple(w: Perm, nu: Sequence[int]) -> IndexTuple:
     for j, target in enumerate(w):
         out[target - 1] = nu[j]
     return tuple(out)
+
+
+def act_right(nu: Sequence[int], w: Perm) -> IndexTuple:
+    """Right action (nu * w)_k = nu_{w(k)}; inverse of the left action."""
+    return tuple(nu[w[k] - 1] for k in range(len(w)))
+
+
+def simple_transposition(n: int, a: int) -> Perm:
+    """The adjacent swap of a and a+1 inside the symmetric group on n."""
+    w = list(range(1, n + 1))
+    w[a - 1], w[a] = w[a], w[a - 1]
+    return tuple(w)
 
 
 def smaller_before(w: Perm, t: int) -> frozenset[int]:
@@ -154,6 +170,43 @@ def block_of_slot(form: BlockForm, k: int) -> int:
     raise OutOfRange(f"slot {k} outside 1..{c[-1]}")
 
 
+def check_bounds_under_swap(
+    c: CartanData,
+    lam: Weight,
+    mu: Sequence[int],
+    form: BlockForm,
+    a: int,
+) -> bool:
+    """Verify how exponent bounds transform under one adjacent swap.
+
+    Requires the sorting permutation to descend at a (slots a, a+1 of mu
+    out of block order); then swapping them leaves all other bounds fixed,
+    shifts slot a's bound onto slot a+1, and slot a picks up the coroot
+    pairing of the swapped letters.  Returns True when all three hold.
+    """
+    mu = tuple(mu)
+    n = len(mu)
+    if not 1 <= a < n:
+        raise PreconditionFail(f"swap position {a} outside 1..{n - 1}")
+    d = sorting_perm(mu, form)
+    if d[a - 1] < d[a]:
+        raise PreconditionFail("sorting permutation must descend at the swap")
+    swapped = act_right(mu, simple_transposition(n, a))
+    before = exponent_bounds(c, lam, mu, form)
+    after = exponent_bounds(c, lam, swapped, form)
+    pairing = c.matrix[mu[a - 1]][mu[a]]  # <alpha_{mu_{a+1}}, h_{mu_a}>
+    for k in range(1, n + 1):
+        if k == a:
+            expect = after[a] + pairing
+        elif k == a + 1:
+            expect = after[a - 1]
+        else:
+            expect = after[k - 1]
+        if before[k - 1] != expect:
+            return False
+    return True
+
+
 def dim_factor_target(
     c: CartanData,
     lam: Weight,
@@ -182,6 +235,27 @@ def dim_factor_target(
 def bar(p: LaurentPoly) -> LaurentPoly:
     """The bar involution q -> q^-1 (negates every exponent)."""
     return LaurentPoly({-e: c for e, c in p.items()})
+
+
+def quantum_binomial(m: int, n: int, d: int = 1) -> LaurentPoly:
+    """The quantum binomial [m choose n] = [m]! / ([m-n]! [n]!).
+
+    Computed by exact division of the factorial polynomials; a nonzero
+    remainder would mean the arithmetic itself is broken.
+    """
+    if not 0 <= n <= m:
+        raise ValueError("quantum binomial needs 0 <= n <= m")
+    num = quantum_factorial(m, d)
+    num = divide_exact(num, quantum_factorial(n, d))
+    return divide_exact(num, quantum_factorial(m - n, d))
+
+
+def algebra_by_blocks(
+    c: CartanData, lam: Weight, n: int
+) -> list[tuple[RootElement, LaurentPoly]]:
+    """The blocks of R^Lambda(n) in :func:`~klrdim.dims.blocks_of_size`
+    order, each with its graded dimension from a column walk of its own."""
+    return [(beta, block_graded_dim(c, lam, beta)) for beta in blocks_of_size(c, n)]
 
 
 class Recording(Deadline):

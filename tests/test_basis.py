@@ -10,7 +10,6 @@ from conftest import dominant_weights, small_battery
 from klrdim.basis import (
     basis_counts_121,
     block_levels,
-    check_bounds_under_swap,
     exponent_bounds,
     graded_dim_blockwise,
     monomial_basis,
@@ -26,15 +25,10 @@ from klrdim.dims import (
     tuples_with_content,
 )
 from klrdim.errors import PreconditionFail, TimeBudgetExceeded, ZeroEdge
-from klrdim.perms import (
-    act_right,
-    as_block_form,
-    block_form_of,
-    simple_transposition,
-    sorting_perm,
-)
+from klrdim.perms import as_block_form, block_form_of, sorting_perm
 from oracles import (
-    act_on_tuple, block_of_slot, compose, perm_length, run_bounds, smaller_before,
+    act_on_tuple, act_right, block_of_slot, check_bounds_under_swap, compose, perm_length,
+    run_bounds, simple_transposition, smaller_before,
 )
 
 RANK1 = validate_cartan([[2]])

@@ -15,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from klrdim import cli
+from conftest import small_battery
+from klrdim import builtin_cartan, cli
 from klrdim.cli import run
-from oracles import shallow_stack
+from klrdim.qpoly import LaurentPoly, eval_one
+from oracles import Recording, algebra_by_blocks, shallow_stack
 
 
 # The nilHecke pair on 18 strands at level 18: the pair walk extends every
@@ -134,6 +136,71 @@ class TestBlockAlgebra:
         assert code == 0
         assert doc["total"]["graded"]["display"] == "2q^6+5q^4+6q^2+4+q^-2"
         assert doc["total"]["ungraded"] == 18
+
+    def test_algebra_lists_the_blocks_of_the_per_block_route(self, capsys):
+        # One walk grouped by content against one column walk per block.
+        name_of = {builtin_cartan(x): x for x in ("A2", "A3", "C2", "G2", "A1~")}
+        for c, lam in small_battery():
+            weight = ",".join(map(str, lam.coeffs))
+            for n in range(5):
+                text, doc = per_block_algebra(c, lam, n)
+                argv = ["algebra", "--cartan", name_of[c], "--weight", weight, "--n", str(n)]
+                assert invoke(capsys, *argv) == (0, text, ""), argv
+                assert invoke(capsys, *argv, "--format", "json") == (0, doc, ""), argv
+
+    def test_algebra_makes_one_walk(self, capsys, monkeypatch):
+        # 210 words evaluated by one walk over the words of length 5, then
+        # one check per block: C(7, 2) = 21.
+        deadline = Recording(3600)
+        monkeypatch.setattr(cli, "Deadline", lambda seconds: deadline)
+        code, _, _ = invoke(
+            capsys, "algebra", "--cartan", "A2~", "--weight", "1,1,1", "--n", "5",
+            "--time-budget", "3600",
+        )
+        assert code == 0
+        assert deadline.seen == {"block sum": 231}
+
+    def test_algebra_block_loop_ends_in_the_budget(self):
+        # A20 at level one has no nonzero word of length 30, so the walk
+        # ends at once, but there are C(49, 19) blocks to list.  Without a
+        # check in the block loop the request runs until the child is killed.
+        weight = ",".join(["1"] + ["0"] * 19)
+        argv = ["algebra", "--cartan", "A20", "--weight", weight, "--n", "30",
+                "--time-budget", "0.5"]
+        start = time.monotonic()
+        code, out, err = fresh_interpreter(
+            argv, {**os.environ, "PYTHONPATH": str(SRC)}, timeout=10
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: TimeBudgetExceeded: ")
+        assert time.monotonic() - start < 2
+
+
+def per_block_algebra(c, lam, n):
+    """The ``algebra`` output, text and JSON, from one column walk per block."""
+    blocks = [(beta, g, eval_one(g)) for beta, g in algebra_by_blocks(c, lam, n)]
+    total_g = sum((g for _, g, _ in blocks), LaurentPoly.zero())
+    total_u = sum(u for _, _, u in blocks)
+    lines = [
+        f"beta={','.join(map(str, beta.coeffs))}  graded {g}  ungraded {u}"
+        for beta, g, u in blocks
+    ]
+    lines.append(f"total  graded {total_g}  ungraded {total_u}")
+    doc = {
+        "schema": "klr/1",
+        "command": "algebra",
+        "n": n,
+        "blocks": [
+            {"beta": list(beta.coeffs), "graded": poly_json(g), "ungraded": u}
+            for beta, g, u in blocks
+        ],
+        "total": {"graded": poly_json(total_g), "ungraded": total_u},
+    }
+    return "\n".join(lines) + "\n", json.dumps(doc, sort_keys=True) + "\n"
+
+
+def poly_json(p):
+    return {"pairs": p.to_pairs(), "display": str(p)}
 
 
 class TestNonzero:
@@ -474,10 +541,10 @@ REUSE_SEQUENCE = [
 ]
 
 
-def fresh_interpreter(argv, env, preexec_fn=None):
+def fresh_interpreter(argv, env, timeout=120, preexec_fn=None):
     proc = subprocess.run(
         [sys.executable, "-m", "klrdim.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=120, preexec_fn=preexec_fn,
+        capture_output=True, text=True, env=env, timeout=timeout, preexec_fn=preexec_fn,
     )
     return proc.returncode, proc.stdout, proc.stderr
 

@@ -18,6 +18,7 @@ from conftest import battery_types, random_cartan, small_battery
 from klrdim.budget import Deadline
 from klrdim.cartan import RootElement, Weight, builtin_cartan, validate_cartan
 from klrdim.dims import (
+    _compositions,
     algebra_dim,
     algebra_graded_dim,
     block_dim,
@@ -464,6 +465,15 @@ class TestBlocks:
                 assert len(got) == comb(n + c.n - 1, c.n - 1)
                 assert len(set(got)) == len(got)
                 assert got == sorted(got)
+
+    def test_compositions_need_no_deep_stack(self):
+        # 1200 parts, as for the blocks of size 1 of a rank-1200 type.  The
+        # bars are enumerated in a loop, so this runs with the recursion
+        # limit only 150 frames above this test.
+        with shallow_stack():
+            got = list(_compositions(1, 1200))
+        assert len(got) == 1200
+        assert got[0] == (0,) * 1199 + (1,) and got[-1] == (1,) + (0,) * 1199
 
     def test_tuples_with_content_count(self):
         beta = RootElement((2, 1, 1))

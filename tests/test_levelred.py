@@ -16,13 +16,14 @@ from klrdim.dims import block_dim, blocks_of_size, dim, graded_dim, tuples_with_
 from klrdim.errors import BadShape, LengthMismatch, PreconditionFail, TimeBudgetExceeded
 from klrdim.levelred import (
     _kept,
+    _splits,
     dominant_splits,
     reduce_block_dim,
     reduce_pair_dim_multi,
     reduce_pair_graded,
 )
 from klrdim.qpoly import LaurentPoly, eval_one
-from oracles import Recording, every_dealing, kept_dealings, shuffle_splits
+from oracles import Recording, every_dealing, kept_dealings, shallow_stack, shuffle_splits
 
 RANK1 = validate_cartan([[2]])
 TWO = Weight((2,))
@@ -307,8 +308,6 @@ class TestBlockReduction:
                 assert reduce_block_dim(c, lam, beta, (lam,)) == block_dim(c, lam, beta)
 
     def test_affine_three_part_totals(self):
-        from klrdim.levelred import reduce_algebra_dim
-
         c = builtin_cartan("A1~")
         lam = Weight((1, 2))
         split = (Weight((1, 0)), Weight((0, 1)), Weight((0, 1)))
@@ -317,7 +316,6 @@ class TestBlockReduction:
         )
         # coefficient sum of the graded size-2 answer: 2+5+6+4+1
         assert total == 18
-        assert reduce_algebra_dim(c, lam, 2, split) == 18
 
     def test_identity_on_small_battery(self):
         for c, lam in small_battery():
@@ -366,6 +364,17 @@ class TestSplitEnumerations:
             ((0, 0), (1, 2)), ((0, 1), (1, 1)), ((0, 2), (1, 0)),
             ((1, 0), (0, 2)), ((1, 1), (0, 1)), ((1, 2), (0, 0)),
         ]
+
+    def test_splits_need_no_deep_stack(self):
+        # One unit split into 1200 parts: one split per part that takes it,
+        # the last part first.  No recursion grows with the parts, so this
+        # runs with the recursion limit only 150 frames above this test.
+        with shallow_stack():
+            splits = _splits((1,), 1200)
+            first = next(splits)
+            count = 1 + sum(1 for _ in splits)
+        assert first == ((0,),) * 1199 + ((1,),)
+        assert count == 1200
 
     @pytest.mark.parametrize("parts", [0, -1])
     def test_dominant_splits_need_a_part(self, parts):

@@ -7,16 +7,15 @@ from itertools import permutations, product
 import pytest
 from klrdim.errors import IncompatibleContent, LengthMismatch, NotBlockForm
 from klrdim.perms import (
-    act_right,
     as_block_form,
     block_form_of,
     min_coset_reps,
-    simple_transposition,
     sorting_perm,
     transport_perms,
 )
 from oracles import (
     act_on_tuple,
+    act_right,
     compose,
     identity_perm,
     perm_inverse,
@@ -24,6 +23,7 @@ from oracles import (
     run_bounds,
     shallow_stack,
     shuffle_splits,
+    simple_transposition,
     smaller_before,
     transport_count,
 )

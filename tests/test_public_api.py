@@ -9,7 +9,14 @@ from pathlib import Path
 
 import klrdim
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# Exported names with no production caller yet, each with the step that
+# gives it one.
+AWAITING_A_CALLER = {
+    "crossing_degree": "the graded basis product (ROADMAP item 3)",
+    "quantum_factorial": "the run step of the pair walk (ROADMAP item 8)",
+}
 
 
 def demo_imports():
@@ -20,6 +27,41 @@ def demo_imports():
             if isinstance(node, ast.ImportFrom) and node.module == "klrdim":
                 names.update(alias.name for alias in node.names)
     return names
+
+
+def production_references(skip):
+    """Every name that library code, a demo or a perfbench script uses, by
+    name or as an attribute, outside the top-level functions and classes
+    named in ``skip``.  A ``def`` or ``class`` line defines its name and
+    does not use it, and ``__init__.py`` only re-exports."""
+    library = (ROOT / "src" / "klrdim").glob("*.py")
+    scripts = [p for p in library if p.name != "__init__.py"]
+    scripts += DEMOS + sorted((ROOT / "perfbench").glob("*.py"))
+    names = set()
+    for script in scripts:
+        for top in ast.parse(script.read_text()).body:
+            if getattr(top, "name", None) in skip:
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def test_every_export_has_a_production_caller():
+    # A name only tests call belongs in tests/oracles.py, not in __all__.
+    # Uses inside such a name's body do not count, so a name whose only
+    # caller is another unused export is found too.
+    unused: set = set()
+    while True:
+        used = production_references(unused - AWAITING_A_CALLER.keys())
+        grown = {name for name in klrdim.__all__ if name not in used}
+        if grown == unused:
+            break
+        unused = grown
+    assert unused == set(AWAITING_A_CALLER)
 
 
 def test_all_is_an_explicit_list_of_functions_and_types():

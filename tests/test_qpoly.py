@@ -10,11 +10,10 @@ from klrdim.qpoly import (
     LaurentPoly,
     divide_exact,
     eval_one,
-    quantum_binomial,
     quantum_factorial,
     quantum_int,
 )
-from oracles import bar, shallow_stack
+from oracles import bar, quantum_binomial, shallow_stack
 
 polys = st.dictionaries(
     st.integers(min_value=-8, max_value=8),
