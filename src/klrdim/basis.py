@@ -82,6 +82,11 @@ class MonomialBasis:
     bounds: tuple[int, ...]
 
     @property
+    def empty(self) -> bool:
+        """Whether the subspace vanishes: some exponent bound is non-positive."""
+        return any(b <= 0 for b in self.bounds)
+
+    @property
     def cardinality(self) -> int:
         return prod(factorial(b) for b in self.form.sizes) * prod(self.bounds)
 
@@ -105,10 +110,8 @@ def monomial_basis(
         form = block_form_of(mu)
     elif tuple_content(c, mu) != tuple_content(c, form.tuple):
         raise IncompatibleContent("tuple content differs from the grouped form")
-    bounds = exponent_bounds(c, lam, mu, form)
-    if any(b <= 0 for b in bounds):
-        return None
-    return MonomialBasis(mu, form, bounds)
+    basis = MonomialBasis(mu, form, exponent_bounds(c, lam, mu, form))
+    return None if basis.empty else basis
 
 
 def graded_dim_blockwise(

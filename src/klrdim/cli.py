@@ -1,8 +1,12 @@
 """Command line front end.
 
-Every command validates its whole request before dispatching, emits either
-a human-readable text document or versioned JSON (``"schema": "klr/1"``),
-and is deterministic: identical requests produce byte-identical output.
+Every request goes through one pipeline, :func:`run`: parse the request,
+load the Cartan data, start the time budget, call the command, and print
+its answer.  A command is a function ``(ctx, args) -> (doc, text)`` that
+prints nothing: ``doc`` is its JSON document without ``schema`` and
+``command``, and ``text`` its human-readable document.  ``run`` prints
+either the text or the versioned JSON (``"schema": "klr/1"``, keys
+sorted), so identical requests produce byte-identical output.
 
 Exit codes: 0 on success, 1 on domain errors (bad Cartan data, incompatible
 tuples, exceeded time budgets, ...), 2 on usage errors.  Verification
@@ -50,7 +54,6 @@ SCHEMA = "klr/1"
 class Context:
     cartan: CartanData
     labels: list[int]
-    fmt: str
     deadline: Deadline | None
 
     def index_of(self, label: int) -> int:
@@ -96,12 +99,6 @@ def _load_cartan(spec: str) -> tuple[CartanData, list[int]]:
     return c, list(range(1, c.n + 1))
 
 
-def _context(args) -> Context:
-    c, labels = _load_cartan(args.cartan)
-    deadline = Deadline(args.time_budget) if args.time_budget is not None else None
-    return Context(c, labels, args.format, deadline)
-
-
 def _node_vector(ctx: Context, text: str, what: str) -> tuple[int, ...]:
     coeffs = _parse_int_list(text)
     if len(coeffs) != ctx.cartan.n:
@@ -140,11 +137,8 @@ def _poly_json(p: LaurentPoly) -> dict:
     return {"pairs": p.to_pairs(), "display": str(p)}
 
 
-def _emit(ctx: Context, doc: dict, text: str) -> None:
-    if ctx.fmt == "json":
-        print(json.dumps({"schema": SCHEMA, **doc}, sort_keys=True))
-    else:
-        print(text)
+def _csv(values) -> str:
+    return ",".join(map(str, values))
 
 
 # ---------------------------------------------------------------------------
@@ -152,27 +146,20 @@ def _emit(ctx: Context, doc: dict, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_gdim(args) -> int:
-    ctx = _context(args)
+def _cmd_gdim(ctx: Context, args) -> tuple[dict, str]:
     lam = _weight(ctx, args)
     nu = _tuple(ctx, args.nu)
     nuprime = _tuple(ctx, args.nuprime if args.nuprime is not None else args.nu)
     p = dims.graded_dim(ctx.cartan, lam, nu, nuprime, deadline=ctx.deadline)
-    _emit(
-        ctx,
-        {
-            "command": "gdim",
-            "nu": _labels_of(ctx, nu),
-            "nuprime": _labels_of(ctx, nuprime),
-            "value": _poly_json(p),
-        },
-        str(p),
-    )
-    return 0
+    doc = {
+        "nu": _labels_of(ctx, nu),
+        "nuprime": _labels_of(ctx, nuprime),
+        "value": _poly_json(p),
+    }
+    return doc, str(p)
 
 
-def _cmd_dim(args) -> int:
-    ctx = _context(args)
+def _cmd_dim(ctx: Context, args) -> tuple[dict, str]:
     lam = _weight(ctx, args)
     if (args.nu is not None or args.nuprime is not None) and (
         args.beta is not None or args.all_pairs
@@ -182,82 +169,43 @@ def _cmd_dim(args) -> int:
         nu = _tuple(ctx, args.nu)
         nuprime = _tuple(ctx, args.nuprime)
         v = dims.dim(ctx.cartan, lam, nu, nuprime, deadline=ctx.deadline)
-        _emit(
-            ctx,
-            {
-                "command": "dim",
-                "nu": _labels_of(ctx, nu),
-                "nuprime": _labels_of(ctx, nuprime),
-                "value": v,
-            },
-            str(v),
-        )
-        return 0
+        doc = {"nu": _labels_of(ctx, nu), "nuprime": _labels_of(ctx, nuprime), "value": v}
+        return doc, str(v)
     if args.beta is None:
         raise PreconditionFail("need either --nu/--nuprime or --beta")
     beta = _beta(ctx, args.beta)
     if not args.all_pairs:
         v = dims.block_dim(ctx.cartan, lam, beta, deadline=ctx.deadline)
-        _emit(
-            ctx,
-            {"command": "dim", "beta": list(beta.coeffs), "value": v},
-            str(v),
-        )
-        return 0
+        return {"beta": list(beta.coeffs), "value": v}, str(v)
     tuples = dims.tuples_with_content(beta, deadline=ctx.deadline)
-    rows = [
-        (nu, nuprime, dims.dim(ctx.cartan, lam, nu, nuprime, deadline=ctx.deadline))
+    pairs = [
+        {
+            "nu": _labels_of(ctx, nu),
+            "nuprime": _labels_of(ctx, nuprime),
+            "value": dims.dim(ctx.cartan, lam, nu, nuprime, deadline=ctx.deadline),
+        }
         for nu in tuples
         for nuprime in tuples
     ]
-    total = sum(v for _, _, v in rows)
+    total = sum(pair["value"] for pair in pairs)
     lines = [
-        f"e({','.join(map(str, _labels_of(ctx, nu)))}) "
-        f"e({','.join(map(str, _labels_of(ctx, nuprime)))})  {v}"
-        for nu, nuprime, v in rows
+        f"e({_csv(pair['nu'])}) e({_csv(pair['nuprime'])})  {pair['value']}"
+        for pair in pairs
     ]
     lines.append(f"total  {total}")
-    _emit(
-        ctx,
-        {
-            "command": "dim",
-            "beta": list(beta.coeffs),
-            "pairs": [
-                {
-                    "nu": _labels_of(ctx, nu),
-                    "nuprime": _labels_of(ctx, nuprime),
-                    "value": v,
-                }
-                for nu, nuprime, v in rows
-            ],
-            "total": total,
-        },
-        "\n".join(lines),
-    )
-    return 0
+    return {"beta": list(beta.coeffs), "pairs": pairs, "total": total}, "\n".join(lines)
 
 
-def _cmd_block(args) -> int:
-    ctx = _context(args)
+def _cmd_block(ctx: Context, args) -> tuple[dict, str]:
     lam = _weight(ctx, args)
     beta = _beta(ctx, args.beta)
     g = dims.block_graded_dim(ctx.cartan, lam, beta, deadline=ctx.deadline)
     u = eval_one(g)
-    _emit(
-        ctx,
-        {
-            "command": "block",
-            "beta": list(beta.coeffs),
-            "graded": _poly_json(g),
-            "ungraded": u,
-        },
-        f"graded   {g}\nungraded {u}",
-    )
-    return 0
+    doc = {"beta": list(beta.coeffs), "graded": _poly_json(g), "ungraded": u}
+    return doc, f"graded   {g}\nungraded {u}"
 
 
-def _cmd_algebra(args) -> int:
-    ctx = _context(args)
+def _cmd_algebra(ctx: Context, args) -> tuple[dict, str]:
     lam = _weight(ctx, args)
     n = args.n
     if n < 0:
@@ -282,29 +230,20 @@ def _cmd_algebra(args) -> int:
         blocks.append((beta, g, u))
         total_g = total_g + g
         total_u += u
-    lines = [
-        f"beta={','.join(map(str, beta.coeffs))}  graded {g}  ungraded {u}"
-        for beta, g, u in blocks
-    ]
+    lines = [f"beta={_csv(beta.coeffs)}  graded {g}  ungraded {u}" for beta, g, u in blocks]
     lines.append(f"total  graded {total_g}  ungraded {total_u}")
-    _emit(
-        ctx,
-        {
-            "command": "algebra",
-            "n": n,
-            "blocks": [
-                {"beta": list(b.coeffs), "graded": _poly_json(g), "ungraded": u}
-                for b, g, u in blocks
-            ],
-            "total": {"graded": _poly_json(total_g), "ungraded": total_u},
-        },
-        "\n".join(lines),
-    )
-    return 0
+    doc = {
+        "n": n,
+        "blocks": [
+            {"beta": list(b.coeffs), "graded": _poly_json(g), "ungraded": u}
+            for b, g, u in blocks
+        ],
+        "total": {"graded": _poly_json(total_g), "ungraded": total_u},
+    }
+    return doc, "\n".join(lines)
 
 
-def _cmd_nonzero(args) -> int:
-    ctx = _context(args)
+def _cmd_nonzero(ctx: Context, args) -> tuple[dict, str]:
     lam = _weight(ctx, args)
     nu = _tuple(ctx, args.nu)
     method = args.method
@@ -321,57 +260,52 @@ def _cmd_nonzero(args) -> int:
         )
     witness = verdict.witness
     if method == "shuffle" and witness is not None:
-        witness = [ _labels_of(ctx, piece) for piece in witness ]
+        witness = [_labels_of(ctx, piece) for piece in witness]
     elif method == "blockwise":
         witness = [list(pair) for pair in witness]
-    _emit(
-        ctx,
-        {
-            "command": "nonzero",
-            "nu": _labels_of(ctx, nu),
-            "method": verdict.method,
-            "nonzero": verdict.nonzero,
-            "witness": witness,
-        },
+    doc = {
+        "nu": _labels_of(ctx, nu),
+        "method": verdict.method,
+        "nonzero": verdict.nonzero,
+        "witness": witness,
+    }
+    return doc, (
         f"{'nonzero' if verdict.nonzero else 'zero'} (method {verdict.method}, "
-        f"witness {witness})",
+        f"witness {witness})"
     )
-    return 0
 
 
-def _cmd_basis(args) -> int:
-    ctx = _context(args)
+def _cmd_basis(ctx: Context, args) -> tuple[dict, str]:
     lam = _weight(ctx, args)
     mu, form = _grouped(ctx, args)
-    mb = basis_mod.monomial_basis(ctx.cartan, lam, mu, form)
-    bounds = basis_mod.exponent_bounds(ctx.cartan, lam, mu, form)
+    basis = basis_mod.MonomialBasis(
+        mu, form, basis_mod.exponent_bounds(ctx.cartan, lam, mu, form)
+    )
+    cardinality = 0 if basis.empty else basis.cardinality
     doc = {
-        "command": "basis",
         "mu": _labels_of(ctx, mu),
         "grouped": _labels_of(ctx, form.tuple),
-        "bounds": list(bounds),
+        "bounds": list(basis.bounds),
         "block_sizes": list(form.sizes),
-        "empty": mb is None,
-        "cardinality": 0 if mb is None else mb.cardinality,
+        "empty": basis.empty,
+        "cardinality": cardinality,
     }
     lines = [
-        f"grouped {','.join(map(str, doc['grouped']))}",
-        f"bounds  {','.join(map(str, bounds))}",
-        f"cardinality {doc['cardinality']}",
+        f"grouped {_csv(doc['grouped'])}",
+        f"bounds  {_csv(basis.bounds)}",
+        f"cardinality {cardinality}",
     ]
-    if mb is not None and args.list:
+    if args.list and not basis.empty:
         elements = []
-        for w, r in mb.elements():
+        for w, r in basis.elements():
             budget.check(ctx.deadline, "basis enumeration")
             elements.append({"w": list(w), "r": list(r)})
             lines.append(f"w={list(w)} r={list(r)}")
         doc["elements"] = elements
-    _emit(ctx, doc, "\n".join(lines))
-    return 0
+    return doc, "\n".join(lines)
 
 
-def _cmd_reduce(args) -> int:
-    ctx = _context(args)
+def _cmd_reduce(ctx: Context, args) -> tuple[dict, str]:
     lam = _weight(ctx, args)
     parts = [Weight(_node_vector(ctx, chunk, "split part")) for chunk in args.split.split(";")]
     if (args.nu is not None or args.mu is not None) and args.beta is not None:
@@ -383,18 +317,14 @@ def _cmd_reduce(args) -> int:
             ctx.cartan, lam, nu, mu, parts, deadline=ctx.deadline
         )
         direct = dims.dim(ctx.cartan, lam, nu, mu, deadline=ctx.deadline)
-        doc = {
-            "command": "reduce",
-            "nu": _labels_of(ctx, nu),
-            "mu": _labels_of(ctx, mu),
-        }
+        doc = {"nu": _labels_of(ctx, nu), "mu": _labels_of(ctx, mu)}
     elif args.beta is not None:
         beta = _beta(ctx, args.beta)
         reduced = levelred.reduce_block_dim(
             ctx.cartan, lam, beta, parts, deadline=ctx.deadline
         )
         direct = dims.block_dim(ctx.cartan, lam, beta, deadline=ctx.deadline)
-        doc = {"command": "reduce", "beta": list(beta.coeffs)}
+        doc = {"beta": list(beta.coeffs)}
     else:
         raise PreconditionFail("need either --nu/--mu or --beta")
     doc.update(
@@ -405,21 +335,16 @@ def _cmd_reduce(args) -> int:
             "match": reduced == direct,
         }
     )
-    _emit(
-        ctx,
-        doc,
+    return doc, (
         f"reduced {reduced}\ndirect  {direct}\n"
-        f"{'match' if reduced == direct else 'MISMATCH'}",
+        f"{'match' if reduced == direct else 'MISMATCH'}"
     )
-    return 0
 
 
-def _cmd_tilde(args) -> int:
-    ctx = _context(args)
+def _cmd_tilde(ctx: Context, args) -> tuple[dict, str]:
     mu, form = _grouped(ctx, args)
     d = sorting_perm(mu, form)
     doc = {
-        "command": "tilde",
         "mu": _labels_of(ctx, mu),
         "grouped": _labels_of(ctx, form.tuple),
         "letters": _labels_of(ctx, form.letters),
@@ -427,21 +352,19 @@ def _cmd_tilde(args) -> int:
         "sorting_perm": list(d),
     }
     text = (
-        f"grouped {','.join(map(str, doc['grouped']))}\n"
-        f"blocks  {','.join(map(str, form.sizes))}\n"
+        f"grouped {_csv(doc['grouped'])}\n"
+        f"blocks  {_csv(form.sizes)}\n"
         f"sorting permutation {list(d)}"
     )
     if args.weight is not None:
         lam = _weight(ctx, args)
         bounds = basis_mod.exponent_bounds(ctx.cartan, lam, mu, form)
         doc["bounds"] = list(bounds)
-        text += f"\nbounds  {','.join(map(str, bounds))}"
-    _emit(ctx, doc, text)
-    return 0
+        text += f"\nbounds  {_csv(bounds)}"
+    return doc, text
 
 
-def _cmd_verify(args) -> int:
-    ctx = _context(args)
+def _cmd_verify(ctx: Context, args) -> tuple[dict, str]:
     lam = _weight(ctx, args)
     if args.max_n < 0:
         raise PreconditionFail("--max-n must be >= 0")
@@ -449,14 +372,11 @@ def _cmd_verify(args) -> int:
         args.suite, ctx.cartan, lam, max_n=args.max_n, deadline=ctx.deadline
     )
     doc = {
-        "command": "verify",
         "suite": args.suite,
         "ok": all(r.ok for r in reports),
         "reports": [r.to_json() for r in reports],
     }
-    text = "\n".join(f"[{r.suite}] {r.summary()}" for r in reports)
-    _emit(ctx, doc, text)
-    return 0
+    return doc, "\n".join(f"[{r.suite}] {r.summary()}" for r in reports)
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +552,15 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Answer one request and return its exit code.
+    """Answer one request, print its document and return its exit code.
 
-    A plain request skips argparse (:func:`_parse_plain`); argparse parses
-    every other form, and prints help and usage errors (exit 2).
+    The one pipeline of every command: parse the request, load the Cartan
+    data and start the time budget, call the command, then print its JSON
+    document (with ``schema`` and ``command`` added) or its text document.
+    A domain error prints the JSON error document, or an ``error:`` line on
+    stderr, and exits 1.  A plain request skips argparse
+    (:func:`_parse_plain`); argparse parses every other form, and prints
+    help and usage errors (exit 2).
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -643,21 +568,19 @@ def run(argv: list[str] | None = None) -> int:
     if args is None:
         args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cartan, labels = _load_cartan(args.cartan)
+        deadline = Deadline(args.time_budget) if args.time_budget is not None else None
+        doc, text = args.func(Context(cartan, labels, deadline), args)
     except KlrError as exc:
-        if getattr(args, "format", "text") == "json":
-            print(
-                json.dumps(
-                    {
-                        "schema": SCHEMA,
-                        "error": {"type": type(exc).__name__, "message": str(exc)},
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        text, code, out = f"error: {type(exc).__name__}: {exc}", 1, sys.stderr
+    else:
+        doc, code, out = {"command": args.command, **doc}, 0, sys.stdout
+    if args.format == "json":
+        print(json.dumps({"schema": SCHEMA, **doc}, sort_keys=True))
+    else:
+        print(text, file=out)
+    return code
 
 
 def main() -> None:

@@ -8,7 +8,6 @@ a clean report is the library's strongest correctness statement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial, prod
 from typing import Iterator
 
 from . import budget
@@ -30,7 +29,7 @@ from .levelred import (
     reduce_pair_dim_multi,
     reduce_pair_graded,
 )
-from .basis import exponent_bounds, graded_dim_blockwise
+from .basis import MonomialBasis, exponent_bounds, graded_dim_blockwise
 from .perms import block_form_of
 from .qpoly import eval_one
 
@@ -213,21 +212,20 @@ def verify_basis(
         for mu in tuples:
             budget.check(deadline, "basis suite")
             form = block_form_of(mu)
-            bounds = exponent_bounds(c, lam, mu, form)
-            card = prod(factorial(b) for b in form.sizes) * prod(bounds)
+            basis = MonomialBasis(mu, form, exponent_bounds(c, lam, mu, form))
             d1 = dim(c, lam, form.tuple, mu, deadline=deadline)
             d2 = dim(c, lam, mu, form.tuple, deadline=deadline)
             report.checked += 1
-            if not (card == d1 == d2):
+            if not (basis.cardinality == d1 == d2):
                 report.record(
                     kind="cardinality mismatch", mu=list(mu),
-                    grouped=list(form.tuple), bounds=list(bounds),
-                    cardinality=card, dim_to=d1, dim_from=d2,
+                    grouped=list(form.tuple), bounds=list(basis.bounds),
+                    cardinality=basis.cardinality, dim_to=d1, dim_from=d2,
                 )
-            if (all(b > 0 for b in bounds)) != (d1 != 0):
+            if basis.empty != (d1 == 0):
                 report.record(
                     kind="positivity mismatch", mu=list(mu),
-                    bounds=list(bounds), dim=d1,
+                    bounds=list(basis.bounds), dim=d1,
                 )
             if mu == form.tuple:
                 closed = graded_dim(c, lam, mu, mu, deadline=deadline)

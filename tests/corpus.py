@@ -1,0 +1,217 @@
+"""A seeded corpus of command line requests, and the digest of its answers.
+
+The corpus holds every ``klrdim`` command in text and in JSON, with and
+without a time budget, on builtin types and on a Cartan matrix read from a
+JSON file, and with domain errors (exit 1) among the answers.  It leaves
+out argparse usage errors, whose text changes between Python versions and
+with ``COLUMNS``, and time-budget stops, which depend on timing.
+
+The digest is one SHA-256 over ``repr((argv, exit code, stdout, stderr))``
+of each request in turn, each run in-process through ``cli.run``.
+``corpus.json`` beside this file holds the committed count and digest, and
+a test checks them, so any change to a CLI output byte shows as a diff
+there.  Run
+
+    PYTHONPATH=src python tests/corpus.py
+
+to print the count and the digest of the current tree.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import os
+import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+DIGESTS = Path(__file__).with_name("corpus.json")
+
+SEED = 1717
+DRAWS = 1200
+
+# (name, rank) of the builtin types the drawn requests use.
+TYPES = (
+    ("A1", 1), ("A2", 2), ("B2", 2), ("C2", 2), ("G2", 2),
+    ("A1~", 2), ("A3", 3), ("A2~", 3), ("A2^2", 2),
+)
+
+# A custom Cartan matrix with its own node labels, and a file that is not
+# JSON; both are written to a scratch directory that the run works in.
+FILES = {
+    "custom.json": json.dumps({"matrix": [[2, -2], [-1, 2]], "labels": [5, 7]}),
+    "broken.json": "{",
+}
+
+FIXED = (
+    # Every command once on the custom file, labels 5 and 7.
+    ["gdim", "--cartan", "custom.json", "--weight", "1,1", "--nu", "5,7,5"],
+    ["dim", "--cartan", "custom.json", "--weight", "1,1", "--beta", "1,1", "--all-pairs"],
+    ["block", "--cartan", "custom.json", "--weight", "2,1", "--beta", "2,1"],
+    ["algebra", "--cartan", "custom.json", "--weight", "1,1", "--n", "3"],
+    ["nonzero", "--cartan", "custom.json", "--weight", "1,0", "--nu", "5,7,7",
+     "--method", "shuffle"],
+    ["basis", "--cartan", "custom.json", "--weight", "2,1", "--mu", "7,5,5",
+     "--letters", "5,7", "--list"],
+    ["reduce", "--cartan", "custom.json", "--weight", "1,1", "--split", "1,0;0,1",
+     "--nu", "5,7", "--mu", "7,5"],
+    ["tilde", "--cartan", "custom.json", "--mu", "7,5,7", "--weight", "1,2"],
+    ["verify", "--cartan", "custom.json", "--weight", "1,1", "--max-n", "2"],
+    # Domain errors.
+    ["gdim", "--cartan", "missing.json", "--weight", "1", "--nu", "1"],
+    ["gdim", "--cartan", "broken.json", "--weight", "1", "--nu", "1"],
+    ["gdim", "--cartan", "Z9", "--weight", "1", "--nu", "1"],
+    ["gdim", "--cartan", "A2", "--weight", "1", "--nu", "1"],
+    ["gdim", "--cartan", "A2", "--weight", "1,-1", "--nu", "1"],
+    ["gdim", "--cartan", "A2", "--weight", "1,x", "--nu", "1"],
+    ["gdim", "--cartan", "A2", "--weight", "1,0", "--nu", "1,3"],
+    ["gdim", "--cartan", "custom.json", "--weight", "1,0", "--nu", "1"],
+    ["dim", "--cartan", "A2", "--weight", "1,0", "--nu", "1", "--nuprime", "1", "--beta", "1,0"],
+    ["dim", "--cartan", "A2", "--weight", "1,0", "--nu", "1"],
+    ["dim", "--cartan", "A2", "--weight", "1,0", "--beta", "1,0,1"],
+    ["algebra", "--cartan", "A2", "--weight", "1,0", "--n", "-1"],
+    ["basis", "--cartan", "A2", "--weight", "1,0", "--mu", "1,2", "--letters", "1"],
+    ["basis", "--cartan", "A2", "--weight", "1,0", "--mu", "1,2", "--letters", "2,1,1"],
+    ["reduce", "--cartan", "A2", "--weight", "1,1", "--split", "1,0;0,1",
+     "--nu", "1", "--mu", "1", "--beta", "1,0"],
+    ["reduce", "--cartan", "A2", "--weight", "1,1", "--split", "1,0;0,1", "--nu", "1"],
+    ["reduce", "--cartan", "A2", "--weight", "1,1", "--split", "1,0;1,1", "--beta", "1,0"],
+    ["reduce", "--cartan", "A2", "--weight", "1,1", "--split", "1,0;0", "--beta", "1,0"],
+    ["tilde", "--cartan", "A2", "--mu", "1,4"],
+    ["tilde", "--cartan", "A2", "--mu", "9", "--weight", "1"],
+    ["tilde", "--cartan", "A2", "--mu", "1,2", "--weight", "1,-1"],
+    ["verify", "--cartan", "A2", "--weight", "1,0", "--max-n", "-1"],
+)
+
+
+def _word(rng: random.Random, rank: int, low: int, high: int) -> list[int]:
+    return [rng.randint(1, rank) for _ in range(rng.randint(low, high))]
+
+
+def _shuffled(rng: random.Random, word: list[int]) -> list[int]:
+    return rng.sample(word, len(word))
+
+
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _block(rng: random.Random, rank: int, size: int) -> list[int]:
+    beta = [0] * rank
+    for _ in range(size):
+        beta[rng.randrange(rank)] += 1
+    return beta
+
+
+def _split(rng: random.Random, weight: list[int]) -> str:
+    """The weight dealt into 1-3 parts, each a non-negative weight."""
+    parts = [[0] * len(weight) for _ in range(rng.randint(1, 3))]
+    for node, k in enumerate(weight):
+        for _ in range(k):
+            parts[rng.randrange(len(parts))][node] += 1
+    return ";".join(_csv(p) for p in parts)
+
+
+def _request(rng: random.Random) -> list[str]:
+    name, rank = rng.choice(TYPES)
+    weight = [rng.randint(0, 2) for _ in range(rank)]
+    head = ["--cartan", name, "--weight", _csv(weight)]
+    command = rng.choice(
+        ("gdim", "dim", "block", "algebra", "nonzero", "basis", "reduce", "tilde", "verify")
+    )
+    if command == "gdim":
+        nu = _word(rng, rank, 0, 4)
+        argv = ["gdim", *head, "--nu", _csv(nu)]
+        if rng.random() < 0.7:
+            argv += ["--nuprime", _csv(_shuffled(rng, nu))]
+    elif command == "dim":
+        shape = rng.choice(("pair", "block", "all-pairs"))
+        if shape == "pair":
+            nu = _word(rng, rank, 0, 4)
+            argv = ["dim", *head, "--nu", _csv(nu), "--nuprime", _csv(_shuffled(rng, nu))]
+        else:
+            argv = ["dim", *head, "--beta", _csv(_block(rng, rank, rng.randint(0, 3)))]
+            if shape == "all-pairs":
+                argv.append("--all-pairs")
+    elif command == "block":
+        argv = ["block", *head, "--beta", _csv(_block(rng, rank, rng.randint(0, 4)))]
+    elif command == "algebra":
+        argv = ["algebra", *head, "--n", str(rng.randint(0, 4 if rank < 3 else 3))]
+    elif command == "nonzero":
+        method = rng.choice(("direct", "divided", "blockwise", "shuffle"))
+        argv = ["nonzero", *head, "--nu", _csv(_word(rng, rank, 0, 5)), "--method", method]
+    elif command == "basis":
+        mu = _word(rng, rank, 1, 4)
+        argv = ["basis", *head, "--mu", _csv(mu)]
+        if rng.random() < 0.4:
+            argv += ["--letters", _csv(_shuffled(rng, sorted(set(mu))))]
+        if rng.random() < 0.5:
+            argv.append("--list")
+    elif command == "reduce":
+        argv = ["reduce", *head, "--split", _split(rng, weight)]
+        if rng.random() < 0.6:
+            nu = _word(rng, rank, 0, 3)
+            argv += ["--nu", _csv(nu), "--mu", _csv(_shuffled(rng, nu))]
+        else:
+            argv += ["--beta", _csv(_block(rng, rank, rng.randint(0, 3)))]
+    elif command == "tilde":
+        mu = _word(rng, rank, 1, 5)
+        argv = ["tilde", "--cartan", name, "--mu", _csv(mu)]
+        if rng.random() < 0.4:
+            argv += ["--letters", _csv(_shuffled(rng, sorted(set(mu))))]
+        if rng.random() < 0.5:
+            argv += ["--weight", _csv(weight)]
+    else:
+        suite = rng.choice(("oracle", "divided", "levelred", "basis", "all"))
+        argv = ["verify", *head, "--suite", suite, "--max-n", str(rng.randint(0, 2))]
+    # Now and then a label no node has (a domain error), and a time budget
+    # far above any request's time (so it never stops one).
+    if rng.random() < 0.05:
+        tuples = [i for i in range(1, len(argv)) if argv[i - 1] in ("--nu", "--mu")]
+        if tuples:
+            argv[tuples[0]] = _csv([*argv[tuples[0]].split(","), rank + 1]).lstrip(",")
+    if rng.random() < 0.2:
+        argv += ["--time-budget", "600"]
+    return argv
+
+
+def requests() -> list[list[str]]:
+    """The corpus: the fixed requests, then the drawn ones, each in text
+    and then in JSON."""
+    rng = random.Random(SEED)
+    plain = [list(argv) for argv in FIXED] + [_request(rng) for _ in range(DRAWS)]
+    return [argv + fmt for argv in plain for fmt in ([], ["--format", "json"])]
+
+
+def digest() -> tuple[int, str]:
+    """The number of requests and the SHA-256 of their answers."""
+    from klrdim import cli
+
+    argvs = requests()
+    h = hashlib.sha256()
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, text in FILES.items():
+            Path(scratch, name).write_text(text, encoding="utf-8")
+        os.chdir(scratch)
+        try:
+            for argv in argvs:
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = cli.run(list(argv))
+                h.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
+        finally:
+            os.chdir(home)
+    return len(argvs), h.hexdigest()
+
+
+def committed() -> dict:
+    return json.loads(DIGESTS.read_text(encoding="utf-8"))["cli"]
+
+
+if __name__ == "__main__":
+    count, sha = digest()
+    print(json.dumps({"cli": {"requests": count, "sha256": sha}}, indent=2))

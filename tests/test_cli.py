@@ -1,6 +1,7 @@
 """Command line front end: output values, JSON schema, exit codes."""
 
 import argparse
+import ast
 import io
 import json
 import os
@@ -15,9 +16,11 @@ from pathlib import Path
 
 import pytest
 
+import klrdim.basis
 from conftest import small_battery
 from klrdim import builtin_cartan, cli
 from klrdim.cli import run
+from klrdim.perms import sorting_perm
 from klrdim.qpoly import LaurentPoly, eval_one
 from oracles import Recording, algebra_by_blocks, shallow_stack
 
@@ -260,6 +263,23 @@ class TestBasisTilde:
         assert len(doc["elements"]) == doc["cardinality"] == 4
         assert doc["elements"][0] == {"w": [1, 2], "r": [0, 0]}
 
+    def test_basis_computes_its_bounds_once(self, capsys, monkeypatch):
+        # The bounds need the sorting permutation; the basis, its emptiness
+        # and its cardinality are all read from one set of bounds.
+        calls = []
+
+        def counted(mu, form):
+            calls.append(mu)
+            return sorting_perm(mu, form)
+
+        monkeypatch.setattr(klrdim.basis, "sorting_perm", counted)
+        code, doc, _ = invoke_json(
+            capsys, "basis", "--cartan", "A2", "--weight", "2,1",
+            "--mu", "2,1,1", "--list",
+        )
+        assert code == 0 and doc["cardinality"] == len(doc["elements"]) > 0
+        assert calls == [(1, 0, 0)]
+
     def test_tilde(self, capsys):
         code, doc, _ = invoke_json(
             capsys, "tilde", "--cartan", "A2", "--mu", "2,1,1", "--letters", "1,2",
@@ -369,6 +389,23 @@ class TestJsonSchema:
         assert code == 0 and err == ""
         assert doc["schema"] == "klr/1"
         assert doc["command"] == argv[0]
+
+
+class TestPipeline:
+    def test_only_run_prints(self):
+        # Commands return their documents; run() alone renders them, so a
+        # new output channel (a stats footer, say) has one place to go.
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        printers = {
+            func.name
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "print"
+        }
+        assert printers == {"run"}
 
 
 class TestErrorsAndDeterminism:
