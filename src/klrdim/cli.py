@@ -178,11 +178,15 @@ def _cmd_dim(ctx: Context, args) -> tuple[dict, str]:
         v = dims.block_dim(ctx.cartan, lam, beta, deadline=ctx.deadline)
         return {"beta": list(beta.coeffs), "value": v}, str(v)
     tuples = dims.tuples_with_content(beta, deadline=ctx.deadline)
+    columns = {
+        nuprime: dims.transport_column(ctx.cartan, lam, nuprime, False, ctx.deadline)
+        for nuprime in tuples
+    }
     pairs = [
         {
             "nu": _labels_of(ctx, nu),
             "nuprime": _labels_of(ctx, nuprime),
-            "value": dims.dim(ctx.cartan, lam, nu, nuprime, deadline=ctx.deadline),
+            "value": columns[nuprime].get(nu, 0),
         }
         for nu in tuples
         for nuprime in tuples

@@ -15,7 +15,13 @@ positions of nu whose states are the sets of slots taken so far: at most
 2^n states in place of prod_x m_x! permutations.  A zero factor or a state
 that sums to zero has only zero completions, so neither is carried on.  The
 walk runs in Laurent polynomials for the graded dimension and in plain
-integers for the ungraded one.  The same dimension is computed by an
+integers for the ungraded one.  With the source left free, the same walk
+lets each position take any free slot of nu' and also keys its states on
+the source prefix read so far, so it gives the whole column
+{nu: dim e(nu) R^Lambda e(nu')} into one target word
+(:func:`transport_column`); the verify suites and ``dim --all-pairs`` read
+every pair of a block from these columns.  A single pair is the walk with
+the source fixed.  The same dimension is computed by an
 independent restriction recursion (:func:`graded_dim_recursive`), which
 peels nu from the right and shares no code or memo with the walk, so the
 two routes cross-check each other exactly.
@@ -102,48 +108,99 @@ def crossing_degree(c: CartanData, w: Perm, nu: Sequence[int]) -> int:
 def _transport_sum(
     c: CartanData,
     lam: Weight,
-    nu: IndexTuple,
+    nu: IndexTuple | None,
     nuprime: IndexTuple,
     graded: bool,
     where: str,
     deadline: Deadline | None,
-) -> int | LaurentPoly:
-    """The closed-formula sum over the transport permutations w (w*nu = nu')
-    of the products of the slot factors [F(w, nu, t)]_{q^{d_{nu_t}}}, before
-    the global shift.
+) -> dict:
+    """The column {nu: dim e(nu) R^Lambda e(nu')} of the closed formula:
+    for each source nu, the sum over the transport permutations w
+    (w*nu = nu') of the products of the slot factors
+    [F(w, nu, t)]_{q^{d_{nu_t}}}, times nu's global shift.  Sources of
+    dimension zero are left out.  With ``nu`` given, the column is that one
+    source or empty; with ``nu`` None, it holds every source.
 
     F(w, nu, t), :func:`dim_factor`'s factor, depends only on the set of
     slots of nu' that the positions before t took, so by distributivity the
-    sum is a walk over the positions of nu whose states map that set, an int
+    sum is a walk over the positions whose states map that set, an int
     bitmask, to the sum over every prefix that took it.  Position t extends
-    a state by each free slot of nu' that holds nu_t and has a nonzero
-    factor.  A state whose value is zero has only zero completions, so it is
-    dropped.  The answer is the value of the full set; no state reaches it
-    when nu' does not rearrange nu.  The deadline is checked once per state
-    and, in Laurent arithmetic, once per multiplication, since a large
-    factor makes one product slow.  ``graded`` picks the arithmetic, as in
-    :func:`_columns`.
+    a state by each free slot of nu' whose letter x it may take and whose
+    factor, <Lambda, h_x> less the pairings with the letters of the taken
+    slots before it, is nonzero.  With ``nu`` given, position t may take
+    only x = nu_t, and the key is the mask alone.  With ``nu`` None it may
+    take any letter, and the key also carries the source prefix read so
+    far, above the mask, as digits in base ``c.n`` with the letter at
+    position t as digit t, so that different sources never merge.  A state
+    whose value is zero has only zero completions, so it is dropped.  The
+    states that hold every slot are the column, and each source's global
+    shift is applied to its value afterwards; no state reaches them when
+    nu' does not rearrange nu.  The deadline is checked once per state and,
+    in Laurent arithmetic, once per multiplication, since a large factor
+    makes one product slow.  ``graded`` picks the arithmetic, as in
+    :func:`_columns`; in plain integers every shift is the identity.
     """
     one, factor, _ = (LaurentPoly.one(), quantum_int, LaurentPoly.shift) if graded else _AT_ONE
-    zero, d = one * 0, c.symmetrizer
-    states: dict = {0: one}
+    d, n, base = c.symmetrizer, len(nuprime), c.n
+    # Each position's choices: (letter, its row and weight coefficient, and
+    # what taking it adds to the key: its digit at the position, or 0).
+    if nu is None:
+        letters = sorted(set(nuprime))
+        steps = [[(x, c.matrix[x], lam.coeffs[x], x * base**t << n) for x in letters] for t in range(n)]
+    else:
+        steps = [[(x, c.matrix[x], lam.coeffs[x], 0)] for x in nu]
     slots = [(1 << p, y) for p, y in enumerate(nuprime)]
-    for x in nu:
-        row, stems, states = c.matrix[x], states, {}
-        for taken, value in stems.items():
+    states: dict = {0: one}
+    for choices in steps:
+        stems, states = states, {}
+        for key, value in stems.items():
             budget.check(deadline, where)
-            f = lam.coeffs[x]
-            for bit, y in slots:
-                if taken & bit:
-                    f -= row[y]
-                elif y == x and f:
-                    if graded:
-                        budget.check(deadline, where)
-                    grown, term = taken | bit, factor(f, d[x]) * value
-                    prev = states.get(grown)
-                    states[grown] = term if prev is None else prev + term
-        states = {taken: value for taken, value in states.items() if value != 0}
-    return states.get((1 << len(nu)) - 1, zero)
+            for x, row, f, digit in choices:
+                for bit, y in slots:
+                    if key & bit:
+                        f -= row[y]
+                    elif y == x and f:
+                        if graded:
+                            budget.check(deadline, where)
+                        grown, term = (key | bit) + digit, factor(f, d[x]) * value
+                        prev = states.get(grown)
+                        states[grown] = term if prev is None else prev + term
+        states = {key: value for key, value in states.items() if value != 0}
+    if nu is not None:
+        value = states.get((1 << n) - 1)
+        column = {} if value is None else {nu: value}
+    else:
+        column = {}
+        for key, value in states.items():
+            code, word = key >> n, []
+            for _ in range(n):
+                code, x = divmod(code, base)
+                word.append(x)
+            column[tuple(word)] = value
+    if graded:
+        # The per-slot q-shifts at the identity: one monomial per source.
+        for source, value in column.items():
+            shift = sum(d[x] * (dim_factor_id(c, lam, source, t) - 1) for t, x in enumerate(source, 1))
+            column[source] = value.shift(shift)
+    return column
+
+
+def transport_column(
+    c: CartanData,
+    lam: Weight,
+    nuprime: Sequence[int],
+    graded: bool,
+    deadline: Deadline | None = None,
+) -> dict:
+    """Every nonzero dimension into nu', {nu: dim e(nu) R^Lambda e(nu')},
+    from one walk of :func:`_transport_sum` with the source free: graded
+    (exact Laurent polynomials) or in plain integers.  A source of nu''s
+    content that is missing has dimension zero.  Each entry equals
+    :func:`graded_dim` or :func:`dim` of its pair, which are the same walk
+    with the source fixed."""
+    nuprime = tuple(nuprime)
+    where = "graded dimension sum" if graded else "dimension sum"
+    return _transport_sum(c, lam, None, nuprime, graded, where, deadline)
 
 
 def graded_dim(
@@ -155,22 +212,21 @@ def graded_dim(
 ) -> LaurentPoly:
     """Graded dimension of e(nu) R^Lambda e(nu') as an exact Laurent polynomial.
 
-    The walk of :func:`_transport_sum` over the sets of slots of nu' taken,
-    in Laurent polynomials, times one global shift: the per-slot q-shift of
-    the closed formula uses the identity factors only, so it is one monomial
-    shared by every summand.  Zero when no permutation transports nu to nu';
-    every coefficient of the result is non-negative even though individual
-    summands need not be.
+    The walk of :func:`_transport_sum` with the source fixed to nu, over the
+    sets of slots of nu' taken, in Laurent polynomials, times one global
+    shift: the per-slot q-shift of the closed formula uses the identity
+    factors only, so it is one monomial shared by every summand.  Zero when
+    no permutation transports nu to nu'; every coefficient of the result is
+    non-negative even though individual summands need not be.
     """
     nu = tuple(nu)
     nuprime = tuple(nuprime)
     if len(nu) != len(nuprime):
         raise LengthMismatch("tuples must have the same length")
-    d = [c.symmetrizer[x] for x in nu]
-    shift = sum(d[t - 1] * (dim_factor_id(c, lam, nu, t) - 1) for t in range(1, len(nu) + 1))
-    return _transport_sum(
+    column = _transport_sum(
         c, lam, nu, nuprime, graded=True, where="graded dimension sum", deadline=deadline
-    ).shift(shift)
+    )
+    return column.get(nu, LaurentPoly.zero())
 
 
 def dim(
@@ -181,7 +237,7 @@ def dim(
     deadline: Deadline | None = None,
 ) -> int:
     """Ungraded dimension of e(nu) R^Lambda e(nu'), by the walk of
-    :func:`_transport_sum` in plain integers.
+    :func:`_transport_sum` with the source fixed to nu, in plain integers.
 
     Deliberately not computed as q -> 1 of :func:`graded_dim`: the same walk
     multiplies the integer factors themselves and builds no polynomial, so
@@ -191,9 +247,10 @@ def dim(
     nuprime = tuple(nuprime)
     if len(nu) != len(nuprime):
         raise LengthMismatch("tuples must have the same length")
-    return _transport_sum(
+    column = _transport_sum(
         c, lam, nu, nuprime, graded=False, where="dimension sum", deadline=deadline
     )
+    return column.get(nu, 0)
 
 
 def graded_dim_recursive(

@@ -1,20 +1,29 @@
-"""A seeded corpus of command line requests, and the digest of its answers.
+"""Seeded corpora of answers, and the digest of each.
 
-The corpus holds every ``klrdim`` command in text and in JSON, with and
-without a time budget, on builtin types and on a Cartan matrix read from a
-JSON file, and with domain errors (exit 1) among the answers.  It leaves
-out argparse usage errors, whose text changes between Python versions and
-with ``COLUMNS``, and time-budget stops, which depend on timing.
+The ``cli`` family is a corpus of command line requests.  It holds every
+``klrdim`` command in text and in JSON, with and without a time budget, on
+builtin types and on a Cartan matrix read from a JSON file, and with
+domain errors (exit 1) among the answers.  It leaves out argparse usage
+errors, whose text changes between Python versions and with ``COLUMNS``,
+and time-budget stops, which depend on timing.
 
-The digest is one SHA-256 over ``repr((argv, exit code, stdout, stderr))``
+Its digest is one SHA-256 over ``repr((argv, exit code, stdout, stderr))``
 of each request in turn, each run in-process through ``cli.run``.
-``corpus.json`` beside this file holds the committed count and digest, and
-a test checks them, so any change to a CLI output byte shows as a diff
-there.  Run
+
+The ``pairs`` family is ``graded_dim`` and ``dim`` on every ordered pair
+of a seeded, fixed set of blocks: builtin types of rank 1 to 3 and random
+symmetrizable 3x3 matrices, weights of level 1 to 3, and blocks of at most
+four letters.  Its digest is one SHA-256 over ``repr`` of each pair's
+Cartan matrix, weight, words, graded dimension (as ascending exponent and
+coefficient pairs) and dimension, in turn.
+
+``corpus.json`` beside this file holds the committed count and digest of
+each family, and a test checks them, so any change to an answer shows as a
+diff there.  Run
 
     PYTHONPATH=src python tests/corpus.py
 
-to print the count and the digest of the current tree.
+to print the counts and the digests of the current tree.
 """
 
 from __future__ import annotations
@@ -32,6 +41,13 @@ DIGESTS = Path(__file__).with_name("corpus.json")
 
 SEED = 1717
 DRAWS = 1200
+
+PAIRS_SEED = 1818
+PAIR_BLOCKS = 400
+
+# Builtin types of rank 1 to 3 that the pairs family draws from; the rest of
+# its draws are random symmetrizable 3x3 matrices.
+PAIR_TYPES = ("A1", "A2", "B2", "C2", "G2", "A1~", "A2^2", "A3", "B3", "C3", "A2~", "C2~")
 
 # (name, rank) of the builtin types the drawn requests use.
 TYPES = (
@@ -208,10 +224,50 @@ def digest() -> tuple[int, str]:
     return len(argvs), h.hexdigest()
 
 
-def committed() -> dict:
-    return json.loads(DIGESTS.read_text(encoding="utf-8"))["cli"]
+def pair_blocks() -> list[tuple]:
+    """The pairs family's blocks: (Cartan data, weight, block) triples."""
+    from conftest import random_cartan
+    from klrdim import RootElement, Weight, builtin_cartan
+
+    rng = random.Random(PAIRS_SEED)
+    out = []
+    for _ in range(PAIR_BLOCKS):
+        if rng.random() < 0.6:
+            c = builtin_cartan(rng.choice(PAIR_TYPES))
+        else:
+            c = random_cartan(rng)
+        weight = [0] * c.n
+        for _ in range(rng.randint(1, 3)):
+            weight[rng.randrange(c.n)] += 1
+        out.append((c, Weight(tuple(weight)), RootElement(tuple(_block(rng, c.n, rng.randint(0, 4))))))
+    return out
+
+
+def pairs_digest() -> tuple[int, str]:
+    """The number of ordered pairs and the SHA-256 of their dimensions."""
+    from klrdim import dim, graded_dim, tuples_with_content
+
+    h = hashlib.sha256()
+    count = 0
+    for c, lam, beta in pair_blocks():
+        tuples = tuples_with_content(beta)
+        for nu in tuples:
+            for nuprime in tuples:
+                g = graded_dim(c, lam, nu, nuprime)
+                answer = (c.matrix, lam.coeffs, nu, nuprime, g.to_pairs(), dim(c, lam, nu, nuprime))
+                h.update(repr(answer).encode())
+                count += 1
+    return count, h.hexdigest()
+
+
+def committed(family: str = "cli") -> dict:
+    return json.loads(DIGESTS.read_text(encoding="utf-8"))[family]
 
 
 if __name__ == "__main__":
     count, sha = digest()
-    print(json.dumps({"cli": {"requests": count, "sha256": sha}}, indent=2))
+    pairs, pairs_sha = pairs_digest()
+    print(json.dumps({
+        "cli": {"requests": count, "sha256": sha},
+        "pairs": {"pairs": pairs, "sha256": pairs_sha},
+    }, indent=2))

@@ -1,4 +1,4 @@
-"""The committed digest of the command line corpus (``tests/corpus.py``)."""
+"""The committed digests of the corpora in ``tests/corpus.py``."""
 
 import corpus
 
@@ -6,3 +6,8 @@ import corpus
 def test_cli_answers_match_the_committed_digest():
     count, sha = corpus.digest()
     assert {"requests": count, "sha256": sha} == corpus.committed()
+
+
+def test_pair_dimensions_match_the_committed_digest():
+    count, sha = corpus.pairs_digest()
+    assert {"pairs": count, "sha256": sha} == corpus.committed("pairs")

@@ -33,6 +33,7 @@ from klrdim.dims import (
     graded_dim_recursive,
     nilhecke_dim,
     nilhecke_graded_dim,
+    transport_column,
     tuples_with_content,
 )
 from klrdim.errors import BadShape, PreconditionFail, TimeBudgetExceeded, TooManyTerms
@@ -232,6 +233,41 @@ class TestPrunedWalk:
         assert deadline.seen[label] >= 1
         with pytest.raises(TimeBudgetExceeded):
             fn(A2, lam, nu, nuprime, deadline=Deadline(1e-9))
+
+
+class TestTransportColumn:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(*[st.integers(0, 3)] * 3),
+        st.lists(st.integers(0, 2), max_size=5),
+    )
+    # Five equal letters at level 3, more strands than the level: the
+    # column is empty.
+    @example(seed=0, lam=(3, 0, 0), nuprime=[0] * 5)
+    # A run of four letters around one other: four of five sources are nonzero.
+    @example(seed=2, lam=(3, 2, 0), nuprime=[0, 0, 0, 1, 0])
+    # Two runs and a third letter: all 30 sources are nonzero.
+    @example(seed=5, lam=(1, 2, 3), nuprime=[1, 1, 2, 2, 0])
+    # A zero weight at letter 0: 18 of the 30 sources are nonzero.
+    @example(seed=1, lam=(0, 2, 1), nuprime=[1, 0, 1, 2, 2])
+    def test_column_matches_every_pair(self, seed, lam, nuprime):
+        # One walk with the source free gives every source's dimension into
+        # nu', graded and plain; a source missing from it has dimension 0.
+        c = random_cartan(random.Random(seed))
+        lam, nuprime = Weight(lam), tuple(nuprime)
+        graded = transport_column(c, lam, nuprime, True)
+        plain = transport_column(c, lam, nuprime, False)
+        sources = set(permutations(nuprime))
+        assert set(graded) <= sources and set(plain) <= sources
+        for nu in sources:
+            want_plain, want_graded = brute_force(c, lam, nu, nuprime)
+            assert plain.get(nu, 0) == dim(c, lam, nu, nuprime) == want_plain
+            assert graded.get(nu, LaurentPoly.zero()) == graded_dim(c, lam, nu, nuprime)
+            assert graded_dim(c, lam, nu, nuprime) == want_graded
+        for nu in sources - set(plain) - set(graded):
+            assert dim(c, lam, nu, nuprime) == 0
+            assert graded_dim(c, lam, nu, nuprime).is_zero()
 
 
 class TestOracle:

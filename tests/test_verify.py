@@ -4,12 +4,14 @@ import doctest
 
 import pytest
 
+import klrdim.dims
 import klrdim.perms
 import klrdim.qpoly
+import klrdim.verify
 from klrdim.budget import Deadline
-from klrdim.cartan import Weight, builtin_cartan
+from klrdim.cartan import RootElement, Weight, builtin_cartan
 from klrdim.errors import PreconditionFail, TimeBudgetExceeded
-from klrdim.verify import SCOPES, VerifyReport, verify_suite
+from klrdim.verify import SCOPES, VerifyReport, verify_oracle, verify_suite
 from oracles import Recording
 
 
@@ -117,6 +119,39 @@ class TestSuites:
         with pytest.raises(TimeBudgetExceeded):
             verify_suite("oracle", c, Weight((3, 3, 3)), max_n=4,
                          deadline=Deadline(1e-9))
+
+
+def test_oracle_walks_each_target_word_once_per_arithmetic(monkeypatch):
+    # A2 at Lambda = (2, 1), block beta = (2, 1): its three words give nine
+    # checks from two column walks per target word, one graded and one in
+    # integers, and no per-pair walk.
+    beta = RootElement((2, 1))
+    monkeypatch.setattr(
+        klrdim.verify, "blocks_of_size", lambda c, n: iter([beta] if n == beta.size else [])
+    )
+    walks, pair_calls = [], []
+    walk = klrdim.dims._transport_sum
+
+    def counted_walk(c, lam, nu, nuprime, graded, where, deadline):
+        walks.append((nu, nuprime, graded))
+        return walk(c, lam, nu, nuprime, graded, where, deadline)
+
+    def counted_pair(name, fn):
+        def call(*args, **kwargs):
+            pair_calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(klrdim.dims, "_transport_sum", counted_walk)
+    for module in (klrdim.dims, klrdim.verify):
+        for name in ("graded_dim", "dim"):
+            monkeypatch.setattr(module, name, counted_pair(name, getattr(module, name)))
+    report = verify_oracle(builtin_cartan("A2"), Weight((2, 1)), max_n=beta.size)
+    assert report.ok and report.blocks == 1 and report.checked == 3 * 3
+    assert pair_calls == []
+    assert sorted(walks) == sorted(
+        (None, w, graded) for w in ((0, 0, 1), (0, 1, 0), (1, 0, 0)) for graded in (True, False)
+    )
 
 
 def test_module_doctests():
