@@ -1,28 +1,38 @@
 """Level reduction: higher-level dimensions from lower-level ones.
 
 Splitting the weight as Lambda = Lambda^1 + ... + Lambda^l turns each
-ungraded dimension into a shuffle-indexed sum of products of dimensions at
-the parts: pairwise over content-matched shuffle splits, blockwise with a
-multinomial-squared weight over decompositions of the block.  An l-part
-shuffle split is a two-part split followed by an (l-1)-part split of the
-remainder, so the pair sum peels off one weight part at a time and reduces
-the remainders over the rest, never evaluating a dimension at a sum of
-parts.  Each word is dealt once per (part, sum of the later parts), in
+ungraded dimension into a sum of products of dimensions at the parts:
+pairwise over content-matched shuffle splits, blockwise with a
+multinomial-squared weight over decompositions of the block.  Both sums
+peel off the first part: the sum over Lambda^i, ..., Lambda^l is a sum,
+over what Lambda^i takes, of its dimension at Lambda^i times the sum of
+what is left over Lambda^{i+1}, ..., Lambda^l.  A pair peel deals a
+subword off each word; a block peel takes a sub-block beta_1 <= beta with
+weight C(|beta|, |beta_1|)^2, and these weights multiply out to the
+multinomial squared.  Each sum is two loops and no recursion: top down
+over the parts, list the remainders that each tail of the split needs,
+with their terms; bottom up, add the terms.  The sum over one part is
+that part's own dimension, and every remainder's sum is kept in the
+caller's cache on (kind, tail weights, remainder), so a dimension is
+never evaluated at a sum of parts.  Each tail's weights enter that key as
+a small id that equal tails share.
+
+A pair peel deals each word once per (part, sum of the later parts), in
 one forward pass over its letters that deals only pieces that can be
 nonzero: in the closed formula the first slot factor of a piece a at a
 part Lambda^i is <Lambda^i, h_{a_1}> for every permutation, so a piece
 whose first letter pairs to zero with its part has dimension 0, and
-dealing stops there.  This rests on the formula,
-not on the reduction identity the sums are checked against.  The graded
-analogue genuinely fails (see the tests), which is why everything here is
-integer-valued.
+dealing stops there.  This rests on the formula, not on the reduction
+identity the sums are checked against.  The graded analogue of the pair
+sum genuinely fails (see the tests); it is computed only to show that.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
-from math import factorial
-from typing import Callable, Iterator, Sequence
+from math import comb
+from operator import add, sub
+from typing import Iterator, Sequence
 
 from . import budget
 from .budget import Deadline
@@ -71,87 +81,131 @@ def _kept(
     return kept
 
 
-def _peel(
-    parts: Sequence[Weight],
-    nu: tuple[int, ...],
-    mu: tuple[int, ...],
-    part_dim: Callable,
-    zero: int | LaurentPoly,
-    where: str,
-    deadline: Deadline | None,
-    cache: dict,
-) -> int | LaurentPoly:
-    """The level-reduction sum of (nu, mu) over the weight parts.
+def _check_split(c: CartanData, lam: Weight, split: Sequence[Weight], cache: dict) -> tuple:
+    """Validate the split once per ``cache`` and return its peels: for each
+    part, (the part, the tail id of the part alone, the tail id of the
+    later parts, the sum of their weights).  The verdict is kept in
+    ``cache``.
 
-    An l-part shuffle split is a two-part split followed by an (l-1)-part
-    split of the remainder.  So part 1's subwords are dealt off both words,
-    the sides of equal content are paired, and each pair's ``part_dim`` at
-    parts[0] multiplies the same sum for the remainders over parts[1:],
-    weighted by how many split pairs give the subwords.  That remainder sum
-    is memoized in ``cache`` on the tail weights and the two remainders:
-    it depends on each later part, not only on their sum.
+    A tail id stands for the weights of a tail of parts, and equal tails
+    of any split share one.  Ids are numbered in ``cache["tails"]`` on
+    (first weights, id of the rest, -1 for none), so the peels of l parts
+    take O(l) steps, and a memo key holds a small int in place of up to l
+    weights.
 
-    Each word is dealt once, by :func:`_kept`, which prunes while it deals
-    and memoizes on (parts[0], the tail sum, word).  A first subword
-    starting with a letter where parts[0] is zero has first slot factor 0
-    for every permutation, so its dimension is 0.  The parts are dominant,
-    so a letter where parts[1:] sum to zero is zero in each of them, and
-    whichever later piece the remainder's first letter starts has
-    dimension 0.  Both hold for every ``part_dim`` here: a graded dimension
-    is zero when its ungraded one is.
-    """
-    if len(parts) == 1:
-        return part_dim(parts[0], nu, mu)
-    head, tail = parts[0], parts[1:]
-    tail_key = tuple(part.coeffs for part in tail)
-
-    def rest_sum(rest_nu: tuple[int, ...], rest_mu: tuple[int, ...]):
-        if len(tail) == 1:
-            return part_dim(tail[0], rest_nu, rest_mu)
-        key = ("peel", tail_key, rest_nu, rest_mu)
-        hit = cache.get(key)
-        if hit is None:
-            hit = _peel(tail, rest_nu, rest_mu, part_dim, zero, where, deadline, cache)
-            cache[key] = hit
-        return hit
-
-    total = zero
-    if sorted(nu) != sorted(mu):
-        return total
-    tail_sum = tuple(map(sum, zip(*tail_key)))
-    mu_side = _kept(mu, head, tail_sum, where, deadline, cache)
-    for content, nu_entries in _kept(nu, head, tail_sum, where, deadline, cache).items():
-        for first_mu, rest_mu, k_mu in mu_side.get(content, ()):
-            for first_nu, rest_nu, k_nu in nu_entries:
-                budget.check(deadline, where)
-                term = part_dim(head, first_nu, first_mu)
-                if term != 0:
-                    total = total + (k_nu * k_mu) * term * rest_sum(rest_nu, rest_mu)
-    return total
-
-
-def _check_split(c: CartanData, lam: Weight, split: Sequence[Weight], cache: dict) -> None:
-    """Validate the split once per ``cache``: a passing verdict is kept.
-
-    The part dimensions in ``cache`` are keyed without the Cartan data, so
-    the cache records the Cartan data it was first filled for and refuses
-    any other.
+    The dimensions in ``cache`` are keyed without the Cartan data, so the
+    cache records the Cartan data it was first filled for and refuses any
+    other.
     """
     filled_for = cache.setdefault("filled for", c)
     if filled_for is not c and filled_for != c:
         raise PreconditionFail("this cache was filled for other Cartan data")
-    key = ("split", lam.coeffs, tuple(part.coeffs for part in split))
-    if key in cache:
-        return
+    weights = tuple(part.coeffs for part in split)
+    key = ("split", lam.coeffs, weights)
+    peels = cache.get(key)
+    if peels is not None:
+        return peels
     if not split:
         raise PreconditionFail("need at least one weight part")
-    if len({len(part.coeffs) for part in split}) > 1:
+    if len({len(w) for w in weights}) > 1:
         raise BadShape("weights live over different node sets")
-    if tuple(map(sum, zip(*(part.coeffs for part in split)))) != lam.coeffs:
+    if tuple(map(sum, zip(*weights))) != lam.coeffs:
         raise PreconditionFail("weight parts must sum to the target weight")
     if any(not part.is_dominant for part in split):
         raise PreconditionFail("every weight part must be dominant")
-    cache[key] = True
+    tails = cache.setdefault("tails", {})
+    peels, tail, tail_sum = [], -1, (0,) * len(lam.coeffs)
+    for part, w in zip(reversed(split), reversed(weights)):
+        peels.append((part, tails.setdefault((w, -1), len(tails)), tail, tail_sum))
+        tail = tails.setdefault((w, tail), len(tails))
+        tail_sum = tuple(map(add, w, tail_sum))
+    peels = cache[key] = tuple(reversed(peels))
+    return peels
+
+
+def _add_up(listed: list, peels: tuple, kind: str, top, zero, cache: dict):
+    """Add the terms that a top-down pass listed, the deepest peel first.
+
+    ``listed[i]`` maps each remainder that ``split[i:]`` is to sum to its
+    terms, (coefficient, remainder for ``split[i + 1:]``), and each term's
+    remainder sum is in ``cache`` by the time it is read: added before it,
+    or kept from an earlier call.  Each sum goes into ``cache`` on
+    ``(kind, tail id, remainder)``, except the sum of ``top`` over the
+    whole split, which is returned.  With one part, that is the part's own
+    dimension, already in ``cache``.
+    """
+    for i in range(len(listed) - 1, -1, -1):
+        tail = peels[i][2]
+        for x, terms in listed[i].items():
+            total = zero
+            for coef, rest in terms:
+                total = total + coef * cache[(kind, tail, rest)]
+            if not i:
+                return total
+            cache[(kind, peels[i - 1][2], x)] = total
+    return cache[(kind, peels[0][1], top)]
+
+
+def _pair_sum(
+    c: CartanData, lam: Weight, nu: Sequence[int], mu: Sequence[int], split: Sequence[Weight],
+    graded: bool, deadline: Deadline | None, cache: dict,
+) -> int | LaurentPoly:
+    """The level-reduction sum of (nu, mu) over the weight parts; ``graded``
+    picks the arithmetic, as in :func:`dims._transport_sum`.
+
+    Top down, each part but the last deals its subwords off both words of
+    every remainder pair that it and the later parts are to sum, by
+    :func:`_kept`, and pairs the sides of equal content.  Each pair whose
+    dimension at the part is nonzero is listed as a term: the two split
+    counts times that dimension, with the remainders for the later parts,
+    which the next part deals in turn unless their sum is in ``cache``.
+    The last part's remainders get its own dimension, and :func:`_add_up`
+    adds the terms bottom up.  A sum over several parts depends on each of
+    them, not only on their sum, so it is keyed on the tail's id.
+
+    A first subword starting with a letter where its part is zero has
+    first slot factor 0 for every permutation, so its dimension is 0.  The
+    parts are dominant, so a letter where the later parts sum to zero is
+    zero in each of them, and whichever later piece the remainder's first
+    letter starts has dimension 0.  Both hold in either arithmetic: a
+    graded dimension is zero when its ungraded one is.
+    """
+    peels = _check_split(c, lam, split, cache)
+    nu, mu = tuple(nu), tuple(mu)
+    if len(nu) != len(mu):
+        raise LengthMismatch("tuples must have the same length")
+    zero, dimension, where = 0, dim, "level reduction sum"
+    if graded:
+        zero, dimension, where = LaurentPoly.zero(), graded_dim, "graded level reduction sum"
+    if sorted(nu) != sorted(mu):
+        return zero
+    wanted, listed = {(nu, mu): None}, []
+    for head, alone, tail, tail_sum in peels[:-1]:
+        level, needs = {}, {}
+        for pair in wanted:
+            mu_side = _kept(pair[1], head, tail_sum, where, deadline, cache)
+            terms = level[pair] = []
+            for content, nu_entries in _kept(pair[0], head, tail_sum, where, deadline, cache).items():
+                for first_mu, rest_mu, k_mu in mu_side.get(content, ()):
+                    for first_nu, rest_nu, k_nu in nu_entries:
+                        budget.check(deadline, where)
+                        key = ("pair", alone, (first_nu, first_mu))
+                        term = cache.get(key)
+                        if term is None:
+                            term = cache[key] = dimension(c, head, first_nu, first_mu, deadline)
+                        if term != 0:
+                            rest = (rest_nu, rest_mu)
+                            terms.append(((k_nu * k_mu) * term, rest))
+                            if ("pair", tail, rest) not in cache:
+                                needs[rest] = None
+        listed.append(level)
+        wanted = needs
+    last, alone = peels[-1][:2]
+    for rest in wanted:
+        key = ("pair", alone, rest)
+        if key not in cache:
+            cache[key] = dimension(c, last, *rest, deadline)
+    return _add_up(listed, peels, "pair", (nu, mu), zero, cache)
 
 
 def reduce_pair_dim_multi(
@@ -172,31 +226,16 @@ def reduce_pair_dim_multi(
     distinct subword pairs weighted by their split counts.  It deals only
     subwords whose first letter is positive in their part and remainders
     whose first letter is positive in the sum of the later parts: every
-    other pair has a zero dimension factor.  Inner dimensions repeat
-    massively across pairs, so they are memoized on (part weight,
-    sub-source, sub-target), the remainder sums on (tail weights,
-    remainders), and the dealt subwords in one memo on (part weight, tail
+    other pair has a zero dimension factor.  The part dimensions and the
+    remainder sums are memoized on (tail weights, remainders), a part
+    alone being a tail of one, and the dealt subwords on (part weight, tail
     sum, word); pass an external ``cache`` dict to share them across calls
     with the same Cartan data.  A cache passed with other Cartan data than
     it was filled for raises :class:`PreconditionFail`.
     """
     if cache is None:
         cache = {}
-    _check_split(c, lam, split, cache)
-    nu = tuple(nu)
-    mu = tuple(mu)
-    if len(nu) != len(mu):
-        raise LengthMismatch("tuples must have the same length")
-
-    def part_dim(part: Weight, sub_nu: tuple[int, ...], sub_mu: tuple[int, ...]) -> int:
-        key = (part.coeffs, sub_nu, sub_mu)
-        hit = cache.get(key)
-        if hit is None:
-            hit = dim(c, part, sub_nu, sub_mu, deadline=deadline)
-            cache[key] = hit
-        return hit
-
-    return _peel(split, nu, mu, part_dim, 0, "level reduction sum", deadline, cache)
+    return _pair_sum(c, lam, nu, mu, split, False, deadline, cache)
 
 
 def reduce_pair_graded(
@@ -207,34 +246,14 @@ def reduce_pair_graded(
     split: Sequence[Weight],
     deadline: Deadline | None = None,
 ) -> LaurentPoly:
-    """The would-be graded analogue of :func:`reduce_pair_dim_multi`.
+    """The would-be graded analogue of :func:`reduce_pair_dim_multi`: the
+    same peel in Laurent polynomials, with a cache of its own.
 
     This does NOT equal the graded dimension in general -- already one
     nilHecke strand at level two breaks it -- but computing it is how the
     failure is demonstrated.
     """
-    cache: dict = {}
-    _check_split(c, lam, split, cache)
-    nu = tuple(nu)
-    mu = tuple(mu)
-    if len(nu) != len(mu):
-        raise LengthMismatch("tuples must have the same length")
-
-    def part_dim(part: Weight, sub_nu: tuple[int, ...], sub_mu: tuple[int, ...]) -> LaurentPoly:
-        return graded_dim(c, part, sub_nu, sub_mu, deadline=deadline)
-
-    return _peel(
-        split, nu, mu, part_dim, LaurentPoly.zero(), "graded level reduction sum",
-        deadline, cache,
-    )
-
-
-def _splits(coeffs: Sequence[int], parts: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every way to write each entry of coeffs as an ordered sum of ``parts``
-    non-negative integers, as one coefficient tuple per part.  The first
-    entry's composition varies slowest; each composition is lexicographic."""
-    for choice in iproduct(*(list(_compositions(m, parts)) for m in coeffs)):
-        yield tuple(tuple(col[slot] for col in choice) for slot in range(parts))
+    return _pair_sum(c, lam, nu, mu, split, True, deadline, {})
 
 
 def reduce_block_dim(
@@ -247,47 +266,54 @@ def reduce_block_dim(
 ) -> int:
     """dim R^Lambda(beta) as the multinomial-squared weighted sum of
     products of block dimensions at the weight parts, over all ordered
-    decompositions of beta.  ``cache`` as in :func:`reduce_pair_dim_multi`;
-    it also keeps each (beta, l)'s decompositions, as coefficient tuples
-    with their weights."""
+    decompositions of beta.
+
+    It lists no decomposition: it peels off one part at a time, as
+    :func:`reduce_pair_dim_multi` does.  Each part but the last takes every
+    sub-block beta_1 of the block left to it, and each beta_1 of nonzero
+    dimension there is a term: C(|beta|, |beta_1|)^2 times that dimension,
+    with beta - beta_1 for the later parts.  The binomials along a
+    decomposition multiply out to its multinomial.  The time budget is
+    checked once per sub-block taken.  ``cache`` as in
+    :func:`reduce_pair_dim_multi`: the block dimensions at the parts and
+    the remainder sums are kept on (tail weights, remainder).
+    """
     if cache is None:
         cache = {}
-    _check_split(c, lam, split, cache)
-    l = len(split)
-
-    def inner(i: int, part: tuple[int, ...]) -> int:
-        key = ("block", split[i].coeffs, part)
-        hit = cache.get(key)
-        if hit is None:
-            hit = block_dim(c, split[i], RootElement(part), deadline=deadline)
-            cache[key] = hit
-        return hit
-
-    key = ("decompositions", beta.coeffs, l)
-    decompositions = cache.get(key)
-    if decompositions is None:
-        decompositions = []
-        for parts in _splits(beta.coeffs, l):
-            weight = factorial(beta.size)
-            for part in parts:
-                weight //= factorial(sum(part))
-            decompositions.append((parts, weight * weight))
-        cache[key] = decompositions
-    total = 0
-    for parts, weight in decompositions:
-        budget.check(deadline, "block level reduction")
-        term = weight
-        for i in range(l):
-            term *= inner(i, parts[i])
-            if term == 0:
-                break
-        total += term
-    return total
+    peels = _check_split(c, lam, split, cache)
+    wanted, listed = {beta.coeffs: None}, []
+    for head, alone, tail, _ in peels[:-1]:
+        level, needs = {}, {}
+        for block in wanted:
+            size = sum(block)
+            terms = level[block] = []
+            for first in iproduct(*[range(m + 1) for m in block]):
+                budget.check(deadline, "block level reduction")
+                key = ("block", alone, first)
+                term = cache.get(key)
+                if term is None:
+                    term = cache[key] = block_dim(c, head, RootElement(first), deadline)
+                if term:
+                    rest = tuple(map(sub, block, first))
+                    terms.append((comb(size, sum(first)) ** 2 * term, rest))
+                    if ("block", tail, rest) not in cache:
+                        needs[rest] = None
+        listed.append(level)
+        wanted = needs
+    last, alone = peels[-1][:2]
+    for rest in wanted:
+        key = ("block", alone, rest)
+        if key not in cache:
+            cache[key] = block_dim(c, last, RootElement(rest), deadline)
+    return _add_up(listed, peels, "block", beta.coeffs, 0, cache)
 
 
 def dominant_splits(lam: Weight, parts: int) -> Iterator[tuple[Weight, ...]]:
-    """All ordered ways to write lam as a sum of ``parts`` dominant weights."""
+    """All ordered ways to write lam as a sum of ``parts`` dominant weights:
+    each coefficient of lam is written as an ordered sum of ``parts``
+    non-negative integers.  The first coefficient's composition varies
+    slowest; each composition is lexicographic."""
     if not lam.is_dominant:
         raise PreconditionFail("can only split a dominant weight")
-    for split in _splits(lam.coeffs, parts):
-        yield tuple(Weight(col) for col in split)
+    for choice in iproduct(*(list(_compositions(m, parts)) for m in lam.coeffs)):
+        yield tuple(Weight(tuple(col[slot] for col in choice)) for slot in range(parts))

@@ -17,6 +17,16 @@ four letters.  Its digest is one SHA-256 over ``repr`` of each pair's
 Cartan matrix, weight, words, graded dimension (as ascending exponent and
 coefficient pairs) and dimension, in turn.
 
+The ``levelred`` family is the three level reductions on a seeded, fixed
+set of blocks: builtin types of rank 1 to 3 and random symmetrizable 3x3
+matrices, weights of level 1 to 3, blocks of at most three letters, and
+two splits of the weight into 1 to 3 dominant parts each, zero parts
+included, that share one cache.  For each split it holds
+``reduce_block_dim`` of the block and ``reduce_pair_dim_multi`` of every
+ordered pair of the block, and ``reduce_pair_graded`` of every pair of
+blocks of at most two letters.  Its digest is one SHA-256 over ``repr`` of
+each block's Cartan matrix, weight, splits and answers, in turn.
+
 ``corpus.json`` beside this file holds the committed count and digest of
 each family, and a test checks them, so any change to an answer shows as a
 diff there.  Run
@@ -44,6 +54,9 @@ DRAWS = 1200
 
 PAIRS_SEED = 1818
 PAIR_BLOCKS = 400
+
+LEVELRED_SEED = 1919
+LEVELRED_BLOCKS = 600
 
 # Builtin types of rank 1 to 3 that the pairs family draws from; the rest of
 # its draws are random symmetrizable 3x3 matrices.
@@ -122,13 +135,13 @@ def _block(rng: random.Random, rank: int, size: int) -> list[int]:
     return beta
 
 
-def _split(rng: random.Random, weight: list[int]) -> str:
+def _split(rng: random.Random, weight: list[int]) -> list[list[int]]:
     """The weight dealt into 1-3 parts, each a non-negative weight."""
     parts = [[0] * len(weight) for _ in range(rng.randint(1, 3))]
     for node, k in enumerate(weight):
         for _ in range(k):
             parts[rng.randrange(len(parts))][node] += 1
-    return ";".join(_csv(p) for p in parts)
+    return parts
 
 
 def _request(rng: random.Random) -> list[str]:
@@ -167,7 +180,7 @@ def _request(rng: random.Random) -> list[str]:
         if rng.random() < 0.5:
             argv.append("--list")
     elif command == "reduce":
-        argv = ["reduce", *head, "--split", _split(rng, weight)]
+        argv = ["reduce", *head, "--split", ";".join(_csv(p) for p in _split(rng, weight))]
         if rng.random() < 0.6:
             nu = _word(rng, rank, 0, 3)
             argv += ["--nu", _csv(nu), "--mu", _csv(_shuffled(rng, nu))]
@@ -224,14 +237,15 @@ def digest() -> tuple[int, str]:
     return len(argvs), h.hexdigest()
 
 
-def pair_blocks() -> list[tuple]:
-    """The pairs family's blocks: (Cartan data, weight, block) triples."""
+def pair_blocks(rng: random.Random, draws: int, size: int) -> list[tuple]:
+    """Seeded (Cartan data, weight, block) triples: builtin types of rank 1
+    to 3 and random 3x3 matrices, weights of level 1 to 3, and blocks of at
+    most ``size`` letters."""
     from conftest import random_cartan
     from klrdim import RootElement, Weight, builtin_cartan
 
-    rng = random.Random(PAIRS_SEED)
     out = []
-    for _ in range(PAIR_BLOCKS):
+    for _ in range(draws):
         if rng.random() < 0.6:
             c = builtin_cartan(rng.choice(PAIR_TYPES))
         else:
@@ -239,7 +253,7 @@ def pair_blocks() -> list[tuple]:
         weight = [0] * c.n
         for _ in range(rng.randint(1, 3)):
             weight[rng.randrange(c.n)] += 1
-        out.append((c, Weight(tuple(weight)), RootElement(tuple(_block(rng, c.n, rng.randint(0, 4))))))
+        out.append((c, Weight(tuple(weight)), RootElement(tuple(_block(rng, c.n, rng.randint(0, size))))))
     return out
 
 
@@ -249,7 +263,7 @@ def pairs_digest() -> tuple[int, str]:
 
     h = hashlib.sha256()
     count = 0
-    for c, lam, beta in pair_blocks():
+    for c, lam, beta in pair_blocks(random.Random(PAIRS_SEED), PAIR_BLOCKS, 4):
         tuples = tuples_with_content(beta)
         for nu in tuples:
             for nuprime in tuples:
@@ -260,6 +274,33 @@ def pairs_digest() -> tuple[int, str]:
     return count, h.hexdigest()
 
 
+def levelred_digest() -> tuple[int, str]:
+    """The number of level-reduction answers and the SHA-256 of them."""
+    from klrdim import (
+        Weight, reduce_block_dim, reduce_pair_dim_multi, reduce_pair_graded,
+        tuples_with_content,
+    )
+
+    rng = random.Random(LEVELRED_SEED)
+    h = hashlib.sha256()
+    count = 0
+    for c, lam, beta in pair_blocks(rng, LEVELRED_BLOCKS, 3):
+        tuples = tuples_with_content(beta)
+        cache: dict = {}
+        answers = []
+        for split in (_split(rng, lam.coeffs) for _ in range(2)):
+            parts = [Weight(tuple(p)) for p in split]
+            answers.append((split, reduce_block_dim(c, lam, beta, parts, cache=cache)))
+            for nu in tuples:
+                for mu in tuples:
+                    answers.append((nu, mu, reduce_pair_dim_multi(c, lam, nu, mu, parts, cache=cache)))
+                    if beta.size <= 2:
+                        answers.append(reduce_pair_graded(c, lam, nu, mu, parts).to_pairs())
+        count += len(answers)
+        h.update(repr((c.matrix, lam.coeffs, beta.coeffs, answers)).encode())
+    return count, h.hexdigest()
+
+
 def committed(family: str = "cli") -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))[family]
 
@@ -267,7 +308,9 @@ def committed(family: str = "cli") -> dict:
 if __name__ == "__main__":
     count, sha = digest()
     pairs, pairs_sha = pairs_digest()
+    answers, levelred_sha = levelred_digest()
     print(json.dumps({
         "cli": {"requests": count, "sha256": sha},
         "pairs": {"pairs": pairs, "sha256": pairs_sha},
+        "levelred": {"answers": answers, "sha256": levelred_sha},
     }, indent=2))

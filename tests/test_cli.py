@@ -314,6 +314,30 @@ class TestReduce:
         assert code == 0
         assert doc["match"] is True
 
+    def test_pair_over_many_unit_parts(self, capsys):
+        # 1200 unit parts: the peel is a loop over the parts, so the sum
+        # runs with the recursion limit only 150 frames above this test.
+        split = ";".join(["1"] * 1200)
+        with shallow_stack():
+            code, doc, _ = invoke_json(
+                capsys, "reduce", "--cartan", "A1", "--weight", "1200",
+                "--split", split, "--nu", "1", "--mu", "1",
+            )
+        assert code == 0
+        assert doc["reduced"] == doc["direct"] == 1200 and doc["match"] is True
+
+    def test_block_over_many_unit_parts(self, capsys):
+        # 14 unit parts and 9 letters: each part takes at most one letter,
+        # and the peel lists no decomposition, so this ends well inside
+        # its budget.
+        split = ";".join(["1"] * 14)
+        code, doc, _ = invoke_json(
+            capsys, "reduce", "--cartan", "A1", "--weight", "14",
+            "--split", split, "--beta", "9", "--time-budget", "5",
+        )
+        assert code == 0
+        assert doc["reduced"] == doc["direct"] and doc["match"] is True
+
     @pytest.mark.parametrize("selectors", [
         ("--nu", "1", "--mu", "1", "--beta", "1,0"),
         ("--nu", "1", "--beta", "1,0"),

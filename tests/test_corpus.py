@@ -11,3 +11,8 @@ def test_cli_answers_match_the_committed_digest():
 def test_pair_dimensions_match_the_committed_digest():
     count, sha = corpus.pairs_digest()
     assert {"pairs": count, "sha256": sha} == corpus.committed("pairs")
+
+
+def test_level_reductions_match_the_committed_digest():
+    count, sha = corpus.levelred_digest()
+    assert {"answers": count, "sha256": sha} == corpus.committed("levelred")

@@ -16,7 +16,6 @@ from klrdim.dims import block_dim, blocks_of_size, dim, graded_dim, tuples_with_
 from klrdim.errors import BadShape, LengthMismatch, PreconditionFail, TimeBudgetExceeded
 from klrdim.levelred import (
     _kept,
-    _splits,
     dominant_splits,
     reduce_block_dim,
     reduce_pair_dim_multi,
@@ -294,6 +293,29 @@ class TestPruning:
 
 
 class TestBlockReduction:
+    def test_peel_checks_once_per_sub_block(self):
+        # A1 at Lambda = 3 over three unit parts, beta = 2 letters.  The
+        # first part takes 0, 1 or 2 of the two letters: three checks.  At
+        # level one a block of two letters has dimension 0, so that leaves
+        # 2 or 1 letters for the other parts.  The second part takes 0, 1
+        # or 2 of the two and 0 or 1 of the one: five checks.  The last
+        # part's sums are its own block dimensions, which need no check:
+        # 3 + 5 = 8.  One check per decomposition of 2 into three parts
+        # would make 6.
+        deadline = Recording(3600)
+        split = (Weight((1,)),) * 3
+        got = reduce_block_dim(RANK1, Weight((3,)), RootElement((2,)), split, deadline=deadline)
+        assert got == block_dim(RANK1, Weight((3,)), RootElement((2,)))
+        assert deadline.seen["block level reduction"] == 8
+
+    def test_many_unit_parts(self):
+        # Each peel is a step of a loop over the parts, and no list of the
+        # 1200 * 1201 / 2 decompositions of 2 into 1200 parts is made.
+        split = (Weight((1,)),) * 1200
+        with shallow_stack():
+            got = reduce_block_dim(RANK1, Weight((1200,)), RootElement((2,)), split)
+        assert got == block_dim(RANK1, Weight((1200,)), RootElement((2,))) == 2 * 1200 * 1199
+
     def test_two_strand_terms(self):
         # decompositions (2,0), (1,1), (0,2): only the middle survives
         assert block_dim(RANK1, Weight((1,)), RootElement((2,))) == 0
@@ -370,10 +392,10 @@ class TestSplitEnumerations:
         # the last part first.  No recursion grows with the parts, so this
         # runs with the recursion limit only 150 frames above this test.
         with shallow_stack():
-            splits = _splits((1,), 1200)
+            splits = dominant_splits(Weight((1,)), 1200)
             first = next(splits)
             count = 1 + sum(1 for _ in splits)
-        assert first == ((0,),) * 1199 + ((1,),)
+        assert tuple(part.coeffs for part in first) == ((0,),) * 1199 + ((1,),)
         assert count == 1200
 
     @pytest.mark.parametrize("parts", [0, -1])

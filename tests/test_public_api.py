@@ -17,6 +17,11 @@ AWAITING_A_CALLER = {
     "crossing_degree": "the graded basis product (ROADMAP item 3)",
     "quantum_factorial": "the run step of the pair walk (ROADMAP item 8)",
 }
+# Library functions that still call themselves, each with the step that
+# turns it into a loop.
+STILL_RECURSIVE = {
+    "dims.graded_dim_recursive.rec": "an explicit stack with the same memo keys (ROADMAP item 10)",
+}
 
 
 def demo_imports():
@@ -90,3 +95,38 @@ def test_docstring_examples_run():
         assert result.failed == 0, module.__name__
         attempted += result.attempted
     assert attempted > 0
+
+
+def self_calls():
+    """Every function in ``src/klrdim/`` that calls itself by name (or as
+    ``self.name``/``cls.name``), as ``module.enclosing.name``."""
+    def callee(func):
+        if isinstance(func, ast.Name):
+            return func.id
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            return func.attr if func.value.id in ("self", "cls") else None
+        return None
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = set()
+    for path in sorted((ROOT / "src" / "klrdim").glob("*.py")):
+        stack = [(path.stem, ast.parse(path.read_text()))]
+        while stack:
+            scope, node = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                inner = scope
+                if isinstance(child, (*functions, ast.ClassDef)):
+                    inner = f"{scope}.{child.name}"
+                if isinstance(child, functions) and any(
+                    isinstance(n, ast.Call) and callee(n.func) == child.name
+                    for n in ast.walk(child)
+                ):
+                    found.add(inner)
+                stack.append((inner, child))
+    return found
+
+
+def test_no_library_function_calls_itself():
+    # A function that recurses once per letter or per part overflows the
+    # stack on long input; the ones left wait for their loop.
+    assert self_calls() == set(STILL_RECURSIVE)
