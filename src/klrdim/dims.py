@@ -36,7 +36,11 @@ A whole block is summed over its target words alone: the column
 C(w) = dim_q R^Lambda(beta) e(w) obeys the peeling recurrence with the source
 summed out.  One walk by word length builds the nonzero columns of length
 m + 1 from those of length m, in Laurent polynomials for
-:func:`block_graded_dim` and in plain integers for :func:`block_dim`.  The
+:func:`block_graded_dim` and in plain integers for :func:`block_dim`.  Each
+word carries its pairing vector and its runs of equal letters, so an
+extension costs O(rank) before its terms; all deletions in a run are one
+word, so a run costs one lookup and one closed factor
+[r][f - r + 1]; and a word's terms are summed in one dict.  The
 embedding R^Lambda(m) into R^Lambda(n) maps e(w') to e(w' i), so a zero word
 has only zero extensions: zero words are not stored, so they are never
 extended.  R^Lambda(n) is the direct sum of its blocks, so an algebra sum is
@@ -48,6 +52,7 @@ sums are checked against.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
 from math import factorial, prod
 from typing import Iterator, Sequence
@@ -57,7 +62,7 @@ from .budget import Deadline
 from .cartan import CartanData, RootElement, Weight, root_pairing
 from .errors import BadShape, LengthMismatch, PreconditionFail, TooManyTerms
 from .perms import IndexTuple, Perm, min_coset_reps
-from .qpoly import MAX_TERMS, LaurentPoly, quantum_int
+from .qpoly import MAX_TERMS, LaurentPoly, quantum_int, sum_of_products
 
 
 def dim_factor(c: CartanData, lam: Weight, w: Perm, nu: Sequence[int], t: int) -> int:
@@ -452,39 +457,80 @@ def _columns(
     the bound; the deletions of a longer word are looked up in that dict.
     Zero words are not stored, so they are never extended: the embedding
     R^Lambda(m) into R^Lambda(n) maps e(w') to e(w' i), so C(w') = 0 forces
-    C(w' i) = 0, and a word missing from the dict is zero.  The pairings
-    are kept as one running vector over the nodes, and the terms are added
-    up per letter x before the one shift of x is applied.  ``graded`` picks
-    the arithmetic: Laurent polynomials, with quantum integers and shifts by
-    q^e, or plain integers at q = 1, where [f] is f and every shift is the
-    identity.
+    C(w' i) = 0, and a word missing from the dict is zero.
+
+    Each stored word carries, beside its column, its pairing vector
+    <Lambda - |w|, h_y> over the nodes y and its runs of equal letters,
+    each as its first slot and the identity factor f there.  Extending by
+    i then costs O(rank): the new pairing is the old one less column i of
+    the Cartan matrix, and a new run starts at factor pairing[i] unless the
+    word already ends in i.  The shift of x is read off the new pairing
+    before any term is built.  Deleting any slot of a run of r letters x
+    gives the same word, and the factor drops by a_xx = 2 from slot to
+    slot, so the run takes one lookup and one factor,
+
+        sum_{j<r} [f - 2j]_{q^{d_x}} = [r]_{q^{d_x}} [f - r + 1]_{q^{d_x}},
+
+    which is r (f - r + 1) at q = 1.  ``graded`` picks the arithmetic:
+    Laurent polynomials, where a word's terms go into one dict through
+    :func:`~klrdim.qpoly.sum_of_products`, or plain integers at q = 1,
+    where every shift is the identity.
     """
     if len(lam.coeffs) != c.n or len(bound) != c.n:
         raise BadShape(f"the weight and the block need one entry per node, {c.n} in all")
     if size < 0:
         raise ValueError("size must be >= 0")
-    one, factor, shifted = (LaurentPoly.one(), quantum_int, LaurentPoly.shift) if graded else _AT_ONE
-    zero, d, columns = one * 0, c.symmetrizer, list(zip(*c.matrix))
-    level: dict = {(): one}
+    if graded:
+        one, run_factor, total = LaurentPoly.one(), _run_factor, sum_of_products
+    else:
+        one, run_factor, total = 1, _run_factor_at_one, _sum_at_one
+    d, columns = c.symmetrizer, list(zip(*c.matrix))
+    # Each stored word maps to (C(w), the pairing vector after w, its runs
+    # as (first slot, identity factor there)).
+    level: dict = {(): (one, lam.coeffs, ())}
     for _ in range(size):
         level, stems = {}, level
-        for stem in stems:
+        for stem, (_, pairing, runs) in stems.items():
             for i in range(c.n):
                 if stem.count(i) == bound[i]:
                     continue
                 budget.check(deadline, "block sum")
-                word, pairing, per_letter = stem + (i,), list(lam.coeffs), {}
-                for k, x in enumerate(word):
-                    if pairing[x] and (rest := stems.get(word[:k] + word[k + 1 :])) is not None:
-                        per_letter[x] = per_letter.get(x, zero) + factor(pairing[x], d[x]) * rest
-                    pairing = [p - a for p, a in zip(pairing, columns[x])]
-                value = sum((shifted(v, d[x] * (1 + pairing[x])) for x, v in per_letter.items()), zero)
+                word, after = stem + (i,), tuple(p - a for p, a in zip(pairing, columns[i]))
+                runs_i = runs if stem and stem[-1] == i else (*runs, (len(stem), pairing[i]))
+                terms, end = [], len(word)
+                for start, f in reversed(runs_i):
+                    # A run whose factor is zero, or whose deletion is a
+                    # zero word, adds nothing.
+                    r = end - start
+                    if f != r - 1 and (rest := stems.get(word[:start] + word[start + 1 :])) is not None:
+                        x = word[start]
+                        terms.append((run_factor(r, f, d[x]), rest[0], d[x] * (1 + after[x])))
+                    end = start
+                value = total(terms)
                 if value != 0:
-                    level[word] = value
-    return level
+                    level[word] = (value, after, runs_i)
+    return {word: value for word, (value, _, _) in level.items()}
 
 
-# The walks' arithmetic at q = 1: the unit, the factor [f] and the shift.
+@lru_cache(maxsize=None)
+def _run_factor(r: int, f: int, dx: int) -> LaurentPoly:
+    """The sum over a run of r equal letters x whose first identity factor
+    is f: sum_{j<r} [f - 2j]_{q^{d_x}} = [r]_{q^{d_x}} [f - r + 1]_{q^{d_x}}."""
+    return quantum_int(r, dx) * quantum_int(f - r + 1, dx)
+
+
+def _run_factor_at_one(r: int, f: int, dx: int) -> int:
+    """:func:`_run_factor` at q = 1: r (f - r + 1)."""
+    return r * (f - r + 1)
+
+
+def _sum_at_one(triples) -> int:
+    """:func:`~klrdim.qpoly.sum_of_products` at q = 1, where every shift is
+    the identity."""
+    return sum(a * b for a, b, _ in triples)
+
+
+# The pair walk's arithmetic at q = 1: the unit, the factor [f] and the shift.
 _AT_ONE = (1, lambda f, dx: f, lambda v, e: v)
 
 
@@ -493,8 +539,8 @@ def block_graded_dim(
 ) -> LaurentPoly:
     """Graded dimension of the whole block R^Lambda(beta): the sum of the
     columns that the walk of :func:`_columns` builds up to content beta in
-    Laurent polynomials, with one quantum integer per slot and one shift per
-    letter."""
+    Laurent polynomials, with one lookup and one cached factor
+    [r][f - r + 1] per run of equal letters and one term dict per word."""
     columns = _columns(c, lam, beta.coeffs, beta.size, graded=True, deadline=deadline)
     return sum(columns.values(), LaurentPoly.zero())
 
@@ -503,8 +549,8 @@ def block_dim(
     c: CartanData, lam: Weight, beta: RootElement, deadline: Deadline | None = None
 ) -> int:
     """Ungraded dimension of the whole block R^Lambda(beta): the same column
-    walk in plain integers, where each factor is the integer f itself and
-    every shift is the identity.  It builds no polynomial;
+    walk in plain integers, where a run's factor is the integer
+    r (f - r + 1) and every shift is the identity.  It builds no polynomial;
     :func:`block_graded_dim` at q = 1 is checked against it."""
     return sum(_columns(c, lam, beta.coeffs, beta.size, graded=False, deadline=deadline).values())
 
@@ -513,7 +559,7 @@ def algebra_graded_dim(
     c: CartanData, lam: Weight, n: int, deadline: Deadline | None = None
 ) -> LaurentPoly:
     """Graded dimension of R^Lambda(n), the direct sum of its blocks of size
-    n: one column walk over all words of length n."""
+    n: one column walk over all words of length n, in Laurent polynomials."""
     columns = _columns(c, lam, (n,) * c.n, n, graded=True, deadline=deadline)
     return sum(columns.values(), LaurentPoly.zero())
 
@@ -521,6 +567,7 @@ def algebra_graded_dim(
 def algebra_dim(
     c: CartanData, lam: Weight, n: int, deadline: Deadline | None = None
 ) -> int:
-    """Ungraded dimension of R^Lambda(n), by the integer column walk."""
+    """Ungraded dimension of R^Lambda(n): the same column walk over all
+    words of length n, in plain integers."""
     return sum(_columns(c, lam, (n,) * c.n, n, graded=False, deadline=deadline).values())
 

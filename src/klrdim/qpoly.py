@@ -14,6 +14,8 @@ A quantum integer or factorial of more than :data:`MAX_TERMS` terms is
 refused with :class:`~klrdim.errors.TooManyTerms`: one dict entry per term
 would exhaust memory inside a single call, before any time budget could
 stop it.
+:func:`sum_of_products` sums many shifted products q^s a b into one dict
+of terms, so a sum of products builds no intermediate polynomial.
 :func:`divide_exact` divides exactly and raises
 :class:`~klrdim.errors.DivisionInexact` on any remainder.
 
@@ -56,14 +58,6 @@ class LaurentPoly:
     @classmethod
     def one(cls) -> LaurentPoly:
         return cls({0: 1})
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> LaurentPoly:
-        """Build from (exponent, coefficient) pairs, summing repeats."""
-        t: dict[int, int] = {}
-        for e, c in pairs:
-            t[e] = t.get(e, 0) + c
-        return cls(t)
 
     # -- inspection --------------------------------------------------------
 
@@ -182,6 +176,26 @@ class LaurentPoly:
         for sign, body in parts[1:]:
             out += sign + body
         return out
+
+
+def sum_of_products(triples: Iterable[tuple[LaurentPoly, LaurentPoly, int]]) -> LaurentPoly:
+    """The sum of q^s * a * b over the (a, b, s) triples.
+
+    Every product term goes into one dict, and the zero coefficients are
+    dropped once at the end, so no intermediate polynomial is built.
+    """
+    t: dict[int, int] = {}
+    get = t.get
+    for a, b, s in triples:
+        bt = b._terms.items()
+        for e1, c1 in a._terms.items():
+            e1 += s
+            for e2, c2 in bt:
+                e = e1 + e2
+                t[e] = get(e, 0) + c1 * c2
+    out = LaurentPoly.__new__(LaurentPoly)
+    out._terms = {e: c for e, c in t.items() if c}
+    return out
 
 
 def eval_one(p: LaurentPoly) -> int:

@@ -27,6 +27,18 @@ ordered pair of the block, and ``reduce_pair_graded`` of every pair of
 blocks of at most two letters.  Its digest is one SHA-256 over ``repr`` of
 each block's Cartan matrix, weight, splits and answers, in turn.
 
+The ``blocks`` family is ``block_graded_dim`` and ``block_dim`` of a
+seeded, fixed set of blocks (builtin types of rank 1 to 3 and random
+symmetrizable 3x3 matrices, weights of level 1 to 3, blocks of at most five
+letters), with ``algebra_graded_dim`` and ``algebra_dim`` of each drawn
+Cartan matrix and weight at a drawn size of at most four.  It then holds
+the block sums of long single-letter runs in type A1, at weights and
+blocks up to 40, and of blocks in types A2, B2 and C2 whose words carry
+runs of two and three equal letters.  Its digest is one SHA-256 over
+``repr`` of each sum's Cartan matrix, weight, block or size, graded
+dimension (as ascending exponent and coefficient pairs) and dimension, in
+turn.
+
 ``corpus.json`` beside this file holds the committed count and digest of
 each family, and a test checks them, so any change to an answer shows as a
 diff there.  Run
@@ -57,6 +69,18 @@ PAIR_BLOCKS = 400
 
 LEVELRED_SEED = 1919
 LEVELRED_BLOCKS = 600
+
+BLOCKS_SEED = 2020
+BLOCK_DRAWS = 300
+
+# A1 (level, block size) pairs of one long run, graded and at q = 1, and
+# then (type, weight, block) triples whose words carry short runs.
+RUNS_GRADED = ((40, 10), (25, 25), (18, 17), (10, 40))
+RUNS_UNGRADED = ((40, 40), (40, 25), (39, 40), (25, 40))
+MIXED_RUNS = (
+    ("A2", (3, 2), (3, 3)), ("A2", (2, 3), (2, 3)), ("A2", (3, 3), (3, 2)),
+    ("B2", (3, 2), (3, 2)), ("B2", (2, 3), (3, 3)), ("C2", (3, 1), (3, 2)),
+)
 
 # Builtin types of rank 1 to 3 that the pairs family draws from; the rest of
 # its draws are random symmetrizable 3x3 matrices.
@@ -301,6 +325,38 @@ def levelred_digest() -> tuple[int, str]:
     return count, h.hexdigest()
 
 
+def blocks_digest() -> tuple[int, str]:
+    """The number of block and algebra sums and the SHA-256 of them."""
+    from klrdim import (
+        RootElement, Weight, algebra_dim, algebra_graded_dim, block_dim, block_graded_dim,
+        builtin_cartan,
+    )
+
+    rng = random.Random(BLOCKS_SEED)
+    sums = []
+    for c, lam, beta in pair_blocks(rng, BLOCK_DRAWS, 5):
+        n = rng.randint(0, 4 if c.n < 3 else 3)
+        sums.append((c.matrix, lam.coeffs, beta.coeffs, block_graded_dim(c, lam, beta).to_pairs(),
+                     block_dim(c, lam, beta)))
+        sums.append((c.matrix, lam.coeffs, n, algebra_graded_dim(c, lam, n).to_pairs(),
+                     algebra_dim(c, lam, n)))
+    a1 = builtin_cartan("A1")
+    for level, size in RUNS_GRADED:
+        lam, beta = Weight((level,)), RootElement((size,))
+        sums.append((a1.matrix, lam.coeffs, beta.coeffs, block_graded_dim(a1, lam, beta).to_pairs()))
+    for level, size in RUNS_UNGRADED:
+        lam, beta = Weight((level,)), RootElement((size,))
+        sums.append((a1.matrix, lam.coeffs, beta.coeffs, block_dim(a1, lam, beta)))
+    for name, weight, block in MIXED_RUNS:
+        c, lam, beta = builtin_cartan(name), Weight(weight), RootElement(block)
+        sums.append((c.matrix, lam.coeffs, beta.coeffs, block_graded_dim(c, lam, beta).to_pairs(),
+                     block_dim(c, lam, beta)))
+    h = hashlib.sha256()
+    for answer in sums:
+        h.update(repr(answer).encode())
+    return len(sums), h.hexdigest()
+
+
 def committed(family: str = "cli") -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))[family]
 
@@ -309,8 +365,10 @@ if __name__ == "__main__":
     count, sha = digest()
     pairs, pairs_sha = pairs_digest()
     answers, levelred_sha = levelred_digest()
+    sums, blocks_sha = blocks_digest()
     print(json.dumps({
         "cli": {"requests": count, "sha256": sha},
         "pairs": {"pairs": pairs, "sha256": pairs_sha},
         "levelred": {"answers": answers, "sha256": levelred_sha},
+        "blocks": {"sums": sums, "sha256": blocks_sha},
     }, indent=2))

@@ -7,7 +7,8 @@ summed one walk each -- so that the tests can compare the two, or builds
 what a test compares against: products of permutations, the right action
 and adjacent swaps, run boundaries, shuffle splits, the level-reduction
 dealings dealt in full and then filtered, the first shuffle witness in
-assignment order, and quantum binomials by exact division.
+assignment order, quantum binomials by exact division, and Laurent
+polynomials from (exponent, coefficient) pairs.
 :func:`check_bounds_under_swap` checks a lemma on the exponent bounds.
 Conventions are those of :mod:`klrdim.perms`: one-line tuples, 1-based
 positions, ``(w*nu)_k = nu_{w^-1(k)}``.  :func:`shallow_stack` lowers the
@@ -22,7 +23,7 @@ from collections import Counter
 from contextlib import contextmanager
 from itertools import accumulate, groupby, product
 from math import factorial
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from klrdim.basis import exponent_bounds
 from klrdim.budget import Deadline
@@ -256,6 +257,15 @@ def algebra_by_blocks(
     """The blocks of R^Lambda(n) in :func:`~klrdim.dims.blocks_of_size`
     order, each with its graded dimension from a column walk of its own."""
     return [(beta, block_graded_dim(c, lam, beta)) for beta in blocks_of_size(c, n)]
+
+
+def from_pairs(pairs: Iterable[tuple[int, int]]) -> LaurentPoly:
+    """The Laurent polynomial of (exponent, coefficient) pairs, summing
+    repeats."""
+    t: dict[int, int] = {}
+    for e, c in pairs:
+        t[e] = t.get(e, 0) + c
+    return LaurentPoly(t)
 
 
 class Recording(Deadline):

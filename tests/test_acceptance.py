@@ -37,11 +37,11 @@ from klrdim.levelred import (
 )
 from klrdim.perms import block_form_of, min_coset_reps, transport_perms
 from klrdim.qpoly import LaurentPoly, eval_one
-from oracles import compose, run_bounds
+from oracles import compose, from_pairs, run_bounds
 
 
 def P(*pairs):
-    return LaurentPoly.from_pairs(pairs)
+    return from_pairs(pairs)
 
 
 @contextmanager

@@ -16,3 +16,8 @@ def test_pair_dimensions_match_the_committed_digest():
 def test_level_reductions_match_the_committed_digest():
     count, sha = corpus.levelred_digest()
     assert {"answers": count, "sha256": sha} == corpus.committed("levelred")
+
+
+def test_block_sums_match_the_committed_digest():
+    count, sha = corpus.blocks_digest()
+    assert {"sums": count, "sha256": sha} == corpus.committed("blocks")

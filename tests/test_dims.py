@@ -19,6 +19,8 @@ from klrdim.budget import Deadline
 from klrdim.cartan import RootElement, Weight, builtin_cartan, validate_cartan
 from klrdim.dims import (
     _compositions,
+    _run_factor,
+    _run_factor_at_one,
     algebra_dim,
     algebra_graded_dim,
     block_dim,
@@ -39,7 +41,7 @@ from klrdim.dims import (
 from klrdim.errors import BadShape, PreconditionFail, TimeBudgetExceeded, TooManyTerms
 from klrdim.perms import transport_perms
 from klrdim.qpoly import LaurentPoly, eval_one, quantum_int
-from oracles import Recording, dim_factor_target, shallow_stack
+from oracles import Recording, dim_factor_target, from_pairs, shallow_stack
 
 RANK1 = validate_cartan([[2]])
 A2 = builtin_cartan("A2")
@@ -47,7 +49,7 @@ S2_S1 = (2, 1)
 
 
 def P(*pairs):
-    return LaurentPoly.from_pairs(pairs)
+    return from_pairs(pairs)
 
 
 class TestDimFactor:
@@ -210,7 +212,7 @@ class TestPrunedWalk:
         c, lam, nu = builtin_cartan("A300"), Weight((1,) * 300), tuple(range(300))
         with shallow_stack():
             assert dim(c, lam, nu, nu) == 2**299
-            assert graded_dim(c, lam, nu, nu) == LaurentPoly.from_pairs(
+            assert graded_dim(c, lam, nu, nu) == from_pairs(
                 (2 * k, comb(299, k)) for k in range(300)
             )
 
@@ -617,6 +619,37 @@ class TestBlocks:
         for fn in (algebra_graded_dim, algebra_dim):
             with pytest.raises(BadShape):
                 fn(A2, Weight((1,)), 2)
+
+    def test_single_letter_blocks_are_nilhecke(self):
+        # In type A1 the block R^Lambda(beta) is the cyclotomic nilHecke
+        # algebra, whose closed products share no code with the column walk;
+        # both are zero for s > L.  The graded walk runs on a grid whose
+        # heaviest corner is (31, 31).
+        c = builtin_cartan("A1")
+        for level, size in product(range(41), repeat=2):
+            assert block_dim(c, Weight((level,)), RootElement((size,))) == nilhecke_dim(level, size)
+        grid = (0, 1, 2, 3, 7, 15, 31, 40)
+        for level, size in product(grid, repeat=2):
+            if min(level, size) < 31 or level == size == 31:
+                graded = block_graded_dim(c, Weight((level,)), RootElement((size,)))
+                assert graded == nilhecke_graded_dim(level, size)
+
+    def test_run_factor_sums_the_run(self):
+        # Along a run of r equal letters the factor drops by a_xx = 2 at each
+        # slot: sum_{j<r} [p - 2j] = [r] [p - r + 1] in q^d, r (p - r + 1) at 1.
+        for p, r, d in product(range(-6, 13), range(1, 7), range(1, 4)):
+            run = sum((quantum_int(p - 2 * j, d) for j in range(r)), LaurentPoly.zero())
+            assert _run_factor(r, p, d) == run
+            assert _run_factor_at_one(r, p, d) == eval_one(run)
+
+    def test_a_long_run_is_one_lookup_per_word(self):
+        # One word of one run per length: looking up every deletion of each
+        # word took seconds here, one lookup per run takes milliseconds.
+        c, lam, beta = builtin_cartan("A1"), Weight((1000,)), RootElement((1000,))
+        start = time.monotonic()
+        with shallow_stack():
+            assert block_dim(c, lam, beta) == factorial(1000) ** 2
+        assert time.monotonic() - start < 1
 
     def test_long_words_need_no_deep_stack(self):
         # The nilHecke block of 300 strands at level 300 has dimension

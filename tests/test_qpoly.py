@@ -1,7 +1,7 @@
 """Laurent polynomial arithmetic and quantum integers."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from klrdim.errors import DivisionInexact, TooManyTerms
@@ -12,8 +12,9 @@ from klrdim.qpoly import (
     eval_one,
     quantum_factorial,
     quantum_int,
+    sum_of_products,
 )
-from oracles import bar, quantum_binomial, shallow_stack
+from oracles import bar, from_pairs, quantum_binomial, shallow_stack
 
 polys = st.dictionaries(
     st.integers(min_value=-8, max_value=8),
@@ -23,7 +24,7 @@ polys = st.dictionaries(
 
 
 def P(*pairs):
-    return LaurentPoly.from_pairs(pairs)
+    return from_pairs(pairs)
 
 
 class TestQuantumInt:
@@ -148,6 +149,22 @@ class TestRingLaws:
         assert eval_one(a.scale(k)) == k * eval_one(a)
 
 
+class TestSumOfProducts:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(polys, polys, st.integers(-10, 10)), max_size=5))
+    # Two triples that cancel to zero, through different shifts.
+    @example([(P((1, 1)), P((0, 2)), 2), (P((3, -1)), P((0, 2)), 0)])
+    # A cancelling pair beside a term that stays.
+    @example([(P((-2, 3), (0, 1)), P((1, 1)), -1), (P((0, -1)), P((0, 1)), 0)])
+    def test_matches_the_fold_of_products(self, triples):
+        fold = LaurentPoly.zero()
+        for a, b, s in triples:
+            fold = fold + (a * b).shift(s)
+        got = sum_of_products(triples)
+        assert got == fold
+        assert 0 not in dict(got.items()).values()
+
+
 def test_geometric_sum_identity():
     # sum_{k=0}^{t-1} [l-2k] q^{l-t} == [t] (1 + q^2 + ... + q^{2(l-t)})
     for l in range(1, 8):
@@ -155,7 +172,7 @@ def test_geometric_sum_identity():
             lhs = LaurentPoly.zero()
             for k in range(t):
                 lhs = lhs + quantum_int(l - 2 * k, 1).shift(l - t)
-            rhs = quantum_int(t, 1) * LaurentPoly.from_pairs(
+            rhs = quantum_int(t, 1) * from_pairs(
                 (2 * j, 1) for j in range(l - t + 1)
             )
             assert lhs == rhs
@@ -174,7 +191,7 @@ class TestRendering:
 
     def test_pairs_roundtrip(self):
         p = P((3, 2), (-5, -7), (0, 1))
-        assert LaurentPoly.from_pairs(tuple(x) for x in p.to_pairs()) == p
+        assert from_pairs(tuple(x) for x in p.to_pairs()) == p
 
     def test_no_zero_terms_stored(self):
         p = P((2, 1), (2, -1), (0, 3))
