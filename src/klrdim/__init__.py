@@ -71,7 +71,6 @@ from .perms import (
     BlockForm,
     as_block_form,
     block_form_of,
-    min_coset_reps,
     sorting_perm,
     transport_perms,
 )
@@ -97,8 +96,8 @@ __all__ = [
     "nonzero_direct", "nonzero_divided",
     "dominant_splits", "reduce_block_dim", "reduce_pair_dim_multi",
     "reduce_pair_graded",
-    "BlockForm", "as_block_form", "block_form_of", "min_coset_reps",
-    "sorting_perm", "transport_perms",
+    "BlockForm", "as_block_form", "block_form_of", "sorting_perm",
+    "transport_perms",
     "LaurentPoly", "eval_one", "quantum_factorial", "quantum_int",
     "VerifyReport", "verify_suite",
 ]

@@ -21,16 +21,21 @@ the source prefix read so far, so it gives the whole column
 {nu: dim e(nu) R^Lambda e(nu')} into one target word
 (:func:`transport_column`); the verify suites and ``dim --all-pairs`` read
 every pair of a block from these columns.  A single pair is the walk with
-the source fixed.  The same dimension is computed by an
-independent restriction recursion (:func:`graded_dim_recursive`), which
-peels nu from the right and shares no code or memo with the walk, so the
-two routes cross-check each other exactly.
+the source fixed.  A graded dimension has non-negative coefficients and
+equals the ungraded one at q = 1, so :func:`graded_dim` runs the integer
+walk first and builds no polynomial for a zero pair.  The same dimension
+is computed by an independent restriction recursion
+(:func:`graded_dim_recursive`), which peels nu from the right and shares
+no code or memo with the walk, so the two routes cross-check each other
+exactly.
 
-The divided-power route sums over far fewer permutations: only the minimal
-coset representatives of the run-block Young subgroup, with each slot's
-factor raised by the slot's offset inside its run block, times the product
-of the block factorials.  The single-letter case collapses entirely to
-closed nilHecke products.
+The divided-power route sums over far fewer terms: only the minimal coset
+representatives of the run-block Young subgroup, with each slot's factor
+raised by the position's offset inside its run, times the product of the
+run factorials.  It is a walk of its own over the positions, whose states
+are the slots taken and, inside a run, the slot the run took last, so the
+representatives are never listed.  The single-letter case collapses
+entirely to closed nilHecke products.
 
 A whole block is summed over its target words alone: the column
 C(w) = dim_q R^Lambda(beta) e(w) obeys the peeling recurrence with the source
@@ -61,7 +66,7 @@ from . import budget
 from .budget import Deadline
 from .cartan import CartanData, RootElement, Weight, root_pairing
 from .errors import BadShape, LengthMismatch, PreconditionFail, TooManyTerms
-from .perms import IndexTuple, Perm, min_coset_reps
+from .perms import IndexTuple, Perm
 from .qpoly import MAX_TERMS, LaurentPoly, quantum_int, sum_of_products
 
 
@@ -222,12 +227,21 @@ def graded_dim(
     shift: the per-slot q-shift of the closed formula uses the identity
     factors only, so it is one monomial shared by every summand.  Zero when
     no permutation transports nu to nu'; every coefficient of the result is
-    non-negative even though individual summands need not be.
+    non-negative even though individual summands need not be.  So the
+    result is zero exactly when :func:`dim` is, and the same walk in plain
+    integers runs first: a zero pair builds no polynomial, and its checks
+    are the ``"dimension sum"`` ones.
     """
     nu = tuple(nu)
     nuprime = tuple(nuprime)
     if len(nu) != len(nuprime):
         raise LengthMismatch("tuples must have the same length")
+    # A graded dimension has non-negative coefficients and is dim at q = 1,
+    # so it is zero exactly when the integer walk is.
+    if not _transport_sum(
+        c, lam, nu, nuprime, graded=False, where="dimension sum", deadline=deadline
+    ):
+        return LaurentPoly.zero()
     column = _transport_sum(
         c, lam, nu, nuprime, graded=True, where="graded dimension sum", deadline=deadline
     )
@@ -329,26 +343,48 @@ def dim_divided(
     """Ungraded dimension of e(nu) R^Lambda e(nu) via the runs of equal
     adjacent letters of nu.
 
-    Sums products of factors, each raised by its slot's offset inside its
-    run, over only the run-ascending stabilizer representatives of
-    :func:`~klrdim.perms.min_coset_reps`, and multiplies by the factorials
-    of the run sizes; agrees with ``dim(c, lam, nu, nu)`` while touching
-    far fewer permutations.
+    Sums products of factors, each raised by its position's offset inside
+    its run, over only the run-ascending stabilizer representatives (the
+    w with w*nu = nu that take ascending slots inside each run), and
+    multiplies by the factorials of the run sizes; agrees with
+    ``dim(c, lam, nu, nu)`` while touching far fewer terms.
+
+    A factor depends only on the set of slots taken before it, so the sum
+    is a walk over the positions, as in :func:`_transport_sum`, whose
+    states are (taken mask, slot the last position took).  That slot bounds
+    the next position's slot from below only while the next position
+    continues the run, so it is kept only then, and states merge at run
+    boundaries.  A position also leaves a free slot of its letter above
+    its own for each later position of its run, so every state can be
+    completed (a constant nu has one state per position, not 2^n).  A
+    zero factor is not taken, a state that sums to zero is dropped, and the
+    deadline is checked once per state.
     """
     nu = tuple(nu)
+    n = len(nu)
     sizes = [len(list(run)) for _, run in groupby(nu)]
+    # Each position's offset inside its run, and how many follow it there.
     offsets = [k for b in sizes for k in range(b)]
-    pre = prod(factorial(b) for b in sizes)
-    total = 0
-    for w in min_coset_reps(nu):
-        budget.check(deadline, "divided-power sum")
-        term = 1
-        for t in range(1, len(nu) + 1):
-            term *= dim_factor(c, lam, w, nu, t) + offsets[t - 1]
-            if term == 0:
-                break
-        total += term
-    return pre * total
+    later = [b - 1 - k for b in sizes for k in range(b)]
+    slots = [(1 << p, p, y) for p, y in enumerate(nu)]
+    states = {(0, -1): 1}
+    for t, x in enumerate(nu):
+        row = c.matrix[x]
+        stems, states = states, {}
+        for (mask, last), value in stems.items():
+            budget.check(deadline, "divided-power sum")
+            top = n
+            if later[t]:
+                top = [p for bit, p, y in slots if y == x and not mask & bit][-later[t]]
+            f = lam.coeffs[x] + offsets[t]
+            for bit, p, y in slots[:top]:
+                if mask & bit:
+                    f -= row[y]
+                elif y == x and p > last and f:
+                    key = (mask | bit, p if later[t] else -1)
+                    states[key] = states.get(key, 0) + f * value
+        states = {key: value for key, value in states.items() if value}
+    return prod(factorial(b) for b in sizes) * states.get(((1 << n) - 1, -1), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ Four independent routes, which always agree:
 * ``blockwise`` -- for grouped tuples with globally distinct letters, each
   block's head pairing is at least the block size;
 * ``shuffle`` -- writing Lambda as a sum of fundamental weights, nu splits
-  as a shuffle of pieces that survive at level one.
+  as a shuffle of pieces that survive at level one.  The search tries one
+  order only for pieces of equal fundamental weights, which keeps its
+  first passing assignment.
 
 Every verdict carries a machine-checkable witness (the nonzero sum, the
 per-block inequalities, or an explicit shuffle decomposition) so callers
@@ -89,12 +91,17 @@ def nonzero_by_shuffle(
     """Nonzero at Lambda = sum of the given fundamental weights iff nu is a
     shuffle of pieces each nonzero at its own level-one weight.
 
-    Searches position assignments depth-first; a branch dies as soon as a
-    piece opens with a letter whose pairing against its fundamental weight
-    vanishes (that alone forces the level-one dimension to zero).  The
-    witness of a positive verdict is the tuple of pieces, one per
-    fundamental weight, in order.  With no fundamental weights (Lambda = 0)
-    only the empty nu survives, with the empty witness.
+    Searches position assignments depth-first, in lexicographic order; a
+    branch dies as soon as a piece opens with a letter whose pairing
+    against its fundamental weight vanishes (that alone forces the
+    level-one dimension to zero).  Pieces of equal fundamental weights
+    open in order: an empty piece may not open while the nearest earlier
+    piece of its fundamental weight is still empty.  Swapping the contents
+    of two such pieces gives an assignment that passes as well and comes
+    first, so the cut never removes the first passing assignment.  The
+    witness of a positive verdict is that assignment's tuple of pieces,
+    one per fundamental weight, in order.  With no fundamental weights
+    (Lambda = 0) only the empty nu survives, with the empty witness.
     """
     nu = tuple(nu)
     parts = list(fundamentals)
@@ -103,6 +110,8 @@ def nonzero_by_shuffle(
     level_one = [Weight.fundamental(c.n, t) for t in parts]
     lam_head = [w.coeffs for w in level_one]
     piece: list[list[int]] = [[] for _ in range(l)]
+    # The nearest earlier piece of the same fundamental weight, or None.
+    twin = [next((j for j in range(i - 1, -1, -1) if parts[j] == parts[i]), None) for i in range(l)]
     seen: dict[tuple[int, tuple[int, ...]], bool] = {}
 
     def piece_ok(i: int) -> bool:
@@ -126,7 +135,9 @@ def nonzero_by_shuffle(
                 return NonzeroVerdict(True, "shuffle", tuple(tuple(p) for p in piece))
         if pos < n:
             x = nu[pos]
-            while i < l and not piece[i] and not lam_head[i][x]:
+            while i < l and not piece[i] and (
+                not lam_head[i][x] or (twin[i] is not None and not piece[twin[i]])
+            ):
                 i += 1
         else:
             i = l

@@ -11,19 +11,16 @@ one-line order, and transport sets are built as products of per-letter
 matchings -- their size is the product of letter-multiplicity factorials,
 never n!.  The dimension sums in :mod:`klrdim.dims` enumerate no
 permutations: they walk the sets of target slots taken, which the matchings
-sharing a prefix's slots merge into; :func:`transport_perms` enumerates the
-matchings whole, for the basis machinery.  The minimal coset
-representatives of :func:`min_coset_reps`, which the divided-power route
-sums over, come from the same walk, held ascending inside each run of
-equal letters.  That one slot walk fills the slots in turn from the
-choices each enumerator offers, in a loop over an explicit stack, so no
-recursion grows with the length of a tuple.  :class:`BlockForm` and
-:func:`sorting_perm` group a tuple by letter for the monomial bases.
+sharing a prefix's slots merge into; the divided-power sum walks such sets
+too, with the slots held ascending inside each run of equal letters.
+:func:`transport_perms` enumerates the matchings whole, for the basis
+machinery, by a slot walk that fills the slots in turn from the choices
+it is offered, in a loop over an explicit stack, so no recursion grows
+with the length of a tuple.  :class:`BlockForm` and :func:`sorting_perm`
+group a tuple by letter for the monomial bases.
 
 >>> list(transport_perms((0, 0), (0, 0)))
 [(1, 2), (2, 1)]
->>> list(min_coset_reps((1, 2, 1)))
-[(1, 2, 3), (3, 2, 1)]
 """
 
 from __future__ import annotations
@@ -153,35 +150,6 @@ def as_block_form(nu: Sequence[int]) -> BlockForm:
     if form.tuple != nu:
         raise NotBlockForm(f"letters repeat across blocks in {nu}")
     return form
-
-
-def min_coset_reps(nu: Sequence[int]) -> Iterator[Perm]:
-    """Stabilizer elements that ascend on each run block of nu, lazily, in
-    lexicographic one-line order.
-
-    These are the minimal-length representatives of the left cosets of the
-    run-block Young subgroup that meet the stabilizer {w : w*nu = nu}; the
-    stabilizer factors uniquely as (these) * (Young subgroup).  The slot
-    walk of :func:`transport_perms`, with nu as its own target and one more
-    rule: slot k takes a free slot of its letter above the one slot k-1
-    took when both lie in the same run block, and low enough to leave a
-    free slot above it for every later slot of its block.  So every branch
-    ends in a representative, and only the product of per-letter
-    multinomials is ever touched (a single representative for a constant
-    tuple), never the stabilizer.
-    """
-    nu = tuple(nu)
-    n = len(nu)
-
-    def choices(k: int, w: list[int], taken: list[bool]) -> list[int]:
-        x = nu[k]
-        lo = w[k - 1] if k and nu[k - 1] == x else 0
-        free = [p for p in range(lo, n) if nu[p] == x and not taken[p]]
-        # Without this cut, a run block of m equal letters enters 2^m dead branches.
-        later = next((j for j in range(k + 1, n) if nu[j] != x), n) - k - 1
-        return free[: len(free) - later]
-
-    yield from _slot_walk(n, choices)
 
 
 def sorting_perm(mu: Sequence[int], form: BlockForm) -> Perm:

@@ -107,11 +107,13 @@ def verify_oracle(
     The closed formula is walked once per target word of a block in each
     arithmetic (:func:`~klrdim.dims.transport_column`), and each pair reads
     its graded and integer dimensions from those columns; the recursion,
-    which shares no code with the walk, is run on every pair."""
+    which shares no code with the walk, is run on every pair, with one
+    memo for the whole suite: the pairs of a smaller block are the
+    recursion's sub-pairs in the larger ones."""
     report = VerifyReport("oracle")
     zero = LaurentPoly.zero()
+    memo: dict = {}
     for beta, tuples in report.walk_blocks(c, max_n, deadline):
-        memo: dict = {}
         graded_columns = {w: transport_column(c, lam, w, True, deadline) for w in tuples}
         plain_columns = {w: transport_column(c, lam, w, False, deadline) for w in tuples}
         for nu in tuples:

@@ -39,6 +39,19 @@ runs of two and three equal letters.  Its digest is one SHA-256 over
 dimension (as ascending exponent and coefficient pairs) and dimension, in
 turn.
 
+The ``nonzero`` family is the four vanishing tests on a seeded, fixed set
+of words: builtin types of rank 1 to 3 and random symmetrizable 3x3
+matrices, weights of level 1 to 3, and words of at most six letters, each
+either shuffled or grouped by letter.  For each word it holds
+``dim_divided``, the verdicts and witnesses of ``nonzero_direct``,
+``nonzero_divided`` and ``nonzero_blockwise`` (or the name of the error a
+word that is not grouped raises), and those of ``nonzero_by_shuffle`` with
+the weight's fundamental weights in a drawn order, so that equal ones may
+stand apart, as in (0, 1, 0).  It then holds words with long runs and
+weights of level 3 to 5 on types A1, A2, B2 and A1~.  Its digest is one
+SHA-256 over ``repr`` of each word's Cartan matrix, weight, word,
+fundamental weights and answers, in turn.
+
 ``corpus.json`` beside this file holds the committed count and digest of
 each family, and a test checks them, so any change to an answer shows as a
 diff there.  Run
@@ -80,6 +93,22 @@ RUNS_UNGRADED = ((40, 40), (40, 25), (39, 40), (25, 40))
 MIXED_RUNS = (
     ("A2", (3, 2), (3, 3)), ("A2", (2, 3), (2, 3)), ("A2", (3, 3), (3, 2)),
     ("B2", (3, 2), (3, 2)), ("B2", (2, 3), (3, 3)), ("C2", (3, 1), (3, 2)),
+)
+
+NONZERO_SEED = 2121
+NONZERO_DRAWS = 500
+
+# (type, weight, fundamental weights in order, word): long runs, and equal
+# fundamental weights that stand apart.
+LONG_WORDS = (
+    ("A1~", (0, 3), (1, 1, 1), (1, 1, 1, 1, 0, 1, 1)),
+    ("A1~", (2, 2), (0, 1, 0, 1), (0, 0, 1, 1, 0, 1, 0, 0)),
+    ("A1~", (2, 1), (0, 1, 0), (0, 1, 0, 0, 1, 1, 0)),
+    ("A1", (5,), (0,) * 5, (0,) * 5),
+    ("A1", (4,), (0,) * 4, (0,) * 5),
+    ("A2", (2, 1), (0, 1, 0), (0, 0, 1, 0, 0)),
+    ("A2", (3, 1), (1, 0, 0, 0), (0, 0, 0, 1, 1, 0)),
+    ("B2", (2, 2), (1, 0, 1, 0), (1, 1, 0, 1, 1, 0, 0)),
 )
 
 # Builtin types of rank 1 to 3 that the pairs family draws from; the rest of
@@ -357,6 +386,49 @@ def blocks_digest() -> tuple[int, str]:
     return len(sums), h.hexdigest()
 
 
+def _vanishing_answers(c, lam, word, fundamentals) -> tuple:
+    """``dim_divided`` and the verdict and witness of each vanishing test."""
+    from klrdim import (
+        dim_divided, nonzero_blockwise, nonzero_by_shuffle, nonzero_direct, nonzero_divided,
+    )
+    from klrdim.errors import NotBlockForm
+
+    try:
+        blockwise = nonzero_blockwise(c, lam, word)
+        blockwise = (blockwise.nonzero, blockwise.witness)
+    except NotBlockForm as exc:
+        blockwise = type(exc).__name__
+    verdicts = [
+        nonzero_direct(c, lam, word), nonzero_divided(c, lam, word),
+        nonzero_by_shuffle(c, word, fundamentals),
+    ]
+    return (dim_divided(c, lam, word), blockwise, [(v.nonzero, v.witness) for v in verdicts])
+
+
+def nonzero_digest() -> tuple[int, str]:
+    """The number of words and the SHA-256 of their vanishing tests."""
+    from klrdim import Weight, builtin_cartan
+
+    rng = random.Random(NONZERO_SEED)
+    cases = []
+    for c, lam, beta in pair_blocks(rng, NONZERO_DRAWS, 6):
+        letters = [x for x, m in enumerate(beta.coeffs) for _ in range(m)]
+        if rng.random() < 0.6:
+            word = tuple(rng.sample(letters, len(letters)))
+        else:
+            order = rng.sample(range(c.n), c.n)
+            word = tuple(x for x in order for _ in range(beta.coeffs[x]))
+        units = [i for i, k in enumerate(lam.coeffs) for _ in range(k)]
+        cases.append((c, lam, tuple(rng.sample(units, len(units))), word))
+    for name, weight, fundamentals, word in LONG_WORDS:
+        cases.append((builtin_cartan(name), Weight(weight), fundamentals, word))
+    h = hashlib.sha256()
+    for c, lam, fundamentals, word in cases:
+        answers = _vanishing_answers(c, lam, word, fundamentals)
+        h.update(repr((c.matrix, lam.coeffs, word, fundamentals, answers)).encode())
+    return len(cases), h.hexdigest()
+
+
 def committed(family: str = "cli") -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))[family]
 
@@ -366,9 +438,11 @@ if __name__ == "__main__":
     pairs, pairs_sha = pairs_digest()
     answers, levelred_sha = levelred_digest()
     sums, blocks_sha = blocks_digest()
+    words, nonzero_sha = nonzero_digest()
     print(json.dumps({
         "cli": {"requests": count, "sha256": sha},
         "pairs": {"pairs": pairs, "sha256": pairs_sha},
         "levelred": {"answers": answers, "sha256": levelred_sha},
         "blocks": {"sums": sums, "sha256": blocks_sha},
+        "nonzero": {"words": words, "sha256": nonzero_sha},
     }, indent=2))

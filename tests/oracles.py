@@ -3,9 +3,11 @@
 None of these runs on a production path.  Each restates a quantity the
 library computes some other way -- the left action, Coxeter length, the
 target-side dimension factor, the bar involution, the blocks of an algebra
-summed one walk each -- so that the tests can compare the two, or builds
+summed one walk each, the divided-power sum over listed coset
+representatives -- so that the tests can compare the two, or builds
 what a test compares against: products of permutations, the right action
-and adjacent swaps, run boundaries, shuffle splits, the level-reduction
+and adjacent swaps, run boundaries, the run-ascending coset
+representatives, shuffle splits, the level-reduction
 dealings dealt in full and then filtered, the first shuffle witness in
 assignment order, quantum binomials by exact division, and Laurent
 polynomials from (exponent, coefficient) pairs.
@@ -22,15 +24,15 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from itertools import accumulate, groupby, product
-from math import factorial
+from math import factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from klrdim.basis import exponent_bounds
 from klrdim.budget import Deadline
 from klrdim.cartan import CartanData, RootElement, Weight
-from klrdim.dims import block_graded_dim, blocks_of_size, dim
+from klrdim.dims import block_graded_dim, blocks_of_size, dim, dim_factor
 from klrdim.errors import LengthMismatch, OutOfRange, PreconditionFail
-from klrdim.perms import BlockForm, IndexTuple, Perm, sorting_perm
+from klrdim.perms import BlockForm, IndexTuple, Perm, _slot_walk, sorting_perm
 from klrdim.qpoly import LaurentPoly, divide_exact, quantum_factorial
 
 
@@ -101,6 +103,52 @@ def run_bounds(nu: Sequence[int]) -> tuple[int, ...]:
     return tuple(accumulate((len(list(run)) for _, run in groupby(nu)), initial=0))
 
 
+def min_coset_reps(nu: Sequence[int]) -> Iterator[Perm]:
+    """Stabilizer elements that ascend on each run block of nu, lazily, in
+    lexicographic one-line order.
+
+    These are the minimal-length representatives of the left cosets of the
+    run-block Young subgroup that meet the stabilizer {w : w*nu = nu}; the
+    stabilizer factors uniquely as (these) * (Young subgroup).  The slot
+    walk of :func:`~klrdim.perms.transport_perms`, with nu as its own
+    target and one more rule: slot k takes a free slot of its letter above
+    the one slot k-1 took when both lie in the same run block, and low
+    enough to leave a free slot above it for every later slot of its block.
+    So every branch ends in a representative, and only the product of
+    per-letter multinomials is ever touched (a single representative for a
+    constant tuple), never the stabilizer.
+    """
+    nu = tuple(nu)
+    n = len(nu)
+
+    def choices(k: int, w: list[int], taken: list[bool]) -> list[int]:
+        x = nu[k]
+        lo = w[k - 1] if k and nu[k - 1] == x else 0
+        free = [p for p in range(lo, n) if nu[p] == x and not taken[p]]
+        # Without this cut, a run block of m equal letters enters 2^m dead branches.
+        later = next((j for j in range(k + 1, n) if nu[j] != x), n) - k - 1
+        return free[: len(free) - later]
+
+    yield from _slot_walk(n, choices)
+
+
+def dim_divided_by_reps(c: CartanData, lam: Weight, nu: Sequence[int]) -> int:
+    """:func:`klrdim.dims.dim_divided` as a sum over the listed
+    representatives of :func:`min_coset_reps`: each one's product of
+    :func:`~klrdim.dims.dim_factor` raised by the position's offset inside
+    its run, times the product of the run factorials."""
+    nu = tuple(nu)
+    sizes = [len(list(run)) for _, run in groupby(nu)]
+    offsets = [k for b in sizes for k in range(b)]
+    total = 0
+    for w in min_coset_reps(nu):
+        term = 1
+        for t in range(1, len(nu) + 1):
+            term *= dim_factor(c, lam, w, nu, t) + offsets[t - 1]
+        total += term
+    return prod(factorial(b) for b in sizes) * total
+
+
 def shuffle_splits(n: int, parts: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     """All ordered ways to split positions 1..n into ``parts`` ascending
     (possibly empty) subsequences; there are parts**n of them."""
@@ -149,15 +197,17 @@ def first_shuffle_witness(
     ``product(range(l), repeat=n)`` order, whose every piece has a nonzero
     diagonal dimension at its level-one weight; None when none does."""
     nu = tuple(nu)
+    alive: dict = {}
     for assignment in product(range(len(fundamentals)), repeat=len(nu)):
         pieces = tuple(
             tuple(x for x, i in zip(nu, assignment) if i == part)
             for part in range(len(fundamentals))
         )
-        if all(
-            dim(c, Weight.fundamental(c.n, t), piece, piece) != 0
-            for t, piece in zip(fundamentals, pieces)
-        ):
+        for key in zip(fundamentals, pieces):
+            if key not in alive:
+                t, piece = key
+                alive[key] = dim(c, Weight.fundamental(c.n, t), piece, piece) != 0
+        if all(alive[key] for key in zip(fundamentals, pieces)):
             return pieces
     return None
 

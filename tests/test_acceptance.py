@@ -35,9 +35,9 @@ from klrdim.levelred import (
     reduce_pair_dim_multi,
     reduce_pair_graded,
 )
-from klrdim.perms import block_form_of, min_coset_reps, transport_perms
+from klrdim.perms import block_form_of, transport_perms
 from klrdim.qpoly import LaurentPoly, eval_one
-from oracles import compose, from_pairs, run_bounds
+from oracles import compose, from_pairs, min_coset_reps, run_bounds
 
 
 def P(*pairs):

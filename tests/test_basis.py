@@ -223,7 +223,7 @@ class TestFactorTransport:
         # full form with nontrivial block-ascending representatives d:
         # F(d*w, nu, k) = F(d, nu, w_i(k)) - 2|{a in block, a<k, w_i(a)<w_i(k)}|
         #                 + 2 (w_i(k) - block start offset)
-        from klrdim.perms import min_coset_reps
+        from oracles import min_coset_reps
 
         c = builtin_cartan(name)
         lam = Weight((2, 1))

@@ -21,3 +21,8 @@ def test_level_reductions_match_the_committed_digest():
 def test_block_sums_match_the_committed_digest():
     count, sha = corpus.blocks_digest()
     assert {"sums": count, "sha256": sha} == corpus.committed("blocks")
+
+
+def test_vanishing_tests_match_the_committed_digest():
+    count, sha = corpus.nonzero_digest()
+    assert {"words": count, "sha256": sha} == corpus.committed("nonzero")

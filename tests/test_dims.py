@@ -41,7 +41,7 @@ from klrdim.dims import (
 from klrdim.errors import BadShape, PreconditionFail, TimeBudgetExceeded, TooManyTerms
 from klrdim.perms import transport_perms
 from klrdim.qpoly import LaurentPoly, eval_one, quantum_int
-from oracles import Recording, dim_factor_target, from_pairs, shallow_stack
+from oracles import Recording, dim_divided_by_reps, dim_factor_target, from_pairs, shallow_stack
 
 RANK1 = validate_cartan([[2]])
 A2 = builtin_cartan("A2")
@@ -196,12 +196,44 @@ class TestPrunedWalk:
     def test_walk_checks_every_node(self):
         # Level 3 on three equal letters: no factor is zero and no state
         # cancels, so the walk extends every set of taken slots of size 0,
-        # 1 and 2: 1 + 3 + 3 states.  graded_dim also checks once per
-        # multiplication, one per free slot of each state: 3 + 3*2 + 3*1.
+        # 1 and 2: 1 + 3 + 3 states.  dim walks them once, and graded_dim
+        # walks them once in integers first (the pair is nonzero, 3! * 3 *
+        # 2 * 1 = 36) and then once in Laurent polynomials, where it also
+        # checks once per multiplication, one per free slot of each state:
+        # 3 + 3*2 + 3*1.
         deadline = Recording(3600)
         dim(RANK1, Weight((3,)), (0, 0, 0), (0, 0, 0), deadline=deadline)
         graded_dim(RANK1, Weight((3,)), (0, 0, 0), (0, 0, 0), deadline=deadline)
-        assert deadline.seen == {"dimension sum": 7, "graded dimension sum": 7 + 12}
+        assert deadline.seen == {"dimension sum": 7 + 7, "graded dimension sum": 7 + 12}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(*[st.integers(0, 3)] * 3),
+        st.lists(st.integers(0, 2), max_size=6).flatmap(
+            lambda nu: st.tuples(st.just(tuple(nu)), st.permutations(nu))
+        ),
+    )
+    # Nodes 0 and 1 of seed 22 are A1~: Lambda = (3, 0) on a run of three,
+    # one 1 and a run of three is zero, and the graded walk, which builds
+    # its polynomials until they cancel, took 4-13 times the integer walk.
+    @example(seed=22, lam=(3, 0, 0), pair=((0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0, 0)))
+    # The same letters, moved: zero as well.
+    @example(seed=22, lam=(3, 0, 0), pair=((0, 0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0)))
+    # Level 3 on three equal letters: nonzero, so the graded walk runs.
+    @example(seed=0, lam=(3, 0, 0), pair=((0, 0, 0), (0, 0, 0)))
+    def test_zero_pairs_build_no_polynomial(self, seed, lam, pair):
+        # graded_dim is zero exactly when dim is, and then only the integer
+        # walk runs: no "graded dimension sum" check is made.
+        c = random_cartan(random.Random(seed))
+        lam = Weight(lam)
+        nu, nuprime = pair[0], tuple(pair[1])
+        deadline = Recording(3600)
+        graded = graded_dim(c, lam, nu, nuprime, deadline=deadline)
+        assert graded == graded_dim_recursive(c, lam, nu, nuprime)
+        assert graded.is_zero() == (dim(c, lam, nu, nuprime) == 0)
+        if graded.is_zero():
+            assert deadline.seen["graded dimension sum"] == 0 < deadline.seen["dimension sum"]
 
     def test_long_pairs_need_no_deep_stack(self):
         # A300 at Lambda = (1, ..., 1) on nu = nu' = (0, 1, ..., 299): the one
@@ -225,10 +257,11 @@ class TestPrunedWalk:
             graded_dim(A2, lam, (0,), (0,))
 
     @pytest.mark.parametrize("fn, label", [
-        (dim, "dimension sum"), (graded_dim, "graded dimension sum"),
+        (dim, "dimension sum"), (graded_dim, "dimension sum"),
     ])
     def test_pair_cut_at_slot_one_is_checked(self, fn, label):
         # <Lambda, h_0> = 0 and nu starts with 0: the walk stops at the root.
+        # graded_dim walks in integers first, and stops there.
         lam, nu, nuprime = Weight((0, 1)), (0, 1), (1, 0)
         deadline = Recording(3600)
         assert fn(A2, lam, nu, nuprime, deadline=deadline) == 0
@@ -390,10 +423,39 @@ class TestDivided:
         # elements, checked against the closed product
         assert dim_divided(RANK1, Weight((12,)), (0,) * 9) == nilhecke_dim(12, 9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(*[st.integers(0, 3)] * 3),
+        st.lists(st.integers(0, 2), max_size=7),
+    )
+    # One run of seven at level 7: one representative, 7! * 7!.
+    @example(seed=0, lam=(7, 0, 0), nu=[0] * 7)
+    # Five equal letters at level 2: zero, through negative factors.
+    @example(seed=0, lam=(2, 0, 0), nu=[0] * 5)
+    # Two runs of one letter apart: the slot bound is dropped between them
+    # (144).
+    @example(seed=1, lam=(2, 1, 0), nu=[0, 0, 1, 0, 0, 0])
+    # Four runs of two letters, each letter in two runs (128).
+    @example(seed=0, lam=(2, 2, 0), nu=[0, 0, 1, 1, 0, 0, 1])
+    # Runs of three, three and one (2566080).
+    @example(seed=0, lam=(0, 3, 0), nu=[1, 1, 1, 2, 2, 2, 0])
+    def test_walk_matches_the_representative_sum(self, seed, lam, nu):
+        c = random_cartan(random.Random(seed))
+        lam, nu = Weight(lam), tuple(nu)
+        assert dim_divided(c, lam, nu) == dim_divided_by_reps(c, lam, nu) == dim(c, lam, nu, nu)
+
+    def test_a_run_walks_one_state_per_position(self):
+        # Each position of a run leaves a slot above its own for every later
+        # one, so nine equal letters take slots 0, 1, ..., 8 in turn.
+        deadline = Recording(3600)
+        assert dim_divided(RANK1, Weight((12,)), (0,) * 9, deadline=deadline) == nilhecke_dim(12, 9)
+        assert deadline.seen == {"divided-power sum": 9}
+
     def test_representative_count(self):
         from math import comb
 
-        from klrdim.perms import min_coset_reps
+        from oracles import min_coset_reps
 
         # two blocks of the same letter split its slots binomially
         nu = (0, 0, 1, 0, 0, 0)

@@ -1,6 +1,6 @@
 """Vanishing criteria for idempotents: four routes, one verdict."""
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -13,7 +13,7 @@ from klrdim.idempotents import (
     nonzero_direct,
     nonzero_divided,
 )
-from oracles import first_shuffle_witness, shallow_stack
+from oracles import Recording, first_shuffle_witness, shallow_stack
 
 RANK1 = validate_cartan([[2]])
 A2 = builtin_cartan("A2")
@@ -96,13 +96,32 @@ class TestShuffle:
 
     @pytest.mark.parametrize("name", ["A2", "A1~"])
     def test_witness_is_the_first_passing_assignment(self, name):
+        # Every order of the fundamental weights: from level 3 on, equal
+        # ones may stand apart, as in (0, 1, 0), and equal pieces open in
+        # order.
         c = builtin_cartan(name)
-        for lam in dominant_weights(c.n, 2):
-            fundamentals = tuple(i for i, k in enumerate(lam.coeffs) for _ in range(k))
-            for n in range(7):
-                for nu in product(range(c.n), repeat=n):
-                    got = nonzero_by_shuffle(c, nu, fundamentals).witness
-                    assert got == first_shuffle_witness(c, nu, fundamentals), (lam, nu)
+        for lam in dominant_weights(c.n, 3):
+            units = tuple(i for i, k in enumerate(lam.coeffs) for _ in range(k))
+            for fundamentals in sorted(set(permutations(units))):
+                for n in range(7 if len(units) < 3 else 6):
+                    for nu in product(range(c.n), repeat=n):
+                        got = nonzero_by_shuffle(c, nu, fundamentals).witness
+                        assert got == first_shuffle_witness(c, nu, fundamentals), (fundamentals, nu)
+
+    def test_equal_pieces_open_in_order(self):
+        # A1~ at Lambda = 3 Lambda_1 on nu = 1, 1, 1, 1, 0, 1, 1 is zero.
+        # Lambda_1 pairs to zero with letter 0, so a piece opens only on a
+        # 1, and the three equal pieces open in order: a prefix of m
+        # letters is a partition of its positions into at most three
+        # pieces, numbered as they open, in which position 4 (the 0) joins
+        # an open piece.  For m = 0..7 there are 1, 1, 2, 5, 14, 33, 98
+        # and 293 of them, one check each.  Every order of the pieces
+        # would take 2,656.
+        c = builtin_cartan("A1~")
+        deadline = Recording(3600)
+        verdict = nonzero_by_shuffle(c, (1, 1, 1, 1, 0, 1, 1), (1, 1, 1), deadline=deadline)
+        assert not verdict.nonzero and verdict.witness is None
+        assert deadline.seen["shuffle search"] == 447
 
     def test_long_words_need_no_deep_stack(self):
         # The search loops over an explicit stack, so 300 positions run with

@@ -9,7 +9,6 @@ from klrdim.errors import IncompatibleContent, LengthMismatch, NotBlockForm
 from klrdim.perms import (
     as_block_form,
     block_form_of,
-    min_coset_reps,
     sorting_perm,
     transport_perms,
 )
@@ -18,6 +17,7 @@ from oracles import (
     act_right,
     compose,
     identity_perm,
+    min_coset_reps,
     perm_inverse,
     perm_length,
     run_bounds,
