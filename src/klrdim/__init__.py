@@ -46,8 +46,6 @@ from .dims import (
     crossing_degree,
     dim,
     dim_divided,
-    dim_factor,
-    dim_factor_id,
     graded_dim,
     graded_dim_recursive,
     nilhecke_dim,
@@ -89,8 +87,8 @@ __all__ = [
     "CartanData", "RootElement", "Weight", "builtin_cartan",
     "cartan_from_json", "root_pairing", "tuple_content", "validate_cartan",
     "algebra_dim", "algebra_graded_dim", "block_dim", "block_graded_dim",
-    "blocks_of_size", "crossing_degree", "dim", "dim_divided", "dim_factor",
-    "dim_factor_id", "graded_dim", "graded_dim_recursive", "nilhecke_dim",
+    "blocks_of_size", "crossing_degree", "dim", "dim_divided",
+    "graded_dim", "graded_dim_recursive", "nilhecke_dim",
     "nilhecke_graded_dim", "tuples_with_content",
     "NonzeroVerdict", "nonzero_blockwise", "nonzero_by_shuffle",
     "nonzero_direct", "nonzero_divided",

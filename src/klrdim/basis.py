@@ -8,10 +8,16 @@ has an explicit monomial basis indexed by
     (w, r_1..r_n)   with   w in the transport set from mu to the grouped
                            tuple and 0 <= r_k < bound_k,
 
-where the exponent bounds come from the dimension factors of the sorting
-permutation corrected by same-letter counts.  The basis exists exactly when
-every bound is positive, and its cardinality (block factorials times the
-bound product) is the ungraded dimension of the subspace.
+where the exponent bound at slot k, holding letter x, pairs the weight with
+the coroot of x after the letters of mu before slot k are taken away: those
+of earlier blocks by their Cartan entries a_{xy}, and those equal to x once
+each.  That is the dimension factor of the sorting permutation at slot k
+plus the same-letter count, read off running letter counts in one pass, with
+no permutation built.  The basis exists exactly when every bound is
+positive, and its cardinality (block factorials times the bound product) is
+the ungraded dimension of the subspace.  Each block's head pairing, the
+level of its nilHecke algebra, is the bound of the grouped tuple at the
+block's first slot.
 
 On the diagonal (mu equal to the grouped tuple) everything collapses to a
 product of nilHecke algebras, one per block, which also yields the graded
@@ -20,6 +26,7 @@ dimension as a closed product.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import factorial, prod
@@ -28,26 +35,17 @@ from typing import Iterator, Sequence
 from . import budget
 from .budget import Deadline
 from .cartan import CartanData, Weight, tuple_content
-from .dims import dim_factor, dim_factor_id, nilhecke_graded_dim
+from .dims import nilhecke_graded_dim
 from .errors import IncompatibleContent, PreconditionFail, ZeroEdge
-from .perms import (
-    BlockForm,
-    IndexTuple,
-    Perm,
-    block_form_of,
-    sorting_perm,
-    transport_perms,
-)
+from .perms import BlockForm, IndexTuple, Perm, block_form_of, transport_perms
 from .qpoly import LaurentPoly
 
 
 def block_levels(c: CartanData, lam: Weight, form: BlockForm) -> tuple[int, ...]:
-    """Head pairing of each block: the nilHecke level its block carries."""
-    cumulative = form.cumulative
-    return tuple(
-        dim_factor_id(c, lam, form.tuple, cumulative[i] + 1)
-        for i in range(form.count)
-    )
+    """Head pairing of each block: the nilHecke level its block carries, the
+    exponent bound of the grouped tuple at the block's first slot."""
+    bounds = exponent_bounds(c, lam, form.tuple, form)
+    return tuple(bounds[start] for start in form.cumulative[:-1])
 
 
 def exponent_bounds(
@@ -56,18 +54,32 @@ def exponent_bounds(
     mu: Sequence[int],
     form: BlockForm | None = None,
 ) -> tuple[int, ...]:
-    """All exponent bounds of mu at once (computing the sorting permutation
-    only once)."""
+    """All exponent bounds of mu at once, in one pass over mu.
+
+    The bound at slot k holding letter x is
+
+        <Lambda, h_x> - #{j < k: mu_j = x} - sum_y a_{xy} #{j < k: mu_j = y}
+
+    over the letters y of the blocks before x's.  Each letter keeps its
+    running bound, and reading a letter y lowers its own by 1 and that of
+    every letter of a later block x by a_{xy}.  Raises
+    :class:`IncompatibleContent` when mu and the grouped form differ in
+    content.
+    """
     mu = tuple(mu)
     if form is None:
         form = block_form_of(mu)
-    d = sorting_perm(mu, form)
+    elif Counter(mu) != Counter(form.tuple):
+        raise IncompatibleContent("tuple content differs from the grouped form")
+    letters = form.letters
+    later = {y: letters[i + 1 :] for i, y in enumerate(letters)}
+    running = {x: lam.coeffs[x] for x in letters}
     out = []
-    seen: dict[int, int] = {}
-    for k in range(1, len(mu) + 1):
-        x = mu[k - 1]
-        out.append(dim_factor(c, lam, d, mu, k) + seen.get(x, 0))
-        seen[x] = seen.get(x, 0) + 1
+    for y in mu:
+        out.append(running[y])
+        running[y] -= 1
+        for x in later[y]:
+            running[x] -= c.matrix[x][y]
     return tuple(out)
 
 

@@ -8,7 +8,10 @@ graded dimension of the idempotent-truncated piece e(nu) R^Lambda e(nu') is
 
 where the integer dimension factor F(w, nu, t) pairs the weight, reduced by
 the letters at positions before t that w keeps below slot t, against the
-coroot of the letter at t.  F(w, nu, t) depends only on which slots of nu'
+coroot of the letter at t.  The definitions of F(w, nu, t) and F(1, nu, t)
+live with the tests (``tests/oracles.py``), which hold every route here to
+them; the shift's factors F(1, nu, t) are read off one pairing vector that
+runs along nu.  F(w, nu, t) depends only on which slots of nu'
 the positions before t took, not on the order they took them in, so by
 distributivity :func:`graded_dim` and :func:`dim` share one walk over the
 positions of nu whose states are the sets of slots taken so far: at most
@@ -70,30 +73,6 @@ from .perms import IndexTuple, Perm
 from .qpoly import MAX_TERMS, LaurentPoly, quantum_int, sum_of_products
 
 
-def dim_factor(c: CartanData, lam: Weight, w: Perm, nu: Sequence[int], t: int) -> int:
-    """The integer factor at slot t of the dimension product for w.
-
-    Pairs Lambda minus the simple roots of the letters at positions j < t
-    with w(j) < w(t) against the coroot of the letter at slot t.  May be
-    zero or negative for individual w; only the full sum is a dimension.
-    """
-    i = nu[t - 1]
-    row = c.matrix[i]
-    val = lam.coeffs[i]
-    wt = w[t - 1]
-    for j in range(t - 1):
-        if w[j] < wt:
-            val -= row[nu[j]]
-    return val
-
-
-def dim_factor_id(c: CartanData, lam: Weight, nu: Sequence[int], t: int) -> int:
-    """:func:`dim_factor` at the identity: every position before t counts."""
-    i = nu[t - 1]
-    row = c.matrix[i]
-    return lam.coeffs[i] - sum(row[nu[j]] for j in range(t - 1))
-
-
 def crossing_degree(c: CartanData, w: Perm, nu: Sequence[int]) -> int:
     """Degree of the strand diagram of w on nu: minus the sum of root
     pairings (alpha_{nu_i} | alpha_{nu_t}) over crossings i < t, w(i) > w(t).
@@ -121,7 +100,6 @@ def _transport_sum(
     nu: IndexTuple | None,
     nuprime: IndexTuple,
     graded: bool,
-    where: str,
     deadline: Deadline | None,
 ) -> dict:
     """The column {nu: dim e(nu) R^Lambda e(nu')} of the closed formula:
@@ -131,13 +109,14 @@ def _transport_sum(
     dimension zero are left out.  With ``nu`` given, the column is that one
     source or empty; with ``nu`` None, it holds every source.
 
-    F(w, nu, t), :func:`dim_factor`'s factor, depends only on the set of
-    slots of nu' that the positions before t took, so by distributivity the
-    sum is a walk over the positions whose states map that set, an int
-    bitmask, to the sum over every prefix that took it.  Position t extends
-    a state by each free slot of nu' whose letter x it may take and whose
-    factor, <Lambda, h_x> less the pairings with the letters of the taken
-    slots before it, is nonzero.  With ``nu`` given, position t may take
+    F(w, nu, t) pairs Lambda, less the simple roots of the letters at the
+    positions j < t with w(j) < w(t), with the coroot of nu_t.  It depends
+    only on the set of slots of nu' that the positions before t took, so by
+    distributivity the sum is a walk over the positions whose states map
+    that set, an int bitmask, to the sum over every prefix that took it.
+    Position t extends a state by each free slot of nu' whose letter x it
+    may take and whose factor, <Lambda, h_x> less the pairings with the
+    letters of the taken slots before it, is nonzero.  With ``nu`` given, position t may take
     only x = nu_t, and the key is the mask alone.  With ``nu`` None it may
     take any letter, and the key also carries the source prefix read so
     far, above the mask, as digits in base ``c.n`` with the letter at
@@ -145,12 +124,18 @@ def _transport_sum(
     whose value is zero has only zero completions, so it is dropped.  The
     states that hold every slot are the column, and each source's global
     shift is applied to its value afterwards; no state reaches them when
-    nu' does not rearrange nu.  The deadline is checked once per state and,
-    in Laurent arithmetic, once per multiplication, since a large factor
-    makes one product slow.  ``graded`` picks the arithmetic, as in
-    :func:`_columns`; in plain integers every shift is the identity.
+    nu' does not rearrange nu.  That shift is sum_t d_x (F(1, nu, t) - 1)
+    with x = nu_t, and F(1, nu, t) = <Lambda - nu_1 - ... - nu_{t-1}, h_x>
+    is read off a pairing vector that drops by column x of the Cartan
+    matrix after slot t is read.  The
+    deadline is checked once per state and, in Laurent arithmetic, once per
+    multiplication, since a large factor makes one product slow; its label
+    is ``"graded dimension sum"`` or ``"dimension sum"``.  ``graded`` picks
+    the arithmetic, as in :func:`_columns`; in plain integers every shift
+    is the identity.
     """
-    one, factor, _ = (LaurentPoly.one(), quantum_int, LaurentPoly.shift) if graded else _AT_ONE
+    one, factor = (LaurentPoly.one(), quantum_int) if graded else _AT_ONE
+    where = "graded dimension sum" if graded else "dimension sum"
     d, n, base = c.symmetrizer, len(nuprime), c.n
     # Each position's choices: (letter, its row and weight coefficient, and
     # what taking it adds to the key: its digit at the position, or 0).
@@ -189,8 +174,12 @@ def _transport_sum(
             column[tuple(word)] = value
     if graded:
         # The per-slot q-shifts at the identity: one monomial per source.
+        cartan_columns = list(zip(*c.matrix))
         for source, value in column.items():
-            shift = sum(d[x] * (dim_factor_id(c, lam, source, t) - 1) for t, x in enumerate(source, 1))
+            pairing, shift = lam.coeffs, 0
+            for x in source:
+                shift += d[x] * (pairing[x] - 1)
+                pairing = tuple(p - a for p, a in zip(pairing, cartan_columns[x]))
             column[source] = value.shift(shift)
     return column
 
@@ -208,9 +197,7 @@ def transport_column(
     content that is missing has dimension zero.  Each entry equals
     :func:`graded_dim` or :func:`dim` of its pair, which are the same walk
     with the source fixed."""
-    nuprime = tuple(nuprime)
-    where = "graded dimension sum" if graded else "dimension sum"
-    return _transport_sum(c, lam, None, nuprime, graded, where, deadline)
+    return _transport_sum(c, lam, None, tuple(nuprime), graded, deadline)
 
 
 def graded_dim(
@@ -238,14 +225,9 @@ def graded_dim(
         raise LengthMismatch("tuples must have the same length")
     # A graded dimension has non-negative coefficients and is dim at q = 1,
     # so it is zero exactly when the integer walk is.
-    if not _transport_sum(
-        c, lam, nu, nuprime, graded=False, where="dimension sum", deadline=deadline
-    ):
+    if not _transport_sum(c, lam, nu, nuprime, False, deadline):
         return LaurentPoly.zero()
-    column = _transport_sum(
-        c, lam, nu, nuprime, graded=True, where="graded dimension sum", deadline=deadline
-    )
-    return column.get(nu, LaurentPoly.zero())
+    return _transport_sum(c, lam, nu, nuprime, True, deadline).get(nu, LaurentPoly.zero())
 
 
 def dim(
@@ -266,10 +248,7 @@ def dim(
     nuprime = tuple(nuprime)
     if len(nu) != len(nuprime):
         raise LengthMismatch("tuples must have the same length")
-    column = _transport_sum(
-        c, lam, nu, nuprime, graded=False, where="dimension sum", deadline=deadline
-    )
-    return column.get(nu, 0)
+    return _transport_sum(c, lam, nu, nuprime, False, deadline).get(nu, 0)
 
 
 def graded_dim_recursive(
@@ -566,8 +545,8 @@ def _sum_at_one(triples) -> int:
     return sum(a * b for a, b, _ in triples)
 
 
-# The pair walk's arithmetic at q = 1: the unit, the factor [f] and the shift.
-_AT_ONE = (1, lambda f, dx: f, lambda v, e: v)
+# The pair walk's arithmetic at q = 1: the unit and the factor [f].
+_AT_ONE = (1, lambda f, dx: f)
 
 
 def block_graded_dim(

@@ -26,7 +26,7 @@ from .basis import block_levels
 from .budget import Deadline
 from .cartan import CartanData, Weight
 from .dims import dim, dim_divided
-from .perms import BlockForm, as_block_form
+from .perms import as_block_form
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def nonzero_divided(
 def nonzero_blockwise(
     c: CartanData,
     lam: Weight,
-    nu: Sequence[int] | BlockForm,
+    nu: Sequence[int],
 ) -> NonzeroVerdict:
     """For a grouped tuple with globally distinct letters: nonzero iff every
     block's head pairing meets the block size.
@@ -76,7 +76,7 @@ def nonzero_blockwise(
     their conjunction.  Raises :class:`NotBlockForm` on tuples whose
     letters recur across blocks.
     """
-    form = nu if isinstance(nu, BlockForm) else as_block_form(nu)
+    form = as_block_form(nu)
     pairs = tuple(zip(block_levels(c, lam, form), form.sizes))
     ok = all(head >= size for head, size in pairs)
     return NonzeroVerdict(ok, "blockwise", pairs)

@@ -16,8 +16,9 @@ too, with the slots held ascending inside each run of equal letters.
 :func:`transport_perms` enumerates the matchings whole, for the basis
 machinery, by a slot walk that fills the slots in turn from the choices
 it is offered, in a loop over an explicit stack, so no recursion grows
-with the length of a tuple.  :class:`BlockForm` and :func:`sorting_perm`
-group a tuple by letter for the monomial bases.
+with the length of a tuple.  :class:`BlockForm` groups a tuple by letter
+for the monomial bases, and :func:`sorting_perm` is the shortest
+permutation that groups it, which ``klrdim tilde`` prints.
 
 >>> list(transport_perms((0, 0), (0, 0)))
 [(1, 2), (2, 1)]

@@ -41,11 +41,10 @@ class VerifyReport:
 
     ``mismatches`` counts every recorded mismatch and ``failed_blocks``
     every block with one; only the first ten counterexamples are kept in
-    ``failures``.
+    ``failures``.  ``ok`` is read off ``mismatches``.
     """
 
     suite: str
-    ok: bool = True
     blocks: int = 0
     checked: int = 0
     failures: list[dict] = field(default_factory=list)
@@ -53,11 +52,14 @@ class VerifyReport:
     failed_blocks: int = 0
 
     @property
+    def ok(self) -> bool:
+        return self.mismatches == 0
+
+    @property
     def blocks_ok(self) -> int:
         return self.blocks - self.failed_blocks
 
     def record(self, **counterexample) -> None:
-        self.ok = False
         self.mismatches += 1
         if len(self.failures) < 10:
             self.failures.append(counterexample)

@@ -2,9 +2,11 @@
 
 None of these runs on a production path.  Each restates a quantity the
 library computes some other way -- the left action, Coxeter length, the
-target-side dimension factor, the bar involution, the blocks of an algebra
-summed one walk each, the divided-power sum over listed coset
-representatives -- so that the tests can compare the two, or builds
+dimension factors F(w, nu, t) and F(1, nu, t) by their definitions (the
+library reads its exponent bounds, block heads and walk shifts off running
+pairings instead), the target-side dimension factor, the bar involution,
+the blocks of an algebra summed one walk each, the divided-power sum over
+listed coset representatives -- so that the tests can compare the two, or builds
 what a test compares against: products of permutations, the right action
 and adjacent swaps, run boundaries, the run-ascending coset
 representatives, shuffle splits, the level-reduction
@@ -30,7 +32,7 @@ from typing import Iterable, Iterator, Sequence
 from klrdim.basis import exponent_bounds
 from klrdim.budget import Deadline
 from klrdim.cartan import CartanData, RootElement, Weight
-from klrdim.dims import block_graded_dim, blocks_of_size, dim, dim_factor
+from klrdim.dims import block_graded_dim, blocks_of_size, dim
 from klrdim.errors import LengthMismatch, OutOfRange, PreconditionFail
 from klrdim.perms import BlockForm, IndexTuple, Perm, _slot_walk, sorting_perm
 from klrdim.qpoly import LaurentPoly, divide_exact, quantum_factorial
@@ -135,7 +137,7 @@ def min_coset_reps(nu: Sequence[int]) -> Iterator[Perm]:
 def dim_divided_by_reps(c: CartanData, lam: Weight, nu: Sequence[int]) -> int:
     """:func:`klrdim.dims.dim_divided` as a sum over the listed
     representatives of :func:`min_coset_reps`: each one's product of
-    :func:`~klrdim.dims.dim_factor` raised by the position's offset inside
+    :func:`dim_factor` raised by the position's offset inside
     its run, times the product of the run factorials."""
     nu = tuple(nu)
     sizes = [len(list(run)) for _, run in groupby(nu)]
@@ -258,6 +260,32 @@ def check_bounds_under_swap(
     return True
 
 
+def dim_factor(c: CartanData, lam: Weight, w: Perm, nu: Sequence[int], t: int) -> int:
+    """F(w, nu, t), the integer factor at slot t of the dimension product
+    for w, by its definition.
+
+    Pairs Lambda minus the simple roots of the letters at positions j < t
+    with w(j) < w(t) against the coroot of the letter at slot t.  May be
+    zero or negative for individual w; only the full sum is a dimension.
+    """
+    i = nu[t - 1]
+    row = c.matrix[i]
+    val = lam.coeffs[i]
+    wt = w[t - 1]
+    for j in range(t - 1):
+        if w[j] < wt:
+            val -= row[nu[j]]
+    return val
+
+
+def dim_factor_id(c: CartanData, lam: Weight, nu: Sequence[int], t: int) -> int:
+    """F(1, nu, t), :func:`dim_factor` at the identity: every position
+    before t counts."""
+    i = nu[t - 1]
+    row = c.matrix[i]
+    return lam.coeffs[i] - sum(row[nu[j]] for j in range(t - 1))
+
+
 def dim_factor_target(
     c: CartanData,
     lam: Weight,
@@ -266,7 +294,7 @@ def dim_factor_target(
     nuprime: Sequence[int],
     t: int,
 ) -> int:
-    """:func:`klrdim.dims.dim_factor` read off the target tuple instead of
+    """:func:`dim_factor` read off the target tuple instead of
     the source.
 
     Sums the letters of nu' at positions below w(t) that are hit by the

@@ -1,12 +1,15 @@
 """Monomial-basis index sets, exponent bounds and their transforms."""
 
+import random
 import time
 from itertools import product
 from math import factorial, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import dominant_weights, small_battery
+from conftest import dominant_weights, random_cartan, small_battery
 from klrdim.basis import (
     basis_counts_121,
     block_levels,
@@ -19,16 +22,15 @@ from klrdim.cartan import Weight, builtin_cartan, validate_cartan
 from klrdim.dims import (
     blocks_of_size,
     dim,
-    dim_factor,
     graded_dim,
     nilhecke_dim,
     tuples_with_content,
 )
-from klrdim.errors import PreconditionFail, TimeBudgetExceeded, ZeroEdge
+from klrdim.errors import IncompatibleContent, PreconditionFail, TimeBudgetExceeded, ZeroEdge
 from klrdim.perms import as_block_form, block_form_of, sorting_perm
 from oracles import (
-    act_on_tuple, act_right, block_of_slot, check_bounds_under_swap, compose, perm_length,
-    run_bounds, simple_transposition, smaller_before,
+    act_on_tuple, act_right, block_of_slot, check_bounds_under_swap, compose, dim_factor,
+    dim_factor_id, perm_length, run_bounds, simple_transposition, smaller_before,
 )
 
 RANK1 = validate_cartan([[2]])
@@ -84,6 +86,38 @@ class TestExponentBounds:
                     l2 - a_from_x_at_y,
                     l1 - 1,
                 )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(*[st.integers(0, 3)] * 3),
+        st.lists(st.integers(0, 2), max_size=7),
+        st.permutations(range(3)),
+    )
+    # Seed 0 joins every two nodes, so each block's bounds read the letters
+    # of every earlier block; node 1 has a block of three with a run of two.
+    @example(seed=0, lam=(1, 3, 2), mu=[2, 1, 1, 2, 0, 1], order=[0, 1, 2])
+    # The same letters with the blocks in the other order.
+    @example(seed=0, lam=(1, 3, 2), mu=[2, 1, 1, 2, 0, 1], order=[2, 1, 0])
+    def test_one_pass_matches_the_factor_definitions(self, seed, lam, mu, order):
+        # bound_k = F(d, mu, k) + #{j < k: mu_j = mu_k} for the sorting
+        # permutation d, with the letters grouped in a drawn order, and each
+        # block's head is F(1, grouped tuple, the block's first slot).
+        c = random_cartan(random.Random(seed))
+        lam, mu = Weight(lam), tuple(mu)
+        form = block_form_of(mu, [x for x in order if x in mu])
+        d = sorting_perm(mu, form)
+        assert exponent_bounds(c, lam, mu, form) == tuple(
+            dim_factor(c, lam, d, mu, k) + mu[: k - 1].count(mu[k - 1])
+            for k in range(1, len(mu) + 1)
+        )
+        assert block_levels(c, lam, form) == tuple(
+            dim_factor_id(c, lam, form.tuple, start + 1) for start in form.cumulative[:-1]
+        )
+
+    def test_content_must_match_the_grouped_form(self):
+        with pytest.raises(IncompatibleContent, match="^tuple content differs from the grouped form$"):
+            exponent_bounds(A2, Weight((1, 1)), (0, 0), block_form_of((0, 1)))
 
 
 class TestMonomialBasis:

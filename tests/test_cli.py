@@ -20,7 +20,6 @@ import klrdim.basis
 from conftest import small_battery
 from klrdim import builtin_cartan, cli
 from klrdim.cli import run
-from klrdim.perms import sorting_perm
 from klrdim.qpoly import LaurentPoly, eval_one
 from oracles import Recording, algebra_by_blocks, shallow_stack
 
@@ -264,15 +263,16 @@ class TestBasisTilde:
         assert doc["elements"][0] == {"w": [1, 2], "r": [0, 0]}
 
     def test_basis_computes_its_bounds_once(self, capsys, monkeypatch):
-        # The bounds need the sorting permutation; the basis, its emptiness
-        # and its cardinality are all read from one set of bounds.
+        # The basis, its emptiness and its cardinality are all read from
+        # one set of bounds.
         calls = []
+        exponent_bounds = klrdim.basis.exponent_bounds
 
-        def counted(mu, form):
+        def counted(c, lam, mu, form=None):
             calls.append(mu)
-            return sorting_perm(mu, form)
+            return exponent_bounds(c, lam, mu, form)
 
-        monkeypatch.setattr(klrdim.basis, "sorting_perm", counted)
+        monkeypatch.setattr(klrdim.basis, "exponent_bounds", counted)
         code, doc, _ = invoke_json(
             capsys, "basis", "--cartan", "A2", "--weight", "2,1",
             "--mu", "2,1,1", "--list",

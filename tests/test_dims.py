@@ -29,8 +29,6 @@ from klrdim.dims import (
     crossing_degree,
     dim,
     dim_divided,
-    dim_factor,
-    dim_factor_id,
     graded_dim,
     graded_dim_recursive,
     nilhecke_dim,
@@ -41,7 +39,10 @@ from klrdim.dims import (
 from klrdim.errors import BadShape, PreconditionFail, TimeBudgetExceeded, TooManyTerms
 from klrdim.perms import transport_perms
 from klrdim.qpoly import LaurentPoly, eval_one, quantum_int
-from oracles import Recording, dim_divided_by_reps, dim_factor_target, from_pairs, shallow_stack
+from oracles import (
+    Recording, dim_divided_by_reps, dim_factor, dim_factor_id, dim_factor_target, from_pairs,
+    shallow_stack,
+)
 
 RANK1 = validate_cartan([[2]])
 A2 = builtin_cartan("A2")

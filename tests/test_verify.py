@@ -132,9 +132,9 @@ def test_oracle_walks_each_target_word_once_per_arithmetic(monkeypatch):
     walks, pair_calls = [], []
     walk = klrdim.dims._transport_sum
 
-    def counted_walk(c, lam, nu, nuprime, graded, where, deadline):
+    def counted_walk(c, lam, nu, nuprime, graded, deadline):
         walks.append((nu, nuprime, graded))
-        return walk(c, lam, nu, nuprime, graded, where, deadline)
+        return walk(c, lam, nu, nuprime, graded, deadline)
 
     def counted_pair(name, fn):
         def call(*args, **kwargs):
