@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     BadDiagonal,
@@ -330,6 +331,26 @@ def cartan_from_json(doc: dict) -> tuple[CartanData, list[int]]:
 def root_pairing(c: CartanData, i: int, j: int) -> int:
     """The symmetric form (alpha_i | alpha_j) = d_i * a_ij = d_j * a_ji."""
     return c.symmetrizer[i] * c.matrix[i][j]
+
+
+def grading_shift(c: CartanData, lam: Weight, counts: tuple[int, ...]) -> int:
+    """The degree s(beta) = (Lambda|beta) - (beta|beta)/2 of the content
+    beta with multiplicities ``counts``, where (Lambda|alpha_i) =
+    d_i <Lambda, h_i> and (alpha_i|alpha_j) = d_i a_ij.  (beta|beta) is
+    even, since (alpha_i|alpha_i) = 2 d_i, so s(beta) is an integer.
+
+    Every graded dimension of e(nu) R^Lambda(beta) e(nu') is q^{s(beta)}
+    times a Laurent polynomial fixed by q -> q^-1: 2 s(beta) is the degree
+    d_{Lambda,beta} of the symmetrizing trace of R^Lambda(beta) (Shan,
+    Varagnolo and Vasserot, Duke Math. J. 166, 2017).
+    """
+    d, coeffs = c.symmetrizer, lam.coeffs
+    lam_beta = beta_beta = 0
+    for i, m in enumerate(counts):
+        if m:
+            lam_beta += d[i] * coeffs[i] * m
+            beta_beta += d[i] * m * sum(map(mul, c.matrix[i], counts))
+    return lam_beta - beta_beta // 2
 
 
 def tuple_content(c: CartanData, nu: tuple[int, ...]) -> RootElement:

@@ -40,7 +40,6 @@ from .cartan import (
     builtin_cartan,
     builtin_names,
     cartan_from_json,
-    tuple_content,
 )
 from .errors import BadShape, KlrError, OutOfRange, PreconditionFail
 from .perms import BlockForm, block_form_of, sorting_perm
@@ -214,26 +213,16 @@ def _cmd_algebra(ctx: Context, args) -> tuple[dict, str]:
     n = args.n
     if n < 0:
         raise PreconditionFail("--n must be >= 0")
-    # One walk over the words of length n; a block is the sum of the
-    # columns of its content, and a block with no nonzero word is 0.
-    columns = dims._columns(
-        ctx.cartan, lam, (n,) * ctx.cartan.n, n, graded=True, deadline=ctx.deadline
-    )
-    by_content: dict = {}
-    for word, value in columns.items():
-        content = tuple_content(ctx.cartan, word)
-        by_content[content] = by_content.get(content, LaurentPoly.zero()) + value
+    # One walk over the words of length n; a block with no nonzero word is 0.
+    by_content = dims.blocks_graded_dims(ctx.cartan, lam, n, deadline=ctx.deadline)
     blocks = []
-    total_g = LaurentPoly.zero()
-    total_u = 0
     for beta in dims.blocks_of_size(ctx.cartan, n):
         # C(n + rank - 1, n) blocks, however few words are nonzero.
         budget.check(ctx.deadline, "block sum")
         g = by_content.get(beta, LaurentPoly.zero())
-        u = eval_one(g)
-        blocks.append((beta, g, u))
-        total_g = total_g + g
-        total_u += u
+        blocks.append((beta, g, eval_one(g)))
+    total_g = sum(by_content.values(), LaurentPoly.zero())
+    total_u = eval_one(total_g)
     lines = [f"beta={_csv(beta.coeffs)}  graded {g}  ungraded {u}" for beta, g, u in blocks]
     lines.append(f"total  graded {total_g}  ungraded {total_u}")
     doc = {

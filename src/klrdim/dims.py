@@ -1,7 +1,8 @@
 """The dimension engine for cyclotomic quiver Hecke algebras.
 
-For a dominant weight Lambda and index tuples nu, nu' of equal content, the
-graded dimension of the idempotent-truncated piece e(nu) R^Lambda e(nu') is
+For a dominant weight Lambda and index tuples nu, nu' of equal content
+beta, the graded dimension of the idempotent-truncated piece
+e(nu) R^Lambda e(nu') is
 
     sum over transport permutations w (w*nu = nu') of
         prod_t  [F(w, nu, t)]_{q^{d_{nu_t}}}  *  q^{d_{nu_t} (F(1, nu, t) - 1)}
@@ -10,27 +11,32 @@ where the integer dimension factor F(w, nu, t) pairs the weight, reduced by
 the letters at positions before t that w keeps below slot t, against the
 coroot of the letter at t.  The definitions of F(w, nu, t) and F(1, nu, t)
 live with the tests (``tests/oracles.py``), which hold every route here to
-them; the shift's factors F(1, nu, t) are read off one pairing vector that
-runs along nu.  F(w, nu, t) depends only on which slots of nu'
-the positions before t took, not on the order they took them in, so by
-distributivity :func:`graded_dim` and :func:`dim` share one walk over the
-positions of nu whose states are the sets of slots taken so far: at most
-2^n states in place of prod_x m_x! permutations.  A zero factor or a state
-that sums to zero has only zero completions, so neither is carried on.  The
-walk runs in Laurent polynomials for the graded dimension and in plain
-integers for the ungraded one.  With the source left free, the same walk
-lets each position take any free slot of nu' and also keys its states on
-the source prefix read so far, so it gives the whole column
+them.  The per-slot shifts telescope: since
+sum_{j<t} (alpha_{nu_j}|alpha_{nu_t}) = (beta|beta)/2 - sum_t d_{nu_t},
+they add up to s(beta) = (Lambda|beta) - (beta|beta)/2 for every pair of
+the block, the one grading shift of :func:`~klrdim.cartan.grading_shift`.
+So both production walks below are plain sums of products of quantum
+integers, shifted once by q^{s(beta)}.  F(w, nu, t) depends only on which
+slots of nu' the positions before t took, not on the order they took them
+in, so by distributivity :func:`graded_dim` and :func:`dim` share one walk
+over the positions of nu whose states are the sets of slots taken so far:
+at most 2^n states in place of prod_x m_x! permutations.  A zero factor or
+a state that sums to zero has only zero completions, so neither is carried
+on.  The walk runs in Laurent polynomials for the graded dimension and in
+plain integers for the ungraded one.  With the source left free, the same
+walk lets each position take any free slot of nu' and also keys its states
+on the source prefix read so far, so it gives the whole column
 {nu: dim e(nu) R^Lambda e(nu')} into one target word
 (:func:`transport_column`); the verify suites and ``dim --all-pairs`` read
 every pair of a block from these columns.  A single pair is the walk with
 the source fixed.  A graded dimension has non-negative coefficients and
 equals the ungraded one at q = 1, so :func:`graded_dim` runs the integer
-walk first and builds no polynomial for a zero pair.  The same dimension
-is computed by an independent restriction recursion
-(:func:`graded_dim_recursive`), which peels nu from the right and shares
-no code or memo with the walk, so the two routes cross-check each other
-exactly.
+walk first and builds no polynomial for a zero pair.  Every entry point
+checks its input once (:func:`_checked`).  The same dimension is computed
+by an independent restriction recursion (:func:`graded_dim_recursive`),
+which peels nu from the right with a shift at every step and shares no
+code or memo with the walk, so the two routes, and the two ways of
+grading, cross-check each other exactly.
 
 The divided-power route sums over far fewer terms: only the minimal coset
 representatives of the run-block Young subgroup, with each slot's factor
@@ -41,21 +47,23 @@ representatives are never listed.  The single-letter case collapses
 entirely to closed nilHecke products.
 
 A whole block is summed over its target words alone: the column
-C(w) = dim_q R^Lambda(beta) e(w) obeys the peeling recurrence with the source
-summed out.  One walk by word length builds the nonzero columns of length
-m + 1 from those of length m, in Laurent polynomials for
-:func:`block_graded_dim` and in plain integers for :func:`block_dim`.  Each
+C(w) = dim_q R^Lambda(beta) e(w) is q^{s(|w|)} U(w), where U obeys the
+peeling recurrence with the source summed out and no shift at all.  One
+walk by word length builds the nonzero U of length m + 1 from those of
+length m, in Laurent polynomials for :func:`block_graded_dim` and in plain
+integers for :func:`block_dim`, and a block's sum is shifted once.  Each
 word carries its pairing vector and its runs of equal letters, so an
 extension costs O(rank) before its terms; all deletions in a run are one
-word, so a run costs one lookup and one closed factor
-[r][f - r + 1]; and a word's terms are summed in one dict.  The
-embedding R^Lambda(m) into R^Lambda(n) maps e(w') to e(w' i), so a zero word
-has only zero extensions: zero words are not stored, so they are never
-extended.  R^Lambda(n) is the direct sum of its blocks, so an algebra sum is
-the same walk once over every word of length n, and the command line lists
-the blocks of R^Lambda(n) from that one walk, adding up its columns by
-content.  The per-pair closed formula and integer products are what block
-sums are checked against.
+word, so a run costs one lookup and one closed factor [r][f - r + 1]; and a
+word's terms are summed in one dict.  The embedding R^Lambda(m) into
+R^Lambda(n) maps e(w') to e(w' i), so a zero word has only zero
+extensions: zero words are not stored, so they are never extended.
+R^Lambda(n) is the direct sum of its blocks, so one walk over every word
+of length n, added up by content, gives every block of size n at once
+(:func:`blocks_graded_dims`); :func:`algebra_graded_dim` and the command
+line's block list read it.  Both walks take their arithmetic, graded or at
+q = 1, from one table, :data:`_ARITHMETIC`.  The per-pair closed formula
+and integer products are what block sums are checked against.
 """
 
 from __future__ import annotations
@@ -63,12 +71,13 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
 from math import factorial, prod
+from operator import sub
 from typing import Iterator, Sequence
 
 from . import budget
 from .budget import Deadline
-from .cartan import CartanData, RootElement, Weight, root_pairing
-from .errors import BadShape, LengthMismatch, PreconditionFail, TooManyTerms
+from .cartan import CartanData, RootElement, Weight, grading_shift, root_pairing
+from .errors import BadShape, LengthMismatch, OutOfRange, PreconditionFail, TooManyTerms
 from .perms import IndexTuple, Perm
 from .qpoly import MAX_TERMS, LaurentPoly, quantum_int, sum_of_products
 
@@ -94,6 +103,24 @@ def crossing_degree(c: CartanData, w: Perm, nu: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _checked(
+    c: CartanData, lam: Weight, nu: Sequence[int], nuprime: Sequence[int] | None = None
+) -> tuple[IndexTuple, IndexTuple]:
+    """nu and nu' (nu again when nu' is not given) as tuples, once the input
+    is checked: :class:`BadShape` for a weight without one coefficient per
+    node, :class:`LengthMismatch` for words of unequal length, and
+    :class:`OutOfRange` for a letter that is not a node 0..n-1."""
+    if len(lam.coeffs) != c.n:
+        raise BadShape(f"the weight and the block need one entry per node, {c.n} in all")
+    nu = tuple(nu)
+    nuprime = nu if nuprime is None else tuple(nuprime)
+    if len(nu) != len(nuprime):
+        raise LengthMismatch("tuples must have the same length")
+    if nu and (min(nu + nuprime) < 0 or max(nu + nuprime) >= c.n):
+        raise OutOfRange(f"letters must be nodes 0..{c.n - 1}")
+    return nu, nuprime
+
+
 def _transport_sum(
     c: CartanData,
     lam: Weight,
@@ -105,9 +132,10 @@ def _transport_sum(
     """The column {nu: dim e(nu) R^Lambda e(nu')} of the closed formula:
     for each source nu, the sum over the transport permutations w
     (w*nu = nu') of the products of the slot factors
-    [F(w, nu, t)]_{q^{d_{nu_t}}}, times nu's global shift.  Sources of
-    dimension zero are left out.  With ``nu`` given, the column is that one
-    source or empty; with ``nu`` None, it holds every source.
+    [F(w, nu, t)]_{q^{d_{nu_t}}}, times q^{s(beta)} for the content beta
+    of nu'.  Sources of dimension zero are left out.  With ``nu`` given,
+    the column is that one source or empty; with ``nu`` None, it holds
+    every source.
 
     F(w, nu, t) pairs Lambda, less the simple roots of the letters at the
     positions j < t with w(j) < w(t), with the coroot of nu_t.  It depends
@@ -122,19 +150,22 @@ def _transport_sum(
     far, above the mask, as digits in base ``c.n`` with the letter at
     position t as digit t, so that different sources never merge.  A state
     whose value is zero has only zero completions, so it is dropped.  The
-    states that hold every slot are the column, and each source's global
-    shift is applied to its value afterwards; no state reaches them when
-    nu' does not rearrange nu.  That shift is sum_t d_x (F(1, nu, t) - 1)
-    with x = nu_t, and F(1, nu, t) = <Lambda - nu_1 - ... - nu_{t-1}, h_x>
-    is read off a pairing vector that drops by column x of the Cartan
-    matrix after slot t is read.  The
-    deadline is checked once per state and, in Laurent arithmetic, once per
-    multiplication, since a large factor makes one product slow; its label
-    is ``"graded dimension sum"`` or ``"dimension sum"``.  ``graded`` picks
-    the arithmetic, as in :func:`_columns`; in plain integers every shift
-    is the identity.
+    states that hold every slot are the column; no state reaches them when
+    nu' does not rearrange nu.
+
+    The walk is a plain sum of products of quantum integers.  The closed
+    formula's per-slot shifts d_x (F(1, nu, t) - 1) add up to
+    s(beta) = (Lambda|beta) - (beta|beta)/2 for every source, since
+    sum_{j<t} (alpha_{nu_j}|alpha_{nu_t}) = (beta|beta)/2 - sum_t d_{nu_t},
+    so a graded column shifts each entry by the one
+    :func:`~klrdim.cartan.grading_shift` of nu''s content, computed only
+    when the column is nonempty.  The deadline is checked once per state
+    and, in Laurent arithmetic, once per multiplication, since a large
+    factor makes one product slow; its label is ``"graded dimension sum"``
+    or ``"dimension sum"``.  ``graded`` picks the arithmetic of
+    :data:`_ARITHMETIC`.
     """
-    one, factor = (LaurentPoly.one(), quantum_int) if graded else _AT_ONE
+    one, factor, _, _ = _ARITHMETIC[graded]
     where = "graded dimension sum" if graded else "dimension sum"
     d, n, base = c.symmetrizer, len(nuprime), c.n
     # Each position's choices: (letter, its row and weight coefficient, and
@@ -172,15 +203,9 @@ def _transport_sum(
                 code, x = divmod(code, base)
                 word.append(x)
             column[tuple(word)] = value
-    if graded:
-        # The per-slot q-shifts at the identity: one monomial per source.
-        cartan_columns = list(zip(*c.matrix))
-        for source, value in column.items():
-            pairing, shift = lam.coeffs, 0
-            for x in source:
-                shift += d[x] * (pairing[x] - 1)
-                pairing = tuple(p - a for p, a in zip(pairing, cartan_columns[x]))
-            column[source] = value.shift(shift)
+    if graded and column:
+        shift = grading_shift(c, lam, tuple(map(nuprime.count, range(base))))
+        column = {source: value.shift(shift) for source, value in column.items()}
     return column
 
 
@@ -197,7 +222,8 @@ def transport_column(
     content that is missing has dimension zero.  Each entry equals
     :func:`graded_dim` or :func:`dim` of its pair, which are the same walk
     with the source fixed."""
-    return _transport_sum(c, lam, None, tuple(nuprime), graded, deadline)
+    nuprime, _ = _checked(c, lam, nuprime)
+    return _transport_sum(c, lam, None, nuprime, graded, deadline)
 
 
 def graded_dim(
@@ -210,19 +236,16 @@ def graded_dim(
     """Graded dimension of e(nu) R^Lambda e(nu') as an exact Laurent polynomial.
 
     The walk of :func:`_transport_sum` with the source fixed to nu, over the
-    sets of slots of nu' taken, in Laurent polynomials, times one global
-    shift: the per-slot q-shift of the closed formula uses the identity
-    factors only, so it is one monomial shared by every summand.  Zero when
-    no permutation transports nu to nu'; every coefficient of the result is
+    sets of slots of nu' taken, in Laurent polynomials, times q^{s(beta)}:
+    the per-slot q-shifts of the closed formula add up to one monomial
+    that depends on the content beta alone.  Zero when no permutation
+    transports nu to nu'; every coefficient of the result is
     non-negative even though individual summands need not be.  So the
     result is zero exactly when :func:`dim` is, and the same walk in plain
     integers runs first: a zero pair builds no polynomial, and its checks
     are the ``"dimension sum"`` ones.
     """
-    nu = tuple(nu)
-    nuprime = tuple(nuprime)
-    if len(nu) != len(nuprime):
-        raise LengthMismatch("tuples must have the same length")
+    nu, nuprime = _checked(c, lam, nu, nuprime)
     # A graded dimension has non-negative coefficients and is dim at q = 1,
     # so it is zero exactly when the integer walk is.
     if not _transport_sum(c, lam, nu, nuprime, False, deadline):
@@ -244,10 +267,7 @@ def dim(
     multiplies the integer factors themselves and builds no polynomial, so
     the two results check each other's arithmetic.
     """
-    nu = tuple(nu)
-    nuprime = tuple(nuprime)
-    if len(nu) != len(nuprime):
-        raise LengthMismatch("tuples must have the same length")
+    nu, nuprime = _checked(c, lam, nu, nuprime)
     return _transport_sum(c, lam, nu, nuprime, False, deadline).get(nu, 0)
 
 
@@ -270,10 +290,7 @@ def graded_dim_recursive(
     only: a ``memo`` records the pair it was first filled for, and raises
     :class:`PreconditionFail` when it is passed with another.
     """
-    nu = tuple(nu)
-    nuprime = tuple(nuprime)
-    if len(nu) != len(nuprime):
-        raise LengthMismatch("tuples must have the same length")
+    nu, nuprime = _checked(c, lam, nu, nuprime)
     if memo is None:
         memo = {}
     if memo.setdefault("filled for", (c, lam)) != (c, lam):
@@ -339,7 +356,7 @@ def dim_divided(
     zero factor is not taken, a state that sums to zero is dropped, and the
     deadline is checked once per state.
     """
-    nu = tuple(nu)
+    nu, _ = _checked(c, lam, nu)
     n = len(nu)
     sizes = [len(list(run)) for _, run in groupby(nu)]
     # Each position's offset inside its run, and how many follow it there.
@@ -380,7 +397,9 @@ def nilhecke_graded_dim(
     The closed product q^{d s (L - s)} [s]! [L] [L-1] ... [L-s+1] in
     quantum integers of q^d, for level L and size s: the quantum factorial
     for the strand crossings and one quantum integer per strand for the dot
-    exponents.  Zero when s > L.  The product has s (L - 1) + 1 terms and is
+    exponents.  The shift d s (L - s) is the grading shift s(beta) of
+    :func:`~klrdim.cartan.grading_shift` for beta = s alpha on one node
+    with d_x = d and <Lambda, h_x> = L.  Zero when s > L.  The product has s (L - 1) + 1 terms and is
     refused with :class:`TooManyTerms` when that exceeds
     :data:`~klrdim.qpoly.MAX_TERMS`.  It is multiplied out one quantum
     integer at a time, with the deadline checked before each multiplication.
@@ -457,50 +476,54 @@ def _columns(
     c: CartanData, lam: Weight, bound: Sequence[int], size: int, graded: bool,
     deadline: Deadline | None,
 ) -> dict:
-    """The nonzero columns {w: C(w)} over the words w of length ``size``
-    whose content is at most ``bound`` in every letter.
+    """The nonzero shift-free columns {w: U(w)} over the words w of length
+    ``size`` whose content is at most ``bound`` in every letter.
 
     Summing :func:`graded_dim_recursive` over every source forces the
-    peeled letter to be x = w_k, so, with C(()) = 1,
+    peeled letter to be x = w_k, so the column C(w) = dim_q R^Lambda(beta) e(w)
+    obeys, with C(()) = 1,
 
         C(w) = sum_k q^{d_x (1 + <Lambda - |w|, h_x>)}
                [<Lambda, h_x> - sum_{j<k} a_{x w_j}]_{q^{d_x}} C(w without slot k).
 
-    C(w) is dim_q R^Lambda(beta) e(w), so it is zero exactly when e(w) is.
-    The walk goes by word length: one dict holds the nonzero columns of
-    length m, and each of its words is extended by every letter still under
-    the bound; the deletions of a longer word are looked up in that dict.
-    Zero words are not stored, so they are never extended: the embedding
-    R^Lambda(m) into R^Lambda(n) maps e(w') to e(w' i), so C(w') = 0 forces
-    C(w' i) = 0, and a word missing from the dict is zero.
+    Each term's exponent is s(|w|) - s(|w| - alpha_x), with s the grading
+    shift (Lambda|beta) - (beta|beta)/2 of :func:`~klrdim.cartan.grading_shift`,
+    so C(w) = q^{s(|w|)} U(w), where U(()) = 1 and
+
+        U(w) = sum_k [<Lambda, h_x> - sum_{j<k} a_{x w_j}]_{q^{d_x}} U(w without slot k)
+
+    carries no shift at all; a block sum shifts its total once.  U(w) is
+    zero exactly when e(w) is.  The walk goes by word length: one dict
+    holds the nonzero columns of length m, and each of its words is
+    extended by every letter still under the bound; the deletions of a
+    longer word are looked up in that dict.  Zero words are not stored, so
+    they are never extended: the embedding R^Lambda(m) into R^Lambda(n)
+    maps e(w') to e(w' i), so C(w') = 0 forces C(w' i) = 0, and a word
+    missing from the dict is zero.
 
     Each stored word carries, beside its column, its pairing vector
     <Lambda - |w|, h_y> over the nodes y and its runs of equal letters,
     each as its first slot and the identity factor f there.  Extending by
     i then costs O(rank): the new pairing is the old one less column i of
     the Cartan matrix, and a new run starts at factor pairing[i] unless the
-    word already ends in i.  The shift of x is read off the new pairing
-    before any term is built.  Deleting any slot of a run of r letters x
+    word already ends in i.  Deleting any slot of a run of r letters x
     gives the same word, and the factor drops by a_xx = 2 from slot to
-    slot, so the run takes one lookup and one factor,
+    slot, so the run takes one lookup and one (run factor, column) term,
 
         sum_{j<r} [f - 2j]_{q^{d_x}} = [r]_{q^{d_x}} [f - r + 1]_{q^{d_x}},
 
-    which is r (f - r + 1) at q = 1.  ``graded`` picks the arithmetic:
-    Laurent polynomials, where a word's terms go into one dict through
-    :func:`~klrdim.qpoly.sum_of_products`, or plain integers at q = 1,
-    where every shift is the identity.
+    which is r (f - r + 1) at q = 1.  ``graded`` picks the arithmetic of
+    :data:`_ARITHMETIC`: Laurent polynomials, where a word's terms go into
+    one dict through :func:`~klrdim.qpoly.sum_of_products`, or plain
+    integers at q = 1.
     """
     if len(lam.coeffs) != c.n or len(bound) != c.n:
         raise BadShape(f"the weight and the block need one entry per node, {c.n} in all")
     if size < 0:
         raise ValueError("size must be >= 0")
-    if graded:
-        one, run_factor, total = LaurentPoly.one(), _run_factor, sum_of_products
-    else:
-        one, run_factor, total = 1, _run_factor_at_one, _sum_at_one
+    one, _, run_factor, total = _ARITHMETIC[graded]
     d, columns = c.symmetrizer, list(zip(*c.matrix))
-    # Each stored word maps to (C(w), the pairing vector after w, its runs
+    # Each stored word maps to (U(w), the pairing vector after w, its runs
     # as (first slot, identity factor there)).
     level: dict = {(): (one, lam.coeffs, ())}
     for _ in range(size):
@@ -510,7 +533,7 @@ def _columns(
                 if stem.count(i) == bound[i]:
                     continue
                 budget.check(deadline, "block sum")
-                word, after = stem + (i,), tuple(p - a for p, a in zip(pairing, columns[i]))
+                word = stem + (i,)
                 runs_i = runs if stem and stem[-1] == i else (*runs, (len(stem), pairing[i]))
                 terms, end = [], len(word)
                 for start, f in reversed(runs_i):
@@ -518,12 +541,11 @@ def _columns(
                     # zero word, adds nothing.
                     r = end - start
                     if f != r - 1 and (rest := stems.get(word[:start] + word[start + 1 :])) is not None:
-                        x = word[start]
-                        terms.append((run_factor(r, f, d[x]), rest[0], d[x] * (1 + after[x])))
+                        terms.append((run_factor(r, f, d[word[start]]), rest[0]))
                     end = start
                 value = total(terms)
                 if value != 0:
-                    level[word] = (value, after, runs_i)
+                    level[word] = (value, tuple(map(sub, pairing, columns[i])), runs_i)
     return {word: value for word, (value, _, _) in level.items()}
 
 
@@ -534,30 +556,27 @@ def _run_factor(r: int, f: int, dx: int) -> LaurentPoly:
     return quantum_int(r, dx) * quantum_int(f - r + 1, dx)
 
 
-def _run_factor_at_one(r: int, f: int, dx: int) -> int:
-    """:func:`_run_factor` at q = 1: r (f - r + 1)."""
-    return r * (f - r + 1)
-
-
-def _sum_at_one(triples) -> int:
-    """:func:`~klrdim.qpoly.sum_of_products` at q = 1, where every shift is
-    the identity."""
-    return sum(a * b for a, b, _ in triples)
-
-
-# The pair walk's arithmetic at q = 1: the unit and the factor [f].
-_AT_ONE = (1, lambda f, dx: f)
+# Both walks' arithmetic, graded (True) and at q = 1 (False): the unit, the
+# factor [f]_{q^{d_x}}, the run factor [r]_{q^{d_x}} [f - r + 1]_{q^{d_x}}
+# and the sum of the products a * b of (a, b) pairs.
+_ARITHMETIC = {
+    True: (LaurentPoly.one(), quantum_int, _run_factor, sum_of_products),
+    False: (1, lambda f, dx: f, lambda r, f, dx: r * (f - r + 1),
+            lambda pairs: sum(a * b for a, b in pairs)),
+}
 
 
 def block_graded_dim(
     c: CartanData, lam: Weight, beta: RootElement, deadline: Deadline | None = None
 ) -> LaurentPoly:
     """Graded dimension of the whole block R^Lambda(beta): the sum of the
-    columns that the walk of :func:`_columns` builds up to content beta in
-    Laurent polynomials, with one lookup and one cached factor
-    [r][f - r + 1] per run of equal letters and one term dict per word."""
+    shift-free columns that the walk of :func:`_columns` builds up to
+    content beta in Laurent polynomials, with one lookup and one cached
+    factor [r][f - r + 1] per run of equal letters and one term dict per
+    word, times q^{s(beta)} once when the sum is nonzero."""
     columns = _columns(c, lam, beta.coeffs, beta.size, graded=True, deadline=deadline)
-    return sum(columns.values(), LaurentPoly.zero())
+    value = sum(columns.values(), LaurentPoly.zero())
+    return value if value.is_zero() else value.shift(grading_shift(c, lam, beta.coeffs))
 
 
 def block_dim(
@@ -565,18 +584,32 @@ def block_dim(
 ) -> int:
     """Ungraded dimension of the whole block R^Lambda(beta): the same column
     walk in plain integers, where a run's factor is the integer
-    r (f - r + 1) and every shift is the identity.  It builds no polynomial;
-    :func:`block_graded_dim` at q = 1 is checked against it."""
+    r (f - r + 1).  It builds no polynomial; :func:`block_graded_dim` at
+    q = 1 is checked against it."""
     return sum(_columns(c, lam, beta.coeffs, beta.size, graded=False, deadline=deadline).values())
+
+
+def blocks_graded_dims(
+    c: CartanData, lam: Weight, n: int, deadline: Deadline | None = None
+) -> dict:
+    """{beta: dim_q R^Lambda(beta)} over the blocks of size n with a nonzero
+    word: one column walk over all words of length n, in Laurent
+    polynomials, whose shift-free columns are added up by content and
+    shifted once per content by q^{s(beta)}.  A block that is missing is
+    zero."""
+    sums: dict = {}
+    for word, value in _columns(c, lam, (n,) * c.n, n, graded=True, deadline=deadline).items():
+        content = tuple(map(word.count, range(c.n)))
+        sums[content] = sums[content] + value if content in sums else value
+    return {RootElement(b): value.shift(grading_shift(c, lam, b)) for b, value in sums.items()}
 
 
 def algebra_graded_dim(
     c: CartanData, lam: Weight, n: int, deadline: Deadline | None = None
 ) -> LaurentPoly:
     """Graded dimension of R^Lambda(n), the direct sum of its blocks of size
-    n: one column walk over all words of length n, in Laurent polynomials."""
-    columns = _columns(c, lam, (n,) * c.n, n, graded=True, deadline=deadline)
-    return sum(columns.values(), LaurentPoly.zero())
+    n: the sum of :func:`blocks_graded_dims`."""
+    return sum(blocks_graded_dims(c, lam, n, deadline).values(), LaurentPoly.zero())
 
 
 def algebra_dim(
@@ -585,4 +618,3 @@ def algebra_dim(
     """Ungraded dimension of R^Lambda(n): the same column walk over all
     words of length n, in plain integers."""
     return sum(_columns(c, lam, (n,) * c.n, n, graded=False, deadline=deadline).values())
-

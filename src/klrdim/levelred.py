@@ -37,8 +37,8 @@ from typing import Iterator, Sequence
 from . import budget
 from .budget import Deadline
 from .cartan import CartanData, RootElement, Weight
-from .dims import _compositions, block_dim, dim, graded_dim
-from .errors import BadShape, LengthMismatch, PreconditionFail
+from .dims import _checked, _compositions, block_dim, dim, graded_dim
+from .errors import BadShape, PreconditionFail
 from .qpoly import LaurentPoly
 
 
@@ -170,10 +170,8 @@ def _pair_sum(
     letter starts has dimension 0.  Both hold in either arithmetic: a
     graded dimension is zero when its ungraded one is.
     """
+    nu, mu = _checked(c, lam, nu, mu)
     peels = _check_split(c, lam, split, cache)
-    nu, mu = tuple(nu), tuple(mu)
-    if len(nu) != len(mu):
-        raise LengthMismatch("tuples must have the same length")
     zero, dimension, where = 0, dim, "level reduction sum"
     if graded:
         zero, dimension, where = LaurentPoly.zero(), graded_dim, "graded level reduction sum"

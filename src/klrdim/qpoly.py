@@ -14,8 +14,8 @@ A quantum integer or factorial of more than :data:`MAX_TERMS` terms is
 refused with :class:`~klrdim.errors.TooManyTerms`: one dict entry per term
 would exhaust memory inside a single call, before any time budget could
 stop it.
-:func:`sum_of_products` sums many shifted products q^s a b into one dict
-of terms, so a sum of products builds no intermediate polynomial.
+:func:`sum_of_products` sums many products a b into one dict of terms, so
+a sum of products builds no intermediate polynomial.
 :func:`divide_exact` divides exactly and raises
 :class:`~klrdim.errors.DivisionInexact` on any remainder.
 
@@ -178,18 +178,17 @@ class LaurentPoly:
         return out
 
 
-def sum_of_products(triples: Iterable[tuple[LaurentPoly, LaurentPoly, int]]) -> LaurentPoly:
-    """The sum of q^s * a * b over the (a, b, s) triples.
+def sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """The sum of a * b over the (a, b) pairs.
 
     Every product term goes into one dict, and the zero coefficients are
     dropped once at the end, so no intermediate polynomial is built.
     """
     t: dict[int, int] = {}
     get = t.get
-    for a, b, s in triples:
+    for a, b in pairs:
         bt = b._terms.items()
         for e1, c1 in a._terms.items():
-            e1 += s
             for e2, c2 in bt:
                 e = e1 + e2
                 t[e] = get(e, 0) + c1 * c2

@@ -52,6 +52,15 @@ weights of level 3 to 5 on types A1, A2, B2 and A1~.  Its digest is one
 SHA-256 over ``repr`` of each word's Cartan matrix, weight, word,
 fundamental weights and answers, in turn.
 
+The ``nilhecke`` family is the cyclotomic nilHecke closed forms: a seeded,
+fixed set of (level, size, d) triples with levels up to 12, sizes up to 9
+and d from 1 to 3, each with ``nilhecke_graded_dim`` and ``nilhecke_dim``;
+then ``graded_dim_blockwise`` of a seeded, fixed set of grouped tuples
+(builtin types of rank 1 to 3 and random symmetrizable 3x3 matrices, whose
+symmetrizer entries reach 4, weights of level 1 to 3, and words of at most
+six letters grouped by letter in a drawn order).  Its digest is one SHA-256
+over ``repr`` of each answer in turn.
+
 ``corpus.json`` beside this file holds the committed count and digest of
 each family, and a test checks them, so any change to an answer shows as a
 diff there.  Run
@@ -97,6 +106,10 @@ MIXED_RUNS = (
 
 NONZERO_SEED = 2121
 NONZERO_DRAWS = 500
+
+NILHECKE_SEED = 2222
+NILHECKE_DRAWS = 200
+NILHECKE_WORDS = 300
 
 # (type, weight, fundamental weights in order, word): long runs, and equal
 # fundamental weights that stand apart.
@@ -429,6 +442,27 @@ def nonzero_digest() -> tuple[int, str]:
     return len(cases), h.hexdigest()
 
 
+def nilhecke_digest() -> tuple[int, str]:
+    """The number of nilHecke answers and the SHA-256 of them."""
+    from klrdim import as_block_form, graded_dim_blockwise, nilhecke_dim, nilhecke_graded_dim
+
+    rng = random.Random(NILHECKE_SEED)
+    answers = []
+    for _ in range(NILHECKE_DRAWS):
+        level, size, d = rng.randint(0, 12), rng.randint(0, 9), rng.randint(1, 3)
+        answers.append((level, size, d, nilhecke_graded_dim(level, size, d).to_pairs(),
+                        nilhecke_dim(level, size)))
+    for c, lam, beta in pair_blocks(rng, NILHECKE_WORDS, 6):
+        order = rng.sample(range(c.n), c.n)
+        word = tuple(x for x in order for _ in range(beta.coeffs[x]))
+        graded = graded_dim_blockwise(c, lam, as_block_form(word))
+        answers.append((c.matrix, lam.coeffs, word, graded.to_pairs()))
+    h = hashlib.sha256()
+    for answer in answers:
+        h.update(repr(answer).encode())
+    return len(answers), h.hexdigest()
+
+
 def committed(family: str = "cli") -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))[family]
 
@@ -439,10 +473,12 @@ if __name__ == "__main__":
     answers, levelred_sha = levelred_digest()
     sums, blocks_sha = blocks_digest()
     words, nonzero_sha = nonzero_digest()
+    nilhecke, nilhecke_sha = nilhecke_digest()
     print(json.dumps({
         "cli": {"requests": count, "sha256": sha},
         "pairs": {"pairs": pairs, "sha256": pairs_sha},
         "levelred": {"answers": answers, "sha256": levelred_sha},
         "blocks": {"sums": sums, "sha256": blocks_sha},
         "nonzero": {"words": words, "sha256": nonzero_sha},
+        "nilhecke": {"answers": nilhecke, "sha256": nilhecke_sha},
     }, indent=2))

@@ -26,3 +26,8 @@ def test_block_sums_match_the_committed_digest():
 def test_vanishing_tests_match_the_committed_digest():
     count, sha = corpus.nonzero_digest()
     assert {"words": count, "sha256": sha} == corpus.committed("nonzero")
+
+
+def test_nilhecke_closed_forms_match_the_committed_digest():
+    count, sha = corpus.nilhecke_digest()
+    assert {"answers": count, "sha256": sha} == corpus.committed("nilhecke")

@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from conftest import battery_types, random_cartan, small_battery
 from klrdim.budget import Deadline
-from klrdim.cartan import RootElement, Weight, builtin_cartan, validate_cartan
+from klrdim.cartan import RootElement, Weight, builtin_cartan, grading_shift, validate_cartan
 from klrdim.dims import (
+    _ARITHMETIC,
     _compositions,
     _run_factor,
-    _run_factor_at_one,
     algebra_dim,
     algebra_graded_dim,
     block_dim,
@@ -36,11 +36,15 @@ from klrdim.dims import (
     transport_column,
     tuples_with_content,
 )
-from klrdim.errors import BadShape, PreconditionFail, TimeBudgetExceeded, TooManyTerms
+from klrdim.errors import (
+    BadShape, LengthMismatch, OutOfRange, PreconditionFail, TimeBudgetExceeded, TooManyTerms,
+)
+from klrdim.idempotents import nonzero_direct
+from klrdim.levelred import reduce_pair_dim_multi, reduce_pair_graded
 from klrdim.perms import transport_perms
 from klrdim.qpoly import LaurentPoly, eval_one, quantum_int
 from oracles import (
-    Recording, dim_divided_by_reps, dim_factor, dim_factor_id, dim_factor_target, from_pairs,
+    Recording, bar, dim_divided_by_reps, dim_factor, dim_factor_id, dim_factor_target, from_pairs,
     shallow_stack,
 )
 
@@ -703,7 +707,7 @@ class TestBlocks:
         for p, r, d in product(range(-6, 13), range(1, 7), range(1, 4)):
             run = sum((quantum_int(p - 2 * j, d) for j in range(r)), LaurentPoly.zero())
             assert _run_factor(r, p, d) == run
-            assert _run_factor_at_one(r, p, d) == eval_one(run)
+            assert _ARITHMETIC[False][2](r, p, d) == eval_one(run)
 
     def test_a_long_run_is_one_lookup_per_word(self):
         # One word of one run per length: looking up every deletion of each
@@ -825,6 +829,90 @@ class TestLengthMismatch:
         for fn in (graded_dim, dim, graded_dim_recursive):
             with pytest.raises(LengthMismatch):
                 fn(A2, lam, (0,), (0, 0))
+
+
+# Each entry point as (weight, nu, nu'); the one-word ones read nu alone.
+ENTRY_POINTS = {
+    "graded_dim": lambda lam, nu, nuprime: graded_dim(A2, lam, nu, nuprime),
+    "dim": lambda lam, nu, nuprime: dim(A2, lam, nu, nuprime),
+    "graded_dim_recursive": lambda lam, nu, nuprime: graded_dim_recursive(A2, lam, nu, nuprime),
+    "reduce_pair_dim_multi": lambda lam, nu, nuprime: reduce_pair_dim_multi(
+        A2, lam, nu, nuprime, (lam,)),
+    "reduce_pair_graded": lambda lam, nu, nuprime: reduce_pair_graded(
+        A2, lam, nu, nuprime, (lam,)),
+    "dim_divided": lambda lam, nu, nuprime: dim_divided(A2, lam, nu),
+    "transport_column": lambda lam, nu, nuprime: transport_column(A2, lam, nu, True),
+    "nonzero_direct": lambda lam, nu, nuprime: nonzero_direct(A2, lam, nu),
+}
+# One word has no length to mismatch.
+ONE_WORD = {"dim_divided", "transport_column", "nonzero_direct"}
+# On A2 at Lambda = (1, 2): (bad weight, nu, nu', error, message).
+BAD_INPUTS = {
+    "short weight": (Weight((1,)), (0, 1), (1, 0), BadShape,
+                     "the weight and the block need one entry per node, 2 in all"),
+    "negative letter": (Weight((1, 2)), (-1,), (-1,), OutOfRange, "letters must be nodes 0..1"),
+    "letter past the last node": (Weight((1, 2)), (0, 2), (2, 0), OutOfRange,
+                                  "letters must be nodes 0..1"),
+    "unequal lengths": (Weight((1, 2)), (0,), (0, 0), LengthMismatch,
+                        "tuples must have the same length"),
+}
+
+
+class TestInputCheck:
+    @pytest.mark.parametrize("entry, bad", [
+        (entry, bad) for entry in ENTRY_POINTS for bad in BAD_INPUTS
+        if not (entry in ONE_WORD and bad == "unequal lengths")
+    ])
+    def test_bad_input_is_refused(self, entry, bad):
+        # A negative letter once wrapped round to the last node: graded_dim
+        # on (-1,) gave node 1's answer q^2 + 1.
+        lam, nu, nuprime, error, message = BAD_INPUTS[bad]
+        with pytest.raises(error) as caught:
+            ENTRY_POINTS[entry](lam, nu, nuprime)
+        assert str(caught.value) == message
+
+
+class TestGradingShift:
+    """The closed formula's one shift s(beta) = (Lambda|beta) - (beta|beta)/2
+    per block, against its per-slot definition and against the recursion,
+    which grades every step on its own."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(*[st.integers(-1, 3)] * 3),
+        st.lists(st.integers(0, 2), max_size=5),
+    )
+    # d = (1, 2, 1) and a_01 = -4, with both letters of that edge twice.
+    @example(seed=4, lam=(1, 0, 2), letters=[1, 0, 1, 0])
+    def test_shift_adds_up_the_slot_shifts(self, seed, lam, letters):
+        # sum_t d_x (F(1, nu, t) - 1) over the slots of nu, in every order.
+        c, lam = random_cartan(random.Random(seed)), Weight(lam)
+        d, counts = c.symmetrizer, tuple(letters.count(x) for x in range(c.n))
+        shift = grading_shift(c, lam, counts)
+        for nu in set(permutations(letters)):
+            assert shift == sum(d[x] * (dim_factor_id(c, lam, nu, t) - 1) for t, x in enumerate(nu, 1))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.tuples(*[st.integers(0, 3)] * 3),
+        st.lists(st.integers(0, 2), max_size=4),
+    )
+    @example(seed=4, lam=(1, 0, 2), letters=[1, 0, 1, 0])
+    def test_recursion_is_symmetric_and_palindromic(self, seed, lam, letters):
+        # dim_q e(nu) R e(nu') = dim_q e(nu') R e(nu), and each is q^{s(beta)}
+        # times a bar-invariant polynomial; so is the block sum.
+        c, lam = random_cartan(random.Random(seed)), Weight(lam)
+        beta = RootElement(tuple(letters.count(x) for x in range(c.n)))
+        shift, memo = grading_shift(c, lam, beta.coeffs), {}
+        tuples = tuples_with_content(beta)
+        for nu, nuprime in product(tuples, repeat=2):
+            value = graded_dim_recursive(c, lam, nu, nuprime, memo)
+            assert graded_dim_recursive(c, lam, nuprime, nu, memo) == value
+            assert bar(value.shift(-shift)) == value.shift(-shift)
+        block = block_graded_dim(c, lam, beta).shift(-shift)
+        assert bar(block) == block
 
 
 def test_quantum_expansion_shortcuts():

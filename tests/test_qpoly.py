@@ -151,16 +151,16 @@ class TestRingLaws:
 
 class TestSumOfProducts:
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(polys, polys, st.integers(-10, 10)), max_size=5))
-    # Two triples that cancel to zero, through different shifts.
-    @example([(P((1, 1)), P((0, 2)), 2), (P((3, -1)), P((0, 2)), 0)])
+    @given(st.lists(st.tuples(polys, polys), max_size=5))
+    # Two products that cancel to zero, through different exponents.
+    @example([(P((3, 1)), P((0, 2))), (P((3, -1)), P((0, 2)))])
     # A cancelling pair beside a term that stays.
-    @example([(P((-2, 3), (0, 1)), P((1, 1)), -1), (P((0, -1)), P((0, 1)), 0)])
-    def test_matches_the_fold_of_products(self, triples):
+    @example([(P((-3, 3), (-1, 1)), P((1, 1))), (P((0, -1)), P((0, 1)))])
+    def test_matches_the_fold_of_products(self, pairs):
         fold = LaurentPoly.zero()
-        for a, b, s in triples:
-            fold = fold + (a * b).shift(s)
-        got = sum_of_products(triples)
+        for a, b in pairs:
+            fold = fold + a * b
+        got = sum_of_products(pairs)
         assert got == fold
         assert 0 not in dict(got.items()).values()
 
