@@ -26,7 +26,6 @@ dimension as a closed product.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import factorial, prod
@@ -34,8 +33,8 @@ from typing import Iterator, Sequence
 
 from . import budget
 from .budget import Deadline
-from .cartan import CartanData, Weight, tuple_content
-from .dims import nilhecke_graded_dim
+from .cartan import CartanData, Weight
+from .dims import _checked, nilhecke_graded_dim
 from .errors import IncompatibleContent, PreconditionFail, ZeroEdge
 from .perms import BlockForm, IndexTuple, Perm, block_form_of, transport_perms
 from .qpoly import LaurentPoly
@@ -62,14 +61,19 @@ def exponent_bounds(
 
     over the letters y of the blocks before x's.  Each letter keeps its
     running bound, and reading a letter y lowers its own by 1 and that of
-    every letter of a later block x by a_{xy}.  Raises
-    :class:`IncompatibleContent` when mu and the grouped form differ in
-    content.
+    every letter of a later block x by a_{xy}.
+
+    The input is checked first, by :func:`~klrdim.dims._checked`:
+    :class:`BadShape` for a weight without one coefficient per node and
+    :class:`OutOfRange` for a letter that is not a node.  Then
+    :class:`IncompatibleContent` is raised when mu and the grouped form
+    differ in content, which their sorted letters show.  Every basis
+    function that reads a weight reaches this check.
     """
-    mu = tuple(mu)
+    mu, _ = _checked(c, lam, mu)
     if form is None:
         form = block_form_of(mu)
-    elif Counter(mu) != Counter(form.tuple):
+    elif sorted(mu) != sorted(form.tuple):
         raise IncompatibleContent("tuple content differs from the grouped form")
     letters = form.letters
     later = {y: letters[i + 1 :] for i, y in enumerate(letters)}
@@ -116,12 +120,11 @@ def monomial_basis(
     form: BlockForm | None = None,
 ) -> MonomialBasis | None:
     """The monomial basis between the grouped form and mu, or ``None`` when
-    the subspace vanishes (some exponent bound is non-positive)."""
+    the subspace vanishes (some exponent bound is non-positive).  The input
+    checks are those of :func:`exponent_bounds`."""
     mu = tuple(mu)
     if form is None:
         form = block_form_of(mu)
-    elif tuple_content(c, mu) != tuple_content(c, form.tuple):
-        raise IncompatibleContent("tuple content differs from the grouped form")
     basis = MonomialBasis(mu, form, exponent_bounds(c, lam, mu, form))
     return None if basis.empty else basis
 

@@ -8,6 +8,12 @@ prints nothing: ``doc`` is its JSON document without ``schema`` and
 either the text or the versioned JSON (``"schema": "klr/1"``, keys
 sorted), so identical requests produce byte-identical output.
 
+A Cartan source is a registry name or a JSON file.  Node labels resolve
+through one index per source, a dict from label to node, built when the
+source is loaded.  A registry source (its Cartan data, labels and index)
+is cached per name for the life of the process, 64 names at most; a JSON
+file is read afresh on every request, so an edit to it shows at once.
+
 Exit codes: 0 on success, 1 on domain errors (bad Cartan data, incompatible
 tuples, exceeded time budgets, ...), 2 on usage errors.  Verification
 mismatches are data, not errors: ``verify`` exits 0 and reports them.
@@ -28,7 +34,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from . import basis as basis_mod
 from . import budget, dims, idempotents, levelred
@@ -47,21 +53,16 @@ from .qpoly import LaurentPoly, eval_one
 from .verify import SCOPES, verify_suite
 
 SCHEMA = "klr/1"
+# json.dumps(doc, sort_keys=True) without building an encoder per request.
+_JSON = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass
 class Context:
     cartan: CartanData
     labels: list[int]
+    index: dict[int, int]
     deadline: Deadline | None
-
-    def index_of(self, label: int) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise OutOfRange(
-                f"unknown node label {label}; known labels: {self.labels}"
-            ) from None
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -69,7 +70,7 @@ def _parse_int_list(text: str) -> list[int]:
     if not text:
         return []
     try:
-        return [int(x) for x in text.split(",")]
+        return list(map(int, text.split(",")))
     except ValueError:
         raise PreconditionFail(f"expected a comma list of integers, got {text!r}") from None
 
@@ -84,8 +85,22 @@ def _seconds(text: str) -> float:
     return value
 
 
-def _load_cartan(spec: str) -> tuple[CartanData, list[int]]:
+def _source(c: CartanData, labels: list[int]) -> tuple[CartanData, list[int], dict[int, int]]:
+    """Cartan data, its node labels, and the index of each label."""
+    return c, labels, {label: i for i, label in enumerate(labels)}
+
+
+@lru_cache(maxsize=64)
+def _registry_source(name: str) -> tuple[CartanData, list[int], dict[int, int]]:
+    # Shared by every request that names this type; nothing mutates it.  A
+    # bad name raises, and lru_cache never stores an exception.
+    c = builtin_cartan(name)
+    return _source(c, list(range(1, c.n + 1)))
+
+
+def _load_cartan(spec: str) -> tuple[CartanData, list[int], dict[int, int]]:
     if spec.endswith(".json") or "/" in spec:
+        # A file is read afresh on every request, so an edit to it shows.
         try:
             with open(spec, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -93,9 +108,8 @@ def _load_cartan(spec: str) -> tuple[CartanData, list[int]]:
             raise BadShape(f"cannot read Cartan file {spec}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise BadShape(f"invalid JSON in Cartan file {spec}: {exc}") from None
-        return cartan_from_json(doc)
-    c = builtin_cartan(spec)
-    return c, list(range(1, c.n + 1))
+        return _source(*cartan_from_json(doc))
+    return _registry_source(spec)
 
 
 def _node_vector(ctx: Context, text: str, what: str) -> tuple[int, ...]:
@@ -108,14 +122,20 @@ def _node_vector(ctx: Context, text: str, what: str) -> tuple[int, ...]:
 
 
 def _weight(ctx: Context, args) -> Weight:
-    w = Weight(_node_vector(ctx, args.weight, "weight"))
-    if not w.is_dominant:
+    coeffs = _node_vector(ctx, args.weight, "weight")
+    if min(coeffs) < 0:
         raise PreconditionFail("weight coefficients must be non-negative")
-    return w
+    return Weight(coeffs)
 
 
 def _tuple(ctx: Context, text: str) -> tuple[int, ...]:
-    return tuple(ctx.index_of(x) for x in _parse_int_list(text))
+    index = ctx.index
+    try:
+        return tuple([index[x] for x in _parse_int_list(text)])
+    except KeyError as exc:
+        raise OutOfRange(
+            f"unknown node label {exc.args[0]}; known labels: {ctx.labels}"
+        ) from None
 
 
 def _beta(ctx: Context, text: str) -> RootElement:
@@ -129,7 +149,7 @@ def _grouped(ctx: Context, args) -> tuple[tuple[int, ...], BlockForm]:
 
 
 def _labels_of(ctx: Context, nu) -> list[int]:
-    return [ctx.labels[i] for i in nu]
+    return list(map(ctx.labels.__getitem__, nu))
 
 
 def _poly_json(p: LaurentPoly) -> dict:
@@ -518,7 +538,9 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
     if table is None:
         return None
     options, start, required = table
-    values = dict(start)
+    args = argparse.Namespace()
+    values = vars(args)
+    values.update(start)
     given = set()
     tokens = iter(argv[1:])
     for token in tokens:
@@ -541,7 +563,7 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
         values[action.dest] = value
     if not required <= given:
         return None
-    return argparse.Namespace(**values)
+    return args
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -561,16 +583,18 @@ def run(argv: list[str] | None = None) -> int:
     if args is None:
         args = _build_parser().parse_args(argv)
     try:
-        cartan, labels = _load_cartan(args.cartan)
+        cartan, labels, index = _load_cartan(args.cartan)
         deadline = Deadline(args.time_budget) if args.time_budget is not None else None
-        doc, text = args.func(Context(cartan, labels, deadline), args)
+        doc, text = args.func(Context(cartan, labels, index, deadline), args)
     except KlrError as exc:
         doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         text, code, out = f"error: {type(exc).__name__}: {exc}", 1, sys.stderr
     else:
-        doc, code, out = {"command": args.command, **doc}, 0, sys.stdout
+        doc["command"] = args.command
+        code, out = 0, sys.stdout
     if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, **doc}, sort_keys=True))
+        doc["schema"] = SCHEMA
+        print(_JSON.encode(doc))
     else:
         print(text, file=out)
     return code

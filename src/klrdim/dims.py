@@ -109,15 +109,24 @@ def _checked(
     """nu and nu' (nu again when nu' is not given) as tuples, once the input
     is checked: :class:`BadShape` for a weight without one coefficient per
     node, :class:`LengthMismatch` for words of unequal length, and
-    :class:`OutOfRange` for a letter that is not a node 0..n-1."""
-    if len(lam.coeffs) != c.n:
-        raise BadShape(f"the weight and the block need one entry per node, {c.n} in all")
+    :class:`OutOfRange` for a letter that is not a node 0..n-1.
+
+    Every entry point calls it once, so it is kept to the cheapest exact
+    tests: the letters of both words are bounded by one ``min`` and one
+    ``max`` over their concatenation, built once and only when nu' is
+    another tuple.  The basis functions call it through
+    :func:`~klrdim.basis.exponent_bounds`."""
+    n = len(c.matrix)
+    if len(lam.coeffs) != n:
+        raise BadShape(f"the weight and the block need one entry per node, {n} in all")
     nu = tuple(nu)
     nuprime = nu if nuprime is None else tuple(nuprime)
     if len(nu) != len(nuprime):
         raise LengthMismatch("tuples must have the same length")
-    if nu and (min(nu + nuprime) < 0 or max(nu + nuprime) >= c.n):
-        raise OutOfRange(f"letters must be nodes 0..{c.n - 1}")
+    if nu:
+        both = nu if nuprime is nu else nu + nuprime
+        if min(both) < 0 or max(both) >= n:
+            raise OutOfRange(f"letters must be nodes 0..{n - 1}")
     return nu, nuprime
 
 
@@ -149,7 +158,8 @@ def _transport_sum(
     take any letter, and the key also carries the source prefix read so
     far, above the mask, as digits in base ``c.n`` with the letter at
     position t as digit t, so that different sources never merge.  A state
-    whose value is zero has only zero completions, so it is dropped.  The
+    whose value is zero has only zero completions, so it is dropped; a
+    level is copied without its zero states only when it holds one.  The
     states that hold every slot are the column; no state reaches them when
     nu' does not rearrange nu.
 
@@ -167,14 +177,15 @@ def _transport_sum(
     """
     one, factor, _, _ = _ARITHMETIC[graded]
     where = "graded dimension sum" if graded else "dimension sum"
-    d, n, base = c.symmetrizer, len(nuprime), c.n
+    d, n, matrix, coeffs = c.symmetrizer, len(nuprime), c.matrix, lam.coeffs
+    base = len(matrix)
     # Each position's choices: (letter, its row and weight coefficient, and
     # what taking it adds to the key: its digit at the position, or 0).
     if nu is None:
         letters = sorted(set(nuprime))
-        steps = [[(x, c.matrix[x], lam.coeffs[x], x * base**t << n) for x in letters] for t in range(n)]
+        steps = [[(x, matrix[x], coeffs[x], x * base**t << n) for x in letters] for t in range(n)]
     else:
-        steps = [[(x, c.matrix[x], lam.coeffs[x], 0)] for x in nu]
+        steps = [((x, matrix[x], coeffs[x], 0),) for x in nu]
     slots = [(1 << p, y) for p, y in enumerate(nuprime)]
     states: dict = {0: one}
     for choices in steps:
@@ -191,7 +202,8 @@ def _transport_sum(
                         grown, term = (key | bit) + digit, factor(f, d[x]) * value
                         prev = states.get(grown)
                         states[grown] = term if prev is None else prev + term
-        states = {key: value for key, value in states.items() if value != 0}
+        if 0 in states.values():
+            states = {key: value for key, value in states.items() if value != 0}
     if nu is not None:
         value = states.get((1 << n) - 1)
         column = {} if value is None else {nu: value}

@@ -84,7 +84,7 @@ def transport_perms(nu: Sequence[int], nuprime: Sequence[int]) -> Iterator[Perm]
     nuprime = tuple(nuprime)
     if len(nu) != len(nuprime):
         raise LengthMismatch("tuples must have the same length")
-    if Counter(nu) != Counter(nuprime):
+    if sorted(nu) != sorted(nuprime):
         return
     slots: dict[int, list[int]] = {}
     for p, x in enumerate(nuprime):
@@ -127,18 +127,18 @@ def block_form_of(mu: Sequence[int], letters: Sequence[int] | None = None) -> Bl
     given (it must list exactly the distinct letters of mu).
     """
     mu = tuple(mu)
-    cnt = Counter(mu)
+    counts = Counter(mu)
     if letters is None:
-        order = list(dict.fromkeys(mu))
+        order = tuple(counts)
     else:
-        order = [int(x) for x in letters]
-        if Counter(order) != Counter(cnt.keys()):
+        order = tuple(map(int, letters))
+        if sorted(order) != sorted(counts):
             raise IncompatibleContent(
                 "letter order must list each distinct letter exactly once"
             )
-    sizes = tuple(cnt[x] for x in order)
-    grouped = tuple(x for x in order for _ in range(cnt[x]))
-    return BlockForm(grouped, tuple(order), sizes)
+    sizes = tuple(map(counts.__getitem__, order))
+    grouped = tuple(x for x, size in zip(order, sizes) for _ in range(size))
+    return BlockForm(grouped, order, sizes)
 
 
 def as_block_form(nu: Sequence[int]) -> BlockForm:
@@ -159,10 +159,11 @@ def sorting_perm(mu: Sequence[int], form: BlockForm) -> Perm:
     Maps the ascending slots of each letter in mu onto the ascending slots
     of that letter's block, which is exactly the minimal-length right coset
     representative of the block Young subgroup carrying mu to the grouped
-    form.
+    form.  Raises :class:`IncompatibleContent` when mu and the grouped form
+    differ in content, which their sorted letters show.
     """
     mu = tuple(mu)
-    if Counter(mu) != Counter(form.tuple):
+    if sorted(mu) != sorted(form.tuple):
         raise IncompatibleContent("tuple content differs from the grouped form")
     c = form.cumulative
     next_slot = {x: c[i] + 1 for i, x in enumerate(form.letters)}

@@ -61,6 +61,19 @@ symmetrizer entries reach 4, weights of level 1 to 3, and words of at most
 six letters grouped by letter in a drawn order).  Its digest is one SHA-256
 over ``repr`` of each answer in turn.
 
+The ``basis`` family is the grouping and exponent-bound machinery on a
+seeded, fixed set of words: builtin types of rank 1 to 3 and random
+symmetrizable 3x3 matrices, weights of level 1 to 3, and words of at most
+six letters, some with an explicit letter order.  For each word it holds
+``block_form_of``, ``sorting_perm``, ``exponent_bounds`` (with the grouped
+form and without it), whether ``MonomialBasis`` is empty and its
+cardinality; then the name of the error that ``exponent_bounds``,
+``sorting_perm`` and ``monomial_basis`` raise against a grouped form of
+other content, and that ``block_form_of`` raises for a letter order that
+leaves a letter out, repeats one or adds one.  Every letter is a node.  Its
+digest is one SHA-256 over ``repr`` of each word's Cartan matrix, weight,
+word, letter order and answers, in turn.
+
 ``corpus.json`` beside this file holds the committed count and digest of
 each family, and a test checks them, so any change to an answer shows as a
 diff there.  Run
@@ -110,6 +123,9 @@ NONZERO_DRAWS = 500
 NILHECKE_SEED = 2222
 NILHECKE_DRAWS = 200
 NILHECKE_WORDS = 300
+
+BASIS_SEED = 2525
+BASIS_WORDS = 500
 
 # (type, weight, fundamental weights in order, word): long runs, and equal
 # fundamental weights that stand apart.
@@ -463,6 +479,59 @@ def nilhecke_digest() -> tuple[int, str]:
     return len(answers), h.hexdigest()
 
 
+def _outcome(fn):
+    """What ``fn()`` returns, or the name of the library error it raises."""
+    from klrdim.errors import KlrError
+
+    try:
+        return fn()
+    except KlrError as exc:
+        return type(exc).__name__
+
+
+def basis_digest() -> tuple[int, str]:
+    """The number of words and the SHA-256 of their groupings and bounds."""
+    from klrdim import (
+        MonomialBasis, block_form_of, exponent_bounds, monomial_basis, sorting_perm,
+    )
+
+    rng = random.Random(BASIS_SEED)
+    h = hashlib.sha256()
+    count = 0
+    for c, lam, beta in pair_blocks(rng, BASIS_WORDS, 6):
+        letters = [x for x, m in enumerate(beta.coeffs) for _ in range(m)]
+        mu = tuple(rng.sample(letters, len(letters)))
+        distinct = sorted(set(mu))
+        order = rng.sample(distinct, len(distinct)) if rng.random() < 0.4 else None
+        form = block_form_of(mu, order)
+        basis = MonomialBasis(mu, form, exponent_bounds(c, lam, mu, form))
+        answers = [
+            (form.tuple, form.letters, form.sizes), sorting_perm(mu, form), basis.bounds,
+            exponent_bounds(c, lam, mu), basis.empty, basis.cardinality,
+        ]
+        # Grouped forms of other content: one letter changed, or one dropped.
+        others = [mu[:-1]] if mu else [(0,)]
+        if mu and c.n > 1:
+            others.append(mu[:-1] + ((mu[-1] + rng.randrange(1, c.n)) % c.n,))
+        for other in others:
+            wrong = block_form_of(other)
+            answers.append((
+                _outcome(lambda: exponent_bounds(c, lam, mu, wrong)),
+                _outcome(lambda: sorting_perm(mu, wrong)),
+                _outcome(lambda: monomial_basis(c, lam, mu, wrong).bounds),
+            ))
+        # Letter orders that leave a letter out, repeat one, or add a node
+        # that mu does not hold.
+        base = order if order is not None else distinct
+        bad = [base[1:], base + base[:1]]
+        bad += [base + [x] for x in range(c.n) if x not in base][:1]
+        for wrong_order in bad:
+            answers.append(_outcome(lambda: block_form_of(mu, wrong_order).tuple))
+        h.update(repr((c.matrix, lam.coeffs, mu, order, answers)).encode())
+        count += 1
+    return count, h.hexdigest()
+
+
 def committed(family: str = "cli") -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))[family]
 
@@ -474,6 +543,7 @@ if __name__ == "__main__":
     sums, blocks_sha = blocks_digest()
     words, nonzero_sha = nonzero_digest()
     nilhecke, nilhecke_sha = nilhecke_digest()
+    words_basis, basis_sha = basis_digest()
     print(json.dumps({
         "cli": {"requests": count, "sha256": sha},
         "pairs": {"pairs": pairs, "sha256": pairs_sha},
@@ -481,4 +551,5 @@ if __name__ == "__main__":
         "blocks": {"sums": sums, "sha256": blocks_sha},
         "nonzero": {"words": words, "sha256": nonzero_sha},
         "nilhecke": {"answers": nilhecke, "sha256": nilhecke_sha},
+        "basis": {"words": words_basis, "sha256": basis_sha},
     }, indent=2))

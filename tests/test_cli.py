@@ -537,6 +537,19 @@ class TestErrorsAndDeterminism:
         assert code == 0
         assert out.strip() == "q^6+2q^4+2q^2+1"
 
+    def test_cartan_file_is_read_on_every_request(self, capsys, tmp_path):
+        # Registry sources are cached per process; a file source never is,
+        # so a request sees the file as it is now.
+        path = tmp_path / "cartan.json"
+        args = ("gdim", "--cartan", str(path), "--weight", "1,2", "--nu", "1,0")
+        path.write_text(json.dumps({"matrix": [[2, -2], [-2, 2]], "labels": [0, 1]}))
+        first = invoke(capsys, *args)
+        path.write_text(json.dumps({"matrix": [[2, -1], [-1, 2]], "labels": [0, 1]}))
+        second = invoke(capsys, *args)
+        a2 = invoke(capsys, "gdim", "--cartan", "A2", "--weight", "1,2", "--nu", "2,1")
+        assert first == (0, "q^6+2q^4+2q^2+1\n", "")
+        assert second == a2 and second[0] == 0 and second != first
+
     def test_invalid_cartan_file(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"matrix": [[2, -1], [0, 2]]}))

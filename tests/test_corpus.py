@@ -31,3 +31,8 @@ def test_vanishing_tests_match_the_committed_digest():
 def test_nilhecke_closed_forms_match_the_committed_digest():
     count, sha = corpus.nilhecke_digest()
     assert {"answers": count, "sha256": sha} == corpus.committed("nilhecke")
+
+
+def test_groupings_and_bounds_match_the_committed_digest():
+    count, sha = corpus.basis_digest()
+    assert {"words": count, "sha256": sha} == corpus.committed("basis")

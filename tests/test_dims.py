@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import battery_types, random_cartan, small_battery
+from klrdim.basis import block_levels, exponent_bounds, graded_dim_blockwise
 from klrdim.budget import Deadline
 from klrdim.cartan import RootElement, Weight, builtin_cartan, grading_shift, validate_cartan
 from klrdim.dims import (
@@ -39,9 +40,9 @@ from klrdim.dims import (
 from klrdim.errors import (
     BadShape, LengthMismatch, OutOfRange, PreconditionFail, TimeBudgetExceeded, TooManyTerms,
 )
-from klrdim.idempotents import nonzero_direct
+from klrdim.idempotents import nonzero_blockwise, nonzero_direct
 from klrdim.levelred import reduce_pair_dim_multi, reduce_pair_graded
-from klrdim.perms import transport_perms
+from klrdim.perms import as_block_form, transport_perms
 from klrdim.qpoly import LaurentPoly, eval_one, quantum_int
 from oracles import (
     Recording, bar, dim_divided_by_reps, dim_factor, dim_factor_id, dim_factor_target, from_pairs,
@@ -843,9 +844,17 @@ ENTRY_POINTS = {
     "dim_divided": lambda lam, nu, nuprime: dim_divided(A2, lam, nu),
     "transport_column": lambda lam, nu, nuprime: transport_column(A2, lam, nu, True),
     "nonzero_direct": lambda lam, nu, nuprime: nonzero_direct(A2, lam, nu),
+    "exponent_bounds": lambda lam, nu, nuprime: exponent_bounds(A2, lam, nu),
+    "block_levels": lambda lam, nu, nuprime: block_levels(A2, lam, as_block_form(nu)),
+    "graded_dim_blockwise": lambda lam, nu, nuprime: graded_dim_blockwise(
+        A2, lam, as_block_form(nu)),
+    "nonzero_blockwise": lambda lam, nu, nuprime: nonzero_blockwise(A2, lam, nu),
 }
 # One word has no length to mismatch.
-ONE_WORD = {"dim_divided", "transport_column", "nonzero_direct"}
+ONE_WORD = {
+    "dim_divided", "transport_column", "nonzero_direct",
+    "exponent_bounds", "block_levels", "graded_dim_blockwise", "nonzero_blockwise",
+}
 # On A2 at Lambda = (1, 2): (bad weight, nu, nu', error, message).
 BAD_INPUTS = {
     "short weight": (Weight((1,)), (0, 1), (1, 0), BadShape,
