@@ -25,7 +25,8 @@ from . import budget
 from .basis import block_levels
 from .budget import Deadline
 from .cartan import CartanData, Weight
-from .dims import dim, dim_divided
+from .dims import _checked, dim, dim_divided
+from .errors import OutOfRange
 from .perms import as_block_form
 
 
@@ -102,9 +103,14 @@ def nonzero_by_shuffle(
     witness of a positive verdict is that assignment's tuple of pieces,
     one per fundamental weight, in order.  With no fundamental weights
     (Lambda = 0) only the empty nu survives, with the empty witness.
+
+    Raises :class:`OutOfRange` for a letter of nu or a fundamental weight
+    index that is not a node 0..n-1.
     """
-    nu = tuple(nu)
     parts = list(fundamentals)
+    if any(not 0 <= t < c.n for t in parts):
+        raise OutOfRange(f"fundamental weights must be nodes 0..{c.n - 1}")
+    nu, _ = _checked(c, Weight((0,) * c.n), nu)
     n = len(nu)
     l = len(parts)
     level_one = [Weight.fundamental(c.n, t) for t in parts]

@@ -9,13 +9,14 @@ over what Lambda^i takes, of its dimension at Lambda^i times the sum of
 what is left over Lambda^{i+1}, ..., Lambda^l.  A pair peel deals a
 subword off each word; a block peel takes a sub-block beta_1 <= beta with
 weight C(|beta|, |beta_1|)^2, and these weights multiply out to the
-multinomial squared.  Each sum is two loops and no recursion: top down
-over the parts, list the remainders that each tail of the split needs,
-with their terms; bottom up, add the terms.  The sum over one part is
-that part's own dimension, and every remainder's sum is kept in the
-caller's cache on (kind, tail weights, remainder), so a dimension is
-never evaluated at a sum of parts.  Each tail's weights enter that key as
-a small id that equal tails share.
+multinomial squared.  Each sum is one forward pass over the parts and no
+recursion, on states {remainder: coefficient}: each part but the last
+adds each state's coefficient, times the weight and the dimension of
+every nonzero piece it takes, into the state of the remainder that piece
+leaves, and the last part's own dimension of each remainder closes the
+sum.  So a dimension is never evaluated at a sum of parts.  The caller's
+cache keeps the split verdicts, the dealings and the part dimensions,
+each part's on its own weights.
 
 A pair peel deals each word once per (part, sum of the later parts), in
 one forward pass over its letters that deals only pieces that can be
@@ -83,15 +84,8 @@ def _kept(
 
 def _check_split(c: CartanData, lam: Weight, split: Sequence[Weight], cache: dict) -> tuple:
     """Validate the split once per ``cache`` and return its peels: for each
-    part, (the part, the tail id of the part alone, the tail id of the
-    later parts, the sum of their weights).  The verdict is kept in
-    ``cache``.
-
-    A tail id stands for the weights of a tail of parts, and equal tails
-    of any split share one.  Ids are numbered in ``cache["tails"]`` on
-    (first weights, id of the rest, -1 for none), so the peels of l parts
-    take O(l) steps, and a memo key holds a small int in place of up to l
-    weights.
+    part, (the part, the sum of the later parts' weights).  The verdict is
+    kept in ``cache``.
 
     The dimensions in ``cache`` are keyed without the Cartan data, so the
     cache records the Cartan data it was first filled for and refuses any
@@ -113,37 +107,12 @@ def _check_split(c: CartanData, lam: Weight, split: Sequence[Weight], cache: dic
         raise PreconditionFail("weight parts must sum to the target weight")
     if any(not part.is_dominant for part in split):
         raise PreconditionFail("every weight part must be dominant")
-    tails = cache.setdefault("tails", {})
-    peels, tail, tail_sum = [], -1, (0,) * len(lam.coeffs)
+    peels, tail_sum = [], (0,) * len(lam.coeffs)
     for part, w in zip(reversed(split), reversed(weights)):
-        peels.append((part, tails.setdefault((w, -1), len(tails)), tail, tail_sum))
-        tail = tails.setdefault((w, tail), len(tails))
+        peels.append((part, tail_sum))
         tail_sum = tuple(map(add, w, tail_sum))
     peels = cache[key] = tuple(reversed(peels))
     return peels
-
-
-def _add_up(listed: list, peels: tuple, kind: str, top, zero, cache: dict):
-    """Add the terms that a top-down pass listed, the deepest peel first.
-
-    ``listed[i]`` maps each remainder that ``split[i:]`` is to sum to its
-    terms, (coefficient, remainder for ``split[i + 1:]``), and each term's
-    remainder sum is in ``cache`` by the time it is read: added before it,
-    or kept from an earlier call.  Each sum goes into ``cache`` on
-    ``(kind, tail id, remainder)``, except the sum of ``top`` over the
-    whole split, which is returned.  With one part, that is the part's own
-    dimension, already in ``cache``.
-    """
-    for i in range(len(listed) - 1, -1, -1):
-        tail = peels[i][2]
-        for x, terms in listed[i].items():
-            total = zero
-            for coef, rest in terms:
-                total = total + coef * cache[(kind, tail, rest)]
-            if not i:
-                return total
-            cache[(kind, peels[i - 1][2], x)] = total
-    return cache[(kind, peels[0][1], top)]
 
 
 def _pair_sum(
@@ -153,15 +122,15 @@ def _pair_sum(
     """The level-reduction sum of (nu, mu) over the weight parts; ``graded``
     picks the arithmetic, as in :func:`dims._transport_sum`.
 
-    Top down, each part but the last deals its subwords off both words of
-    every remainder pair that it and the later parts are to sum, by
+    One forward pass over the parts, on states {remainder pair:
+    coefficient} that start at {(nu, mu): 1}.  Each part but the last
+    deals its subwords off both words of every state's pair, by
     :func:`_kept`, and pairs the sides of equal content.  Each pair whose
-    dimension at the part is nonzero is listed as a term: the two split
-    counts times that dimension, with the remainders for the later parts,
-    which the next part deals in turn unless their sum is in ``cache``.
-    The last part's remainders get its own dimension, and :func:`_add_up`
-    adds the terms bottom up.  A sum over several parts depends on each of
-    them, not only on their sum, so it is keyed on the tail's id.
+    dimension at the part is nonzero adds the coefficient times the two
+    split counts times that dimension to the state of the remainders.  The
+    sum is then each coefficient times the last part's dimension of its
+    remainders.  By distributivity this is the sum of the products of part
+    dimensions, in either arithmetic.
 
     A first subword starting with a letter where its part is zero has
     first slot factor 0 for every permutation, so its dimension is 0.  The
@@ -177,33 +146,32 @@ def _pair_sum(
         zero, dimension, where = LaurentPoly.zero(), graded_dim, "graded level reduction sum"
     if sorted(nu) != sorted(mu):
         return zero
-    wanted, listed = {(nu, mu): None}, []
-    for head, alone, tail, tail_sum in peels[:-1]:
-        level, needs = {}, {}
-        for pair in wanted:
-            mu_side = _kept(pair[1], head, tail_sum, where, deadline, cache)
-            terms = level[pair] = []
-            for content, nu_entries in _kept(pair[0], head, tail_sum, where, deadline, cache).items():
+    states = {(nu, mu): 1}
+    for head, tail_sum in peels[:-1]:
+        grown: dict = {}
+        for (nu_left, mu_left), coef in states.items():
+            mu_side = _kept(mu_left, head, tail_sum, where, deadline, cache)
+            for content, nu_entries in _kept(nu_left, head, tail_sum, where, deadline, cache).items():
                 for first_mu, rest_mu, k_mu in mu_side.get(content, ()):
                     for first_nu, rest_nu, k_nu in nu_entries:
                         budget.check(deadline, where)
-                        key = ("pair", alone, (first_nu, first_mu))
+                        key = ("pair", head.coeffs, (first_nu, first_mu))
                         term = cache.get(key)
                         if term is None:
                             term = cache[key] = dimension(c, head, first_nu, first_mu, deadline)
                         if term != 0:
                             rest = (rest_nu, rest_mu)
-                            terms.append(((k_nu * k_mu) * term, rest))
-                            if ("pair", tail, rest) not in cache:
-                                needs[rest] = None
-        listed.append(level)
-        wanted = needs
-    last, alone = peels[-1][:2]
-    for rest in wanted:
-        key = ("pair", alone, rest)
-        if key not in cache:
-            cache[key] = dimension(c, last, *rest, deadline)
-    return _add_up(listed, peels, "pair", (nu, mu), zero, cache)
+                            grown[rest] = grown.get(rest, zero) + coef * (k_nu * k_mu) * term
+        states = grown
+    last = peels[-1][0]
+    total = zero
+    for rest, coef in states.items():
+        key = ("pair", last.coeffs, rest)
+        term = cache.get(key)
+        if term is None:
+            term = cache[key] = dimension(c, last, *rest, deadline)
+        total = total + coef * term
+    return total
 
 
 def reduce_pair_dim_multi(
@@ -224,12 +192,12 @@ def reduce_pair_dim_multi(
     distinct subword pairs weighted by their split counts.  It deals only
     subwords whose first letter is positive in their part and remainders
     whose first letter is positive in the sum of the later parts: every
-    other pair has a zero dimension factor.  The part dimensions and the
-    remainder sums are memoized on (tail weights, remainders), a part
-    alone being a tail of one, and the dealt subwords on (part weight, tail
-    sum, word); pass an external ``cache`` dict to share them across calls
-    with the same Cartan data.  A cache passed with other Cartan data than
-    it was filled for raises :class:`PreconditionFail`.
+    other pair has a zero dimension factor.  ``cache`` keeps the split
+    verdicts, the dealt subwords on (part weight, tail sum, word) and the
+    part dimensions on (part weight, subword pair); pass an external
+    ``cache`` dict to share them across calls with the same Cartan data.
+    A cache passed with other Cartan data than it was filled for raises
+    :class:`PreconditionFail`.
     """
     if cache is None:
         cache = {}
@@ -267,43 +235,45 @@ def reduce_block_dim(
     decompositions of beta.
 
     It lists no decomposition: it peels off one part at a time, as
-    :func:`reduce_pair_dim_multi` does.  Each part but the last takes every
-    sub-block beta_1 of the block left to it, and each beta_1 of nonzero
-    dimension there is a term: C(|beta|, |beta_1|)^2 times that dimension,
-    with beta - beta_1 for the later parts.  The binomials along a
-    decomposition multiply out to its multinomial.  The time budget is
-    checked once per sub-block taken.  ``cache`` as in
-    :func:`reduce_pair_dim_multi`: the block dimensions at the parts and
-    the remainder sums are kept on (tail weights, remainder).
+    :func:`reduce_pair_dim_multi` does, on states {remainder block:
+    coefficient} that start at {beta: 1}.  Each part but the last takes
+    every sub-block beta_1 of each state's block, and each beta_1 of
+    nonzero dimension there adds the coefficient times
+    C(|beta|, |beta_1|)^2 times that dimension to the state of
+    beta - beta_1.  The sum is then each coefficient times the last part's
+    dimension of its block.  The binomials along a decomposition multiply
+    out to its multinomial.  The time budget is checked once per sub-block
+    taken.  ``cache`` as in :func:`reduce_pair_dim_multi`: it keeps the
+    split verdicts and the block dimensions at the parts, on (part weight,
+    block).
     """
     if cache is None:
         cache = {}
     peels = _check_split(c, lam, split, cache)
-    wanted, listed = {beta.coeffs: None}, []
-    for head, alone, tail, _ in peels[:-1]:
-        level, needs = {}, {}
-        for block in wanted:
+    states = {beta.coeffs: 1}
+    for head, _ in peels[:-1]:
+        grown: dict = {}
+        for block, coef in states.items():
             size = sum(block)
-            terms = level[block] = []
             for first in iproduct(*[range(m + 1) for m in block]):
                 budget.check(deadline, "block level reduction")
-                key = ("block", alone, first)
+                key = ("block", head.coeffs, first)
                 term = cache.get(key)
                 if term is None:
                     term = cache[key] = block_dim(c, head, RootElement(first), deadline)
                 if term:
                     rest = tuple(map(sub, block, first))
-                    terms.append((comb(size, sum(first)) ** 2 * term, rest))
-                    if ("block", tail, rest) not in cache:
-                        needs[rest] = None
-        listed.append(level)
-        wanted = needs
-    last, alone = peels[-1][:2]
-    for rest in wanted:
-        key = ("block", alone, rest)
-        if key not in cache:
-            cache[key] = block_dim(c, last, RootElement(rest), deadline)
-    return _add_up(listed, peels, "block", beta.coeffs, 0, cache)
+                    grown[rest] = grown.get(rest, 0) + coef * comb(size, sum(first)) ** 2 * term
+        states = grown
+    last = peels[-1][0]
+    total = 0
+    for rest, coef in states.items():
+        key = ("block", last.coeffs, rest)
+        term = cache.get(key)
+        if term is None:
+            term = cache[key] = block_dim(c, last, RootElement(rest), deadline)
+        total += coef * term
+    return total
 
 
 def dominant_splits(lam: Weight, parts: int) -> Iterator[tuple[Weight, ...]]:

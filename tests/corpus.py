@@ -74,6 +74,14 @@ leaves a letter out, repeats one or adds one.  Every letter is a node.  Its
 digest is one SHA-256 over ``repr`` of each word's Cartan matrix, weight,
 word, letter order and answers, in turn.
 
+The ``splits`` family is the enumeration orders that the level reductions
+and the verify suites walk: ``blocks_of_size`` of a seeded, fixed set of
+(rank, size) pairs, ranks 1 to 5 (type A) and sizes up to 6, and
+``dominant_splits`` of a seeded, fixed set of (weight, parts) pairs,
+weights of rank 1 to 3 with coefficients up to 3 and 1 to 3 parts.  Its
+digest is one SHA-256 over ``repr`` of each input and the list it
+enumerates, in order, in turn.
+
 ``corpus.json`` beside this file holds the committed count and digest of
 each family, and a test checks them, so any change to an answer shows as a
 diff there.  Run
@@ -126,6 +134,9 @@ NILHECKE_WORDS = 300
 
 BASIS_SEED = 2525
 BASIS_WORDS = 500
+
+SPLITS_SEED = 2626
+SPLITS_DRAWS = 200
 
 # (type, weight, fundamental weights in order, word): long runs, and equal
 # fundamental weights that stand apart.
@@ -532,6 +543,22 @@ def basis_digest() -> tuple[int, str]:
     return count, h.hexdigest()
 
 
+def splits_digest() -> tuple[int, str]:
+    """The number of enumerations and the SHA-256 of their orders."""
+    from klrdim import Weight, blocks_of_size, builtin_cartan, dominant_splits
+
+    rng = random.Random(SPLITS_SEED)
+    h = hashlib.sha256()
+    for _ in range(SPLITS_DRAWS):
+        rank, size = rng.randint(1, 5), rng.randint(0, 6)
+        blocks = [beta.coeffs for beta in blocks_of_size(builtin_cartan(f"A{rank}"), size)]
+        h.update(repr((rank, size, blocks)).encode())
+        lam, parts = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3))), rng.randint(1, 3)
+        splits = [tuple(p.coeffs for p in split) for split in dominant_splits(Weight(lam), parts)]
+        h.update(repr((lam, parts, splits)).encode())
+    return 2 * SPLITS_DRAWS, h.hexdigest()
+
+
 def committed(family: str = "cli") -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))[family]
 
@@ -544,6 +571,7 @@ if __name__ == "__main__":
     words, nonzero_sha = nonzero_digest()
     nilhecke, nilhecke_sha = nilhecke_digest()
     words_basis, basis_sha = basis_digest()
+    orders, splits_sha = splits_digest()
     print(json.dumps({
         "cli": {"requests": count, "sha256": sha},
         "pairs": {"pairs": pairs, "sha256": pairs_sha},
@@ -552,4 +580,5 @@ if __name__ == "__main__":
         "nonzero": {"words": words, "sha256": nonzero_sha},
         "nilhecke": {"answers": nilhecke, "sha256": nilhecke_sha},
         "basis": {"words": words_basis, "sha256": basis_sha},
+        "splits": {"orders": orders, "sha256": splits_sha},
     }, indent=2))

@@ -36,3 +36,8 @@ def test_nilhecke_closed_forms_match_the_committed_digest():
 def test_groupings_and_bounds_match_the_committed_digest():
     count, sha = corpus.basis_digest()
     assert {"words": count, "sha256": sha} == corpus.committed("basis")
+
+
+def test_enumeration_orders_match_the_committed_digest():
+    count, sha = corpus.splits_digest()
+    assert {"orders": count, "sha256": sha} == corpus.committed("splits")

@@ -40,7 +40,7 @@ from klrdim.dims import (
 from klrdim.errors import (
     BadShape, LengthMismatch, OutOfRange, PreconditionFail, TimeBudgetExceeded, TooManyTerms,
 )
-from klrdim.idempotents import nonzero_blockwise, nonzero_direct
+from klrdim.idempotents import nonzero_blockwise, nonzero_by_shuffle, nonzero_direct
 from klrdim.levelred import reduce_pair_dim_multi, reduce_pair_graded
 from klrdim.perms import as_block_form, transport_perms
 from klrdim.qpoly import LaurentPoly, eval_one, quantum_int
@@ -849,12 +849,16 @@ ENTRY_POINTS = {
     "graded_dim_blockwise": lambda lam, nu, nuprime: graded_dim_blockwise(
         A2, lam, as_block_form(nu)),
     "nonzero_blockwise": lambda lam, nu, nuprime: nonzero_blockwise(A2, lam, nu),
+    "nonzero_by_shuffle": lambda lam, nu, nuprime: nonzero_by_shuffle(
+        A2, nu, [i for i, k in enumerate(lam.coeffs) for _ in range(k)]),
 }
 # One word has no length to mismatch.
 ONE_WORD = {
-    "dim_divided", "transport_column", "nonzero_direct",
-    "exponent_bounds", "block_levels", "graded_dim_blockwise", "nonzero_blockwise",
+    "dim_divided", "transport_column", "nonzero_direct", "exponent_bounds",
+    "block_levels", "graded_dim_blockwise", "nonzero_blockwise", "nonzero_by_shuffle",
 }
+# A list of fundamental weights has no weight to be short.
+NO_WEIGHT = {"nonzero_by_shuffle"}
 # On A2 at Lambda = (1, 2): (bad weight, nu, nu', error, message).
 BAD_INPUTS = {
     "short weight": (Weight((1,)), (0, 1), (1, 0), BadShape,
@@ -871,6 +875,7 @@ class TestInputCheck:
     @pytest.mark.parametrize("entry, bad", [
         (entry, bad) for entry in ENTRY_POINTS for bad in BAD_INPUTS
         if not (entry in ONE_WORD and bad == "unequal lengths")
+        and not (entry in NO_WEIGHT and bad == "short weight")
     ])
     def test_bad_input_is_refused(self, entry, bad):
         # A negative letter once wrapped round to the last node: graded_dim
@@ -878,6 +883,23 @@ class TestInputCheck:
         lam, nu, nuprime, error, message = BAD_INPUTS[bad]
         with pytest.raises(error) as caught:
             ENTRY_POINTS[entry](lam, nu, nuprime)
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("nu, fundamentals, message", [
+        ((-1,), [0], "letters must be nodes 0..1"),
+        ((5,), [0], "letters must be nodes 0..1"),
+        ((0,), [5], "fundamental weights must be nodes 0..1"),
+        ((0,), [-1], "fundamental weights must be nodes 0..1"),
+        ((0,), [0, 2], "fundamental weights must be nodes 0..1"),
+    ])
+    def test_shuffle_search_input_is_refused(self, nu, fundamentals, message):
+        # With the one fundamental weight of node 0, no piece may open on a
+        # letter -1 read as node 1, so the search once answered "zero"
+        # without reaching a checked dimension, and a letter 5 was an
+        # IndexError.  Weight.fundamental(2, 5) is the zero weight, so a bad
+        # index also answered "zero".
+        with pytest.raises(OutOfRange) as caught:
+            nonzero_by_shuffle(A2, nu, fundamentals)
         assert str(caught.value) == message
 
 

@@ -293,6 +293,25 @@ class TestPruning:
         assert got == dim(c, lam, (0, 1, 0), (1, 0, 0))
         assert deadline.seen == {"level reduction sum": 7, "dimension sum": 5}
 
+    def test_pair_peel_checks_once_per_dealing_and_pair(self):
+        # A2 at Lambda = (2, 1) over (1, 0) + (1, 0) + (0, 1), with a fresh
+        # cache.  Dealing a word checks once per kept dealing of each of its
+        # proper prefixes.  The first part, with the later parts summing to
+        # (1, 1), deals nu = 010 in 1 + 2 + 3 checks and mu = 100 in
+        # 1 + 1 + 2, and pairs the sides of equal content 0 0, 0 (twice on
+        # nu's side) and the empty ones: 4 checks, 14 in all.  The 00 pair
+        # is zero at level one, so three remainder pairs are left: (10, 10),
+        # (01, 10) and (010, 100).  The second part, before (0, 1), deals
+        # each of their four words once, in 2 + 2 + 4 + 4 checks, and checks
+        # 2 + 1 + 2 pairs: 17.  The last part's sums are its own dimensions,
+        # which need no check: 14 + 17 = 31.
+        c, lam = builtin_cartan("A2"), Weight((2, 1))
+        split = (Weight((1, 0)), Weight((1, 0)), Weight((0, 1)))
+        deadline = Recording(3600)
+        got = reduce_pair_dim_multi(c, lam, (0, 1, 0), (1, 0, 0), split, deadline=deadline)
+        assert got == dim(c, lam, (0, 1, 0), (1, 0, 0)) == 8
+        assert deadline.seen["level reduction sum"] == 31
+
 
 class TestBlockReduction:
     def test_peel_checks_once_per_sub_block(self):
