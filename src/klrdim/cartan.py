@@ -27,6 +27,7 @@ from .errors import (
     BadShape,
     BadSign,
     NotSymmetrizable,
+    OutOfRange,
     UnknownType,
 )
 
@@ -73,6 +74,10 @@ class Weight:
 
     @classmethod
     def fundamental(cls, n: int, i: int) -> Weight:
+        """The fundamental weight of node ``i`` of ``n``; raises
+        :class:`OutOfRange` unless ``i`` is a node 0..n-1."""
+        if not 0 <= i < n:
+            raise OutOfRange(f"fundamental weights must be nodes 0..{n - 1}")
         return cls(tuple(1 if j == i else 0 for j in range(n)))
 
 

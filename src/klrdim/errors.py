@@ -10,7 +10,10 @@ class KlrError(Exception):
 
 
 class BadShape(KlrError):
-    """Matrix input is not a square integer matrix."""
+    """Input of the wrong shape: a Cartan matrix that is not a square
+    integer matrix (or a Cartan file or label list that cannot give one),
+    a weight or block without one entry per node, weights or weight split
+    parts over different node sets, or a negative block multiplicity."""
 
 
 class BadDiagonal(KlrError):

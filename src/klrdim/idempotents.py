@@ -26,7 +26,6 @@ from .basis import block_levels
 from .budget import Deadline
 from .cartan import CartanData, Weight
 from .dims import _checked, dim, dim_divided
-from .errors import OutOfRange
 from .perms import as_block_form
 
 
@@ -108,12 +107,10 @@ def nonzero_by_shuffle(
     index that is not a node 0..n-1.
     """
     parts = list(fundamentals)
-    if any(not 0 <= t < c.n for t in parts):
-        raise OutOfRange(f"fundamental weights must be nodes 0..{c.n - 1}")
+    level_one = [Weight.fundamental(c.n, t) for t in parts]
     nu, _ = _checked(c, Weight((0,) * c.n), nu)
     n = len(nu)
     l = len(parts)
-    level_one = [Weight.fundamental(c.n, t) for t in parts]
     lam_head = [w.coeffs for w in level_one]
     piece: list[list[int]] = [[] for _ in range(l)]
     # The nearest earlier piece of the same fundamental weight, or None.

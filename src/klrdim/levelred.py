@@ -39,7 +39,7 @@ from . import budget
 from .budget import Deadline
 from .cartan import CartanData, RootElement, Weight
 from .dims import _checked, _compositions, block_dim, dim, graded_dim
-from .errors import BadShape, PreconditionFail
+from .errors import PreconditionFail
 from .qpoly import LaurentPoly
 
 
@@ -87,7 +87,9 @@ def _check_split(c: CartanData, lam: Weight, split: Sequence[Weight], cache: dic
     part, (the part, the sum of the later parts' weights).  The verdict is
     kept in ``cache``.
 
-    The dimensions in ``cache`` are keyed without the Cartan data, so the
+    The parts are added by :meth:`Weight.__add__`, which raises
+    :class:`BadShape` for parts over different node sets.  The dimensions
+    in ``cache`` are keyed without the Cartan data, so the
     cache records the Cartan data it was first filled for and refuses any
     other.
     """
@@ -101,9 +103,7 @@ def _check_split(c: CartanData, lam: Weight, split: Sequence[Weight], cache: dic
         return peels
     if not split:
         raise PreconditionFail("need at least one weight part")
-    if len({len(w) for w in weights}) > 1:
-        raise BadShape("weights live over different node sets")
-    if tuple(map(sum, zip(*weights))) != lam.coeffs:
+    if sum(split[1:], split[0]) != lam:
         raise PreconditionFail("weight parts must sum to the target weight")
     if any(not part.is_dominant for part in split):
         raise PreconditionFail("every weight part must be dominant")

@@ -12,7 +12,7 @@ from typing import Iterator
 
 from . import budget
 from .budget import Deadline
-from .cartan import CartanData, Weight, validate_cartan
+from .cartan import CartanData, RootElement, Weight, validate_cartan
 from .errors import PreconditionFail
 from .dims import (
     blocks_of_size,
@@ -41,7 +41,8 @@ class VerifyReport:
 
     ``mismatches`` counts every recorded mismatch and ``failed_blocks``
     every block with one; only the first ten counterexamples are kept in
-    ``failures``.  ``ok`` is read off ``mismatches``.
+    ``failures``, each as its kind and values in JSON form (see
+    :meth:`record`).  ``ok`` is read off ``mismatches``.
     """
 
     suite: str
@@ -59,10 +60,12 @@ class VerifyReport:
     def blocks_ok(self) -> int:
         return self.blocks - self.failed_blocks
 
-    def record(self, **counterexample) -> None:
+    def record(self, kind: str, **values) -> None:
+        """Count one mismatch, and keep the first ten as counterexamples:
+        ``kind`` and the values in JSON form (see :func:`_plain`)."""
         self.mismatches += 1
         if len(self.failures) < 10:
-            self.failures.append(counterexample)
+            self.failures.append({"kind": kind, **{k: _plain(v) for k, v in values.items()}})
 
     def walk_blocks(
         self, c: CartanData, max_n: int, deadline: Deadline | None = None
@@ -100,6 +103,18 @@ class VerifyReport:
         }
 
 
+def _plain(value):
+    """A counterexample value in JSON form: a word as a list, a weight or
+    block as its coefficients, a split as the list of its parts'
+    coefficients and a polynomial as its display string.  Integers pass
+    as they are."""
+    if isinstance(value, (Weight, RootElement)):
+        value = value.coeffs
+    if isinstance(value, tuple):
+        return [list(v.coeffs) if isinstance(v, Weight) else v for v in value]
+    return str(value) if isinstance(value, LaurentPoly) else value
+
+
 def verify_oracle(
     c: CartanData, lam: Weight, max_n: int = 3, deadline: Deadline | None = None
 ) -> VerifyReport:
@@ -128,20 +143,13 @@ def verify_oracle(
                 plain = plain_columns[nuprime].get(nu, 0)
                 report.checked += 1
                 if closed != recursive:
-                    report.record(
-                        kind="graded mismatch", nu=list(nu), nuprime=list(nuprime),
-                        closed=str(closed), recursive=str(recursive),
-                    )
+                    report.record("graded mismatch", nu=nu, nuprime=nuprime,
+                                  closed=closed, recursive=recursive)
                 if eval_one(closed) != plain:
-                    report.record(
-                        kind="q=1 mismatch", nu=list(nu), nuprime=list(nuprime),
-                        graded_at_one=eval_one(closed), direct=plain,
-                    )
+                    report.record("q=1 mismatch", nu=nu, nuprime=nuprime,
+                                  graded_at_one=eval_one(closed), direct=plain)
                 if any(coeff < 0 for _, coeff in closed.items()):
-                    report.record(
-                        kind="negative coefficient", nu=list(nu),
-                        nuprime=list(nuprime), value=str(closed),
-                    )
+                    report.record("negative coefficient", nu=nu, nuprime=nuprime, value=closed)
     return report
 
 
@@ -157,7 +165,7 @@ def verify_divided(
             rhs = dim(c, lam, nu, nu, deadline=deadline)
             report.checked += 1
             if lhs != rhs:
-                report.record(kind="divided mismatch", nu=list(nu), divided=lhs, direct=rhs)
+                report.record("divided mismatch", nu=nu, divided=lhs, direct=rhs)
     return report
 
 
@@ -178,11 +186,8 @@ def verify_levelred(
             )
             report.checked += 1
             if direct_block != reduced_block:
-                report.record(
-                    kind="block reduction mismatch", beta=list(beta.coeffs),
-                    split=[list(w.coeffs) for w in split],
-                    direct=direct_block, reduced=reduced_block,
-                )
+                report.record("block reduction mismatch", beta=beta, split=split,
+                              direct=direct_block, reduced=reduced_block)
             for nu in tuples:
                 for mu in tuples:
                     budget.check(deadline, "level reduction suite")
@@ -191,11 +196,8 @@ def verify_levelred(
                     )
                     report.checked += 1
                     if direct[mu].get(nu, 0) != reduced:
-                        report.record(
-                            kind="pair reduction mismatch", nu=list(nu), mu=list(mu),
-                            split=[list(w.coeffs) for w in split],
-                            direct=direct[mu].get(nu, 0), reduced=reduced,
-                        )
+                        report.record("pair reduction mismatch", nu=nu, mu=mu, split=split,
+                                      direct=direct[mu].get(nu, 0), reduced=reduced)
     # The graded analogue must FAIL on one nilHecke strand at level two:
     # the reduction sum gives 1+1 while the true graded dimension is 1+q^2.
     rank1 = validate_cartan([[2]])
@@ -205,10 +207,7 @@ def verify_levelred(
     true_graded = graded_dim(rank1, two, (0,), (0,), deadline=deadline)
     report.checked += 1
     if graded_sum == true_graded:
-        report.record(
-            kind="graded reduction unexpectedly held",
-            reduced=str(graded_sum), direct=str(true_graded),
-        )
+        report.record("graded reduction unexpectedly held", reduced=graded_sum, direct=true_graded)
     return report
 
 
@@ -227,25 +226,18 @@ def verify_basis(
             d2 = dim(c, lam, mu, form.tuple, deadline=deadline)
             report.checked += 1
             if not (basis.cardinality == d1 == d2):
-                report.record(
-                    kind="cardinality mismatch", mu=list(mu),
-                    grouped=list(form.tuple), bounds=list(basis.bounds),
-                    cardinality=basis.cardinality, dim_to=d1, dim_from=d2,
-                )
+                report.record("cardinality mismatch", mu=mu, grouped=form.tuple,
+                              bounds=basis.bounds, cardinality=basis.cardinality,
+                              dim_to=d1, dim_from=d2)
             if basis.empty != (d1 == 0):
-                report.record(
-                    kind="positivity mismatch", mu=list(mu),
-                    bounds=list(basis.bounds), dim=d1,
-                )
+                report.record("positivity mismatch", mu=mu, bounds=basis.bounds, dim=d1)
             if mu == form.tuple:
                 closed = graded_dim(c, lam, mu, mu, deadline=deadline)
                 product = graded_dim_blockwise(c, lam, form, deadline=deadline)
                 report.checked += 1
                 if closed != product:
-                    report.record(
-                        kind="diagonal factorization mismatch", mu=list(mu),
-                        closed=str(closed), product=str(product),
-                    )
+                    report.record("diagonal factorization mismatch", mu=mu,
+                                  closed=closed, product=product)
     return report
 
 

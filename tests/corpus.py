@@ -82,6 +82,21 @@ weights of rank 1 to 3 with coefficients up to 3 and 1 to 3 parts.  Its
 digest is one SHA-256 over ``repr`` of each input and the list it
 enumerates, in order, in turn.
 
+The ``long`` family is the pair and block sums on long inputs, which no
+other family reaches: seeded words that hold one run of 6 to 12 equal
+letters (alone, or with one other letter placed at random) at a run-node
+weight of 6 to 24, on types A1, A2, B2, C2 and G2, with ``dim`` and
+``dim_divided`` of each and, for runs of 6, ``graded_dim`` and
+``nilhecke_graded_dim``; seeded two- and three-letter words at weights of
+100 to 300 on types A1, A2 and B2, with ``graded_dim`` and ``dim``;
+seeded pairs of words of 8 to 10 letters made of runs of 2 to 4, at
+levels of at most 3 on types A2, B2 and A1~, each drawn until its
+idempotent is nonzero (up to 20 times), with ``graded_dim``, ``dim`` and
+``dim_divided``;
+and ``block_graded_dim`` and ``block_dim`` of the A1 blocks at Lambda =
+beta = 0 to 20.  Its digest is one SHA-256 over ``repr`` of each input and
+its answers, in turn.
+
 ``corpus.json`` beside this file holds the committed count and digest of
 each family, and a test checks them, so any change to an answer shows as a
 diff there.  Run
@@ -100,6 +115,7 @@ import os
 import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import groupby
 from pathlib import Path
 
 DIGESTS = Path(__file__).with_name("corpus.json")
@@ -137,6 +153,17 @@ BASIS_WORDS = 500
 
 SPLITS_SEED = 2626
 SPLITS_DRAWS = 200
+
+LONG_SEED = 2727
+# (type, node) of the single-letter runs, and the types of the heavy
+# weights and of the run-words.
+RUN_NODES = (("A1", 0), ("A2", 1), ("B2", 0), ("C2", 1), ("G2", 0))
+RUN_DRAWS = 30
+HEAVY_TYPES = ("A1", "A2", "B2")
+HEAVY_DRAWS = 8
+RUN_WORD_TYPES = ("A2", "B2", "A1~")
+RUN_WORD_DRAWS = 30
+BLOCK_LEVELS = 20
 
 # (type, weight, fundamental weights in order, word): long runs, and equal
 # fundamental weights that stand apart.
@@ -559,6 +586,92 @@ def splits_digest() -> tuple[int, str]:
     return 2 * SPLITS_DRAWS, h.hexdigest()
 
 
+def _run_word(rng: random.Random, n: int, length: int) -> tuple[int, ...]:
+    """A word of ``length`` letters of ``n`` >= 2 nodes, made of runs of 2
+    to 4 equal letters (the last run may be shorter), each run's letter
+    other than the one before."""
+    word = [rng.randrange(n)] * rng.randint(2, 4)
+    while len(word) < length:
+        x = rng.choice([y for y in range(n) if y != word[-1]])
+        word += [x] * min(rng.randint(2, 4), length - len(word))
+    return tuple(word[:length])
+
+
+def _nonzero_run_words(rng: random.Random, c, lam, length: int) -> tuple:
+    """Two words of ``length`` letters and the same content, made of runs:
+    the first of up to 20 drawn words whose idempotent is nonzero (or the
+    last drawn), and a shuffle of its runs, again the first nonzero of up
+    to 20 (or the word itself).  Most drawn words vanish at low level."""
+    from klrdim import dim
+
+    for _ in range(20):
+        nu = _run_word(rng, c.n, length)
+        if dim(c, lam, nu, nu):
+            break
+    runs = [tuple(run) for _, run in groupby(nu)]
+    for _ in range(20):
+        nuprime = sum(rng.sample(runs, len(runs)), ())
+        if dim(c, lam, nuprime, nuprime):
+            return nu, nuprime
+    return nu, nu
+
+
+def long_digest() -> tuple[int, str]:
+    """The number of long inputs and the SHA-256 of their answers."""
+    from klrdim import (
+        RootElement, Weight, block_dim, block_graded_dim, builtin_cartan, dim, dim_divided,
+        graded_dim, nilhecke_graded_dim,
+    )
+
+    rng = random.Random(LONG_SEED)
+    h = hashlib.sha256()
+    count = 0
+
+    def add(*answer):
+        nonlocal count
+        h.update(repr(answer).encode())
+        count += 1
+
+    for _ in range(RUN_DRAWS):
+        name, x = rng.choice(RUN_NODES)
+        c = builtin_cartan(name)
+        lam = Weight(tuple(rng.randint(6, 24) if i == x else rng.randint(0, 2) for i in range(c.n)))
+        size = rng.choice((6, 6, 8, 10, 12))
+        nu = (x,) * size
+        if c.n > 1 and rng.random() < 0.5:
+            y = (x + 1) % c.n
+            nu, nuprime = (nu[:(k := rng.randint(0, size))] + (y,) + nu[k:],
+                           nu[:(j := rng.randint(0, size))] + (y,) + nu[j:])
+        else:
+            nuprime = nu
+        answers = [dim(c, lam, nu, nuprime), dim_divided(c, lam, nu)]
+        if size == 6:
+            answers.append(graded_dim(c, lam, nu, nuprime).to_pairs())
+            answers.append(nilhecke_graded_dim(lam.coeffs[x], size, c.d(x)).to_pairs())
+        add(c.matrix, lam.coeffs, nu, nuprime, answers)
+    for _ in range(HEAVY_DRAWS):
+        c = builtin_cartan(rng.choice(HEAVY_TYPES))
+        lam = Weight(tuple(rng.randint(100, 300) for _ in range(c.n)))
+        nu = tuple(rng.randrange(c.n) for _ in range(rng.randint(2, 3)))
+        nuprime = tuple(rng.sample(nu, len(nu)))
+        add(c.matrix, lam.coeffs, nu, nuprime, graded_dim(c, lam, nu, nuprime).to_pairs(),
+            dim(c, lam, nu, nuprime))
+    for _ in range(RUN_WORD_DRAWS):
+        c = builtin_cartan(rng.choice(RUN_WORD_TYPES))
+        weight = [0] * c.n
+        for _ in range(rng.randint(1, 3)):
+            weight[rng.randrange(c.n)] += 1
+        lam = Weight(tuple(weight))
+        nu, nuprime = _nonzero_run_words(rng, c, lam, rng.randint(8, 10))
+        add(c.matrix, lam.coeffs, nu, nuprime, graded_dim(c, lam, nu, nuprime).to_pairs(),
+            dim(c, lam, nu, nuprime), dim_divided(c, lam, nu))
+    a1 = builtin_cartan("A1")
+    for k in range(BLOCK_LEVELS + 1):
+        lam, beta = Weight((k,)), RootElement((k,))
+        add(k, block_graded_dim(a1, lam, beta).to_pairs(), block_dim(a1, lam, beta))
+    return count, h.hexdigest()
+
+
 def committed(family: str = "cli") -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))[family]
 
@@ -572,6 +685,7 @@ if __name__ == "__main__":
     nilhecke, nilhecke_sha = nilhecke_digest()
     words_basis, basis_sha = basis_digest()
     orders, splits_sha = splits_digest()
+    inputs, long_sha = long_digest()
     print(json.dumps({
         "cli": {"requests": count, "sha256": sha},
         "pairs": {"pairs": pairs, "sha256": pairs_sha},
@@ -581,4 +695,5 @@ if __name__ == "__main__":
         "nilhecke": {"answers": nilhecke, "sha256": nilhecke_sha},
         "basis": {"words": words_basis, "sha256": basis_sha},
         "splits": {"orders": orders, "sha256": splits_sha},
+        "long": {"inputs": inputs, "sha256": long_sha},
     }, indent=2))

@@ -37,6 +37,7 @@ IGNORE = shutil.ignore_patterns(
     ".git", "__pycache__", ".pytest_cache", ".hypothesis", "out", "*.egg-info",
 )
 
+CARTAN = "src/klrdim/cartan.py"
 DIMS = "src/klrdim/dims.py"
 LEVELRED = "src/klrdim/levelred.py"
 DIMS_TESTS = ("tests/test_dims.py", "tests/test_corpus.py")
@@ -50,9 +51,9 @@ MUTATIONS = (
     ("run factor read after the letter's pairing", DIMS,
      "(len(stem), pairing[i])", "(len(stem), pairing[i] - 2)", DIMS_TESTS),
     # The one grading shift per block.
-    ("grading shift without halving (beta|beta)", "src/klrdim/cartan.py",
+    ("grading shift without halving (beta|beta)", CARTAN,
      "return lam_beta - beta_beta // 2", "return lam_beta - beta_beta", DIMS_TESTS),
-    ("grading shift without d_i in (Lambda|beta)", "src/klrdim/cartan.py",
+    ("grading shift without d_i in (Lambda|beta)", CARTAN,
      "lam_beta += d[i] * coeffs[i] * m", "lam_beta += coeffs[i] * m", DIMS_TESTS),
     ("recursion shifts by e, not d_x e", DIMS,
      "shift = c.symmetrizer[x] * e", "shift = e", DIMS_TESTS),
@@ -103,6 +104,17 @@ MUTATIONS = (
     # Enumeration orders.
     ("blocks_of_size in reversed order", DIMS,
      "yield RootElement(coeffs)", "yield RootElement(coeffs[::-1])", ("tests/test_corpus.py",)),
+    # Input checks that the weights own.
+    ("Weight.fundamental without its range test", CARTAN,
+     "        if not 0 <= i < n:\n            raise OutOfRange(", "        if False:\n            raise OutOfRange(",
+     ("tests/test_cartan.py", "tests/test_dims.py")),
+    ("Weight.__add__ without its length test", CARTAN,
+     "if len(self.coeffs) != len(other.coeffs):", "if False:",
+     ("tests/test_cartan.py", "tests/test_levelred.py")),
+    # The verify report.
+    ("counterexample polynomial rendered by repr", "src/klrdim/verify.py",
+     "return str(value) if isinstance(value, LaurentPoly)",
+     "return repr(value) if isinstance(value, LaurentPoly)", ("tests/test_verify.py",)),
 )
 
 

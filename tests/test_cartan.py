@@ -21,6 +21,7 @@ from klrdim.errors import (
     BadShape,
     BadSign,
     NotSymmetrizable,
+    OutOfRange,
     UnknownType,
 )
 from oracles import act_on_tuple
@@ -127,7 +128,7 @@ class TestRegistry:
         assert validate_cartan(c.matrix) == c
 
     def test_bad_ranks(self):
-        for name in ("A0", "B1", "C1", "D3", "E5", "F3", "G4", "C1~", "A3^2", "D2^2"):
+        for name in ("A0", "B1", "C1", "D3", "E5", "F3", "G4", "A0~", "C1~", "A3^2", "D2^2"):
             with pytest.raises(BadRank):
                 builtin_cartan(name)
 
@@ -177,6 +178,11 @@ class TestJson:
         with pytest.raises(BadShape):
             cartan_from_json({"matrix": [[2, -1], [-1, 2]], "labels": [1, 1]})
 
+    @pytest.mark.parametrize("doc", [[], [[2]], "A2", {"labels": [1]}])
+    def test_not_an_object_with_a_matrix(self, doc):
+        with pytest.raises(BadShape, match="JSON object"):
+            cartan_from_json(doc)
+
     @pytest.mark.parametrize("labels", [["x"], [1.0], [True], 3, "1", {"1": 1}])
     def test_non_integer_labels(self, labels):
         with pytest.raises(BadShape):
@@ -221,6 +227,20 @@ class TestContent:
         assert w.is_dominant
         assert not Weight((1, -1)).is_dominant
         assert Weight.fundamental(3, 1) + Weight.fundamental(3, 1) == Weight((0, 2, 0))
+
+    @pytest.mark.parametrize("node", [2, 5, -1])
+    def test_fundamental_weight_needs_a_node(self, node):
+        # An index that names no node raises; it does not give the zero weight.
+        with pytest.raises(OutOfRange, match=r"nodes 0\.\.1"):
+            Weight.fundamental(2, node)
+
+    def test_weights_over_different_node_sets_do_not_add(self):
+        with pytest.raises(BadShape, match="different node sets"):
+            Weight((1,)) + Weight((1, 0))
+
+    def test_root_element_multiplicities_are_non_negative(self):
+        with pytest.raises(BadShape, match=">= 0"):
+            RootElement((1, -1))
 
     def test_dominant_weights_enumeration(self):
         ws = list(dominant_weights(2, 3))

@@ -836,3 +836,36 @@ class TestBrokenPipe:
         proc.stderr.close()
         assert proc.wait(timeout=120) != 0
         assert err == "", err  # in particular, no Traceback
+
+
+class TestMain:
+    """The console entry point, in-process: it reads ``sys.argv`` and exits
+    with the request's code."""
+
+    @pytest.fixture(autouse=True)
+    def digit_caps(self, monkeypatch):
+        # main lifts the interpreter's digit cap; this process keeps its own.
+        caps = []
+        monkeypatch.setattr(sys, "set_int_max_str_digits", caps.append)
+        return caps
+
+    @pytest.mark.parametrize("weight, code, out", [("2", 0, "q^2+2+q^-2\n"), ("0,1", 1, "")])
+    def test_exits_with_the_request_s_code(self, monkeypatch, capsys, digit_caps, weight, code,
+                                           out):
+        argv = ["klrdim", "gdim", "--cartan", "A1", "--weight", weight, "--nu", "1,1"]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as stop:
+            cli.main()
+        assert (stop.value.code, capsys.readouterr().out) == (code, out)
+        assert digit_caps == [0]
+
+    def test_a_reader_that_went_away_gives_exit_1(self, monkeypatch, tmp_path):
+        def reader_gone():
+            raise BrokenPipeError
+
+        monkeypatch.setattr(cli, "run", reader_gone)
+        with open(tmp_path / "stdout", "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            with pytest.raises(SystemExit) as stop:
+                cli.main()
+        assert stop.value.code == 1

@@ -41,3 +41,8 @@ def test_groupings_and_bounds_match_the_committed_digest():
 def test_enumeration_orders_match_the_committed_digest():
     count, sha = corpus.splits_digest()
     assert {"orders": count, "sha256": sha} == corpus.committed("splits")
+
+
+def test_long_inputs_match_the_committed_digest():
+    count, sha = corpus.long_digest()
+    assert {"inputs": count, "sha256": sha} == corpus.committed("long")

@@ -501,6 +501,12 @@ class TestNilHecke:
         )
         assert (proc.stdout, proc.stderr) == ("TooManyTerms\n", "")
 
+    @pytest.mark.parametrize("fn", [nilhecke_graded_dim, nilhecke_dim])
+    @pytest.mark.parametrize("level, size", [(-1, 0), (0, -1)])
+    def test_negative_level_or_size_is_refused(self, fn, level, size):
+        with pytest.raises(ValueError, match=">= 0"):
+            fn(level, size)
+
     def test_many_strands_are_refused(self):
         # The product would have 2000 * 2999 + 1 terms, over the cap.
         with pytest.raises(TooManyTerms):
@@ -571,6 +577,10 @@ class TestBlocks:
                 assert len(got) == comb(n + c.n - 1, c.n - 1)
                 assert len(set(got)) == len(got)
                 assert got == sorted(got)
+
+    def test_blocks_of_negative_size_are_refused(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            next(blocks_of_size(A2, -1))
 
     def test_compositions_need_no_deep_stack(self):
         # 1200 parts, as for the blocks of size 1 of a rank-1200 type.  The
@@ -775,6 +785,11 @@ class TestPrefixCut:
 
 
 class TestDeadline:
+    @pytest.mark.parametrize("seconds", [0, -1])
+    def test_budget_must_be_positive(self, seconds):
+        with pytest.raises(ValueError, match="positive"):
+            Deadline(seconds)
+
     def test_expired_budget_aborts(self):
         lam = Weight((3,))
         nu = (0,) * 9

@@ -91,10 +91,11 @@ class TestPairReduction:
             reduce_pair_dim_multi(RANK1, TWO, (0,), (0,), ())
 
     def test_mixed_length_split_rejected(self):
+        # Refused when the parts are added, before any part's dimension.
         split = (Weight((1,)), Weight((1, 0)))
-        with pytest.raises(BadShape):
+        with pytest.raises(BadShape, match="different node sets"):
             reduce_pair_dim_multi(RANK1, TWO, (0,), (0,), split)
-        with pytest.raises(BadShape):
+        with pytest.raises(BadShape, match="different node sets"):
             reduce_block_dim(RANK1, TWO, RootElement((1,)), split)
 
 
@@ -423,3 +424,8 @@ class TestSplitEnumerations:
     def test_dominant_splits_need_a_part(self, parts):
         with pytest.raises(PreconditionFail):
             list(dominant_splits(Weight((1, 2)), parts))
+
+    @pytest.mark.parametrize("lam", [(-1,), (1, -1)])
+    def test_dominant_splits_need_a_dominant_weight(self, lam):
+        with pytest.raises(PreconditionFail, match="dominant"):
+            next(dominant_splits(Weight(lam), 2))

@@ -55,6 +55,11 @@ class TestQuantumInt:
         for m in range(-7, 8):
             assert eval_one(quantum_int(m, 3)) == m
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_variable_needs_a_positive_power(self, d):
+        with pytest.raises(ValueError, match="positive"):
+            quantum_int(1, d)
+
     @pytest.mark.parametrize("m", [MAX_TERMS + 1, -MAX_TERMS - 1, 10**2200])
     def test_refused_past_the_cap(self, m):
         with pytest.raises(TooManyTerms):
@@ -67,6 +72,10 @@ class TestFactorialBinomial:
 
     def test_factorial_zero(self):
         assert quantum_factorial(0, 1) == LaurentPoly.one()
+
+    def test_factorial_of_a_negative_is_refused(self):
+        with pytest.raises(ValueError, match="m >= 0"):
+            quantum_factorial(-1)
 
     def test_factorial_recurrence(self):
         for m in range(1, 9):
@@ -108,6 +117,11 @@ class TestFactorialBinomial:
         with pytest.raises(DivisionInexact):
             divide_exact(P((2, 1), (0, 1)), P((1, 1), (0, 1)))
 
+    def test_division_by_zero_and_of_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            divide_exact(quantum_int(2), LaurentPoly.zero())
+        assert divide_exact(LaurentPoly.zero(), quantum_int(2)).is_zero()
+
 
 class TestEquality:
     @pytest.mark.parametrize("k", [-3, 0, 1, 7])
@@ -115,6 +129,17 @@ class TestEquality:
         p = LaurentPoly({0: k})
         assert p == k and hash(p) == hash(k)
         assert len({k, p}) == 1
+
+    # An int must become a polynomial before it is added; only an int scales one.
+    @pytest.mark.parametrize("op", [
+        lambda p: p + 1, lambda p: p * 1.5, lambda p: 1.5 * p,
+    ], ids=["add-int", "mul-float", "rmul-float"])
+    def test_other_operands_are_refused(self, op):
+        with pytest.raises(TypeError):
+            op(quantum_int(2))
+
+    def test_equals_nothing_but_polynomials_and_ints(self):
+        assert LaurentPoly.one() != 1.0 and LaurentPoly.one() != "1"
 
     def test_one_and_1_are_one_set_member(self):
         assert len({1, LaurentPoly.one()}) == 1

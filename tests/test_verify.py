@@ -1,6 +1,7 @@
 """The self-verification battery and its report plumbing."""
 
 import doctest
+import json
 
 import pytest
 
@@ -8,10 +9,16 @@ import klrdim.dims
 import klrdim.perms
 import klrdim.qpoly
 import klrdim.verify
+from klrdim import cli
 from klrdim.budget import Deadline
 from klrdim.cartan import RootElement, Weight, builtin_cartan
+from klrdim.dims import graded_dim
 from klrdim.errors import PreconditionFail, TimeBudgetExceeded
-from klrdim.verify import SCOPES, VerifyReport, verify_oracle, verify_suite
+from klrdim.qpoly import LaurentPoly
+from klrdim.verify import (
+    SCOPES, VerifyReport, verify_basis, verify_divided, verify_levelred, verify_oracle,
+    verify_suite,
+)
 from oracles import Recording
 
 
@@ -152,6 +159,204 @@ def test_oracle_walks_each_target_word_once_per_arithmetic(monkeypatch):
     assert sorted(walks) == sorted(
         (None, w, graded) for w in ((0, 0, 1), (0, 1, 0), (1, 0, 0)) for graded in (True, False)
     )
+
+
+# Each route that the suites compare, broken by a wrapper around the name
+# that ``klrdim.verify`` imports.  Together they reach every mismatch kind.
+
+
+def _plus(step):
+    """A route that answers ``step`` more than it should."""
+    def make(route):
+        def broken(*args, **kwargs):
+            return route(*args, **kwargs) + step
+        return broken
+    return make
+
+
+def _column(graded, change):
+    """``transport_column`` with ``change`` applied to each entry of its
+    columns in one arithmetic, and right in the other."""
+    def make(route):
+        def broken(c, lam, w, arithmetic, deadline):
+            column = route(c, lam, w, arithmetic, deadline)
+            if arithmetic != graded:
+                return column
+            return {nu: change(value) for nu, value in column.items()}
+        return broken
+    return make
+
+
+def _true_graded(route):
+    """A graded level reduction that holds: the true graded dimension."""
+    def broken(c, lam, nu, mu, split, deadline=None):
+        return graded_dim(c, lam, nu, mu, deadline=deadline)
+    return broken
+
+
+def _bounds_plus_one(route):
+    def broken(*args):
+        return tuple(b + 1 for b in route(*args))
+    return broken
+
+
+ONE = LaurentPoly.one()
+# (case, suite, type, weight, max_n, broken name, breaker, kinds,
+# mismatches, failed blocks)
+BROKEN_ROUTES = [
+    ("recursion", verify_oracle, "A1", (2,), 2, "graded_dim_recursive", _plus(ONE),
+     {"graded mismatch"}, 3, 3),
+    ("graded column", verify_oracle, "A2", (1, 1), 2, "transport_column",
+     _column(True, lambda v: -v), {"graded mismatch", "q=1 mismatch", "negative coefficient"},
+     21, 4),
+    ("integer column", verify_oracle, "A1", (2,), 2, "transport_column",
+     _column(False, lambda v: v + 1), {"q=1 mismatch"}, 3, 3),
+    ("divided", verify_divided, "B2", (1, 1), 2, "dim_divided", _plus(1),
+     {"divided mismatch"}, 7, 6),
+    ("block reduction", verify_levelred, "A2", (1, 0), 0, "reduce_block_dim", _plus(1),
+     {"block reduction mismatch"}, 5, 1),
+    ("pair reduction", verify_levelred, "A1", (1,), 1, "reduce_pair_dim_multi", _plus(1),
+     {"pair reduction mismatch"}, 10, 2),
+    # Recorded after the block walk, so no block fails.
+    ("graded reduction", verify_levelred, "A1", (1,), 0, "reduce_pair_graded", _true_graded,
+     {"graded reduction unexpectedly held"}, 1, 0),
+    ("exponent bounds", verify_basis, "A1", (1,), 2, "exponent_bounds", _bounds_plus_one,
+     {"cardinality mismatch", "positivity mismatch"}, 3, 2),
+    ("blockwise product", verify_basis, "A1", (2,), 2, "graded_dim_blockwise", _plus(ONE),
+     {"diagonal factorization mismatch"}, 3, 3),
+]
+
+# Each report as JSON, sorted by key: tuples show as lists, weights and
+# blocks as their coefficients, and polynomials in their display form.
+MISMATCH_JSON = {
+    'recursion': (
+        '{"blocks": 3, "blocks_ok": 0, "checked": 3, "failures": [{"closed": "1",'
+        ' "kind": "graded mismatch", "nu": [], "nuprime": [], "recursive": "2"},'
+        ' {"closed": "q^2+1", "kind": "graded mismatch", "nu": [0], "nuprime": [0],'
+        ' "recursive": "q^2+2"}, {"closed": "q^2+2+q^-2", "kind": "graded mismatch",'
+        ' "nu": [0, 0], "nuprime": [0, 0], "recursive": "q^2+3+q^-2"}],'
+        ' "mismatches": 3, "ok": false, "suite": "oracle"}'
+    ),
+    'graded column': (
+        '{"blocks": 6, "blocks_ok": 2, "checked": 9, "failures": [{"closed": "-1",'
+        ' "kind": "graded mismatch", "nu": [], "nuprime": [], "recursive": "1"},'
+        ' {"direct": 1, "graded_at_one": -1, "kind": "q=1 mismatch", "nu": [],'
+        ' "nuprime": []}, {"kind": "negative coefficient", "nu": [], "nuprime": [],'
+        ' "value": "-1"}, {"closed": "-1", "kind": "graded mismatch", "nu": [1],'
+        ' "nuprime": [1], "recursive": "1"}, {"direct": 1, "graded_at_one": -1,'
+        ' "kind": "q=1 mismatch", "nu": [1], "nuprime": [1]},'
+        ' {"kind": "negative coefficient", "nu": [1], "nuprime": [1], "value": "-1"},'
+        ' {"closed": "-1", "kind": "graded mismatch", "nu": [0], "nuprime": [0],'
+        ' "recursive": "1"}, {"direct": 1, "graded_at_one": -1, "kind": "q=1 mismatch",'
+        ' "nu": [0], "nuprime": [0]}, {"kind": "negative coefficient", "nu": [0],'
+        ' "nuprime": [0], "value": "-1"}, {"closed": "-q^2-1",'
+        ' "kind": "graded mismatch", "nu": [0, 1], "nuprime": [0, 1],'
+        ' "recursive": "q^2+1"}], "mismatches": 21, "ok": false, "suite": "oracle"}'
+    ),
+    'integer column': (
+        '{"blocks": 3, "blocks_ok": 0, "checked": 3, "failures": [{"direct": 2,'
+        ' "graded_at_one": 1, "kind": "q=1 mismatch", "nu": [], "nuprime": []},'
+        ' {"direct": 3, "graded_at_one": 2, "kind": "q=1 mismatch", "nu": [0],'
+        ' "nuprime": [0]}, {"direct": 5, "graded_at_one": 4, "kind": "q=1 mismatch",'
+        ' "nu": [0, 0], "nuprime": [0, 0]}], "mismatches": 3, "ok": false,'
+        ' "suite": "oracle"}'
+    ),
+    'divided': (
+        '{"blocks": 6, "blocks_ok": 0, "checked": 7, "failures": [{"direct": 1,'
+        ' "divided": 2, "kind": "divided mismatch", "nu": []}, {"direct": 1,'
+        ' "divided": 2, "kind": "divided mismatch", "nu": [1]}, {"direct": 1,'
+        ' "divided": 2, "kind": "divided mismatch", "nu": [0]}, {"direct": 0,'
+        ' "divided": 1, "kind": "divided mismatch", "nu": [1, 1]}, {"direct": 3,'
+        ' "divided": 4, "kind": "divided mismatch", "nu": [0, 1]}, {"direct": 2,'
+        ' "divided": 3, "kind": "divided mismatch", "nu": [1, 0]}, {"direct": 0,'
+        ' "divided": 1, "kind": "divided mismatch", "nu": [0, 0]}], "mismatches": 7,'
+        ' "ok": false, "suite": "divided"}'
+    ),
+    'block reduction': (
+        '{"blocks": 1, "blocks_ok": 0, "checked": 11, "failures": [{"beta": [0, 0],'
+        ' "direct": 1, "kind": "block reduction mismatch", "reduced": 2, "split": [[0,'
+        ' 0], [1, 0]]}, {"beta": [0, 0], "direct": 1,'
+        ' "kind": "block reduction mismatch", "reduced": 2, "split": [[1, 0], [0, 0]]},'
+        ' {"beta": [0, 0], "direct": 1, "kind": "block reduction mismatch",'
+        ' "reduced": 2, "split": [[0, 0], [0, 0], [1, 0]]}, {"beta": [0, 0],'
+        ' "direct": 1, "kind": "block reduction mismatch", "reduced": 2, "split": [[0,'
+        ' 0], [1, 0], [0, 0]]}, {"beta": [0, 0], "direct": 1,'
+        ' "kind": "block reduction mismatch", "reduced": 2, "split": [[1, 0], [0, 0],'
+        ' [0, 0]]}], "mismatches": 5, "ok": false, "suite": "levelred"}'
+    ),
+    'pair reduction': (
+        '{"blocks": 2, "blocks_ok": 0, "checked": 21, "failures": [{"direct": 1,'
+        ' "kind": "pair reduction mismatch", "mu": [], "nu": [], "reduced": 2,'
+        ' "split": [[0], [1]]}, {"direct": 1, "kind": "pair reduction mismatch",'
+        ' "mu": [], "nu": [], "reduced": 2, "split": [[1], [0]]}, {"direct": 1,'
+        ' "kind": "pair reduction mismatch", "mu": [], "nu": [], "reduced": 2,'
+        ' "split": [[0], [0], [1]]}, {"direct": 1, "kind": "pair reduction mismatch",'
+        ' "mu": [], "nu": [], "reduced": 2, "split": [[0], [1], [0]]}, {"direct": 1,'
+        ' "kind": "pair reduction mismatch", "mu": [], "nu": [], "reduced": 2,'
+        ' "split": [[1], [0], [0]]}, {"direct": 1, "kind": "pair reduction mismatch",'
+        ' "mu": [0], "nu": [0], "reduced": 2, "split": [[0], [1]]}, {"direct": 1,'
+        ' "kind": "pair reduction mismatch", "mu": [0], "nu": [0], "reduced": 2,'
+        ' "split": [[1], [0]]}, {"direct": 1, "kind": "pair reduction mismatch",'
+        ' "mu": [0], "nu": [0], "reduced": 2, "split": [[0], [0], [1]]}, {"direct": 1,'
+        ' "kind": "pair reduction mismatch", "mu": [0], "nu": [0], "reduced": 2,'
+        ' "split": [[0], [1], [0]]}, {"direct": 1, "kind": "pair reduction mismatch",'
+        ' "mu": [0], "nu": [0], "reduced": 2, "split": [[1], [0], [0]]}],'
+        ' "mismatches": 10, "ok": false, "suite": "levelred"}'
+    ),
+    'graded reduction': (
+        '{"blocks": 1, "blocks_ok": 1, "checked": 11, "failures": [{"direct": "q^2+1",'
+        ' "kind": "graded reduction unexpectedly held", "reduced": "q^2+1"}],'
+        ' "mismatches": 1, "ok": false, "suite": "levelred"}'
+    ),
+    'exponent bounds': (
+        '{"blocks": 3, "blocks_ok": 1, "checked": 6, "failures": [{"bounds": [2],'
+        ' "cardinality": 2, "dim_from": 1, "dim_to": 1, "grouped": [0],'
+        ' "kind": "cardinality mismatch", "mu": [0]}, {"bounds": [2, 1],'
+        ' "cardinality": 4, "dim_from": 0, "dim_to": 0, "grouped": [0, 0],'
+        ' "kind": "cardinality mismatch", "mu": [0, 0]}, {"bounds": [2, 1], "dim": 0,'
+        ' "kind": "positivity mismatch", "mu": [0, 0]}], "mismatches": 3, "ok": false,'
+        ' "suite": "basis"}'
+    ),
+    'blockwise product': (
+        '{"blocks": 3, "blocks_ok": 0, "checked": 6, "failures": [{"closed": "1",'
+        ' "kind": "diagonal factorization mismatch", "mu": [], "product": "2"},'
+        ' {"closed": "q^2+1", "kind": "diagonal factorization mismatch", "mu": [0],'
+        ' "product": "q^2+2"}, {"closed": "q^2+2+q^-2",'
+        ' "kind": "diagonal factorization mismatch", "mu": [0, 0],'
+        ' "product": "q^2+3+q^-2"}], "mismatches": 3, "ok": false, "suite": "basis"}'
+    ),
+}
+
+
+def test_the_broken_routes_reach_every_kind():
+    kinds = set().union(*(case[7] for case in BROKEN_ROUTES))
+    assert len(kinds) == 10
+
+
+@pytest.mark.parametrize(
+    "case, suite, cartan, weight, max_n, name, breaker, kinds, mismatches, failed",
+    BROKEN_ROUTES, ids=[case[0] for case in BROKEN_ROUTES],
+)
+def test_a_broken_route_is_reported(
+    monkeypatch, case, suite, cartan, weight, max_n, name, breaker, kinds, mismatches, failed,
+):
+    monkeypatch.setattr(klrdim.verify, name, breaker(getattr(klrdim.verify, name)))
+    report = suite(builtin_cartan(cartan), Weight(weight), max_n=max_n)
+    assert not report.ok
+    assert (report.mismatches, report.failed_blocks) == (mismatches, failed)
+    assert len(report.failures) == min(mismatches, 10)
+    assert {f["kind"] for f in report.failures} == kinds
+    assert json.dumps(report.to_json(), sort_keys=True) == MISMATCH_JSON[case]
+
+
+def test_a_failing_suite_still_exits_zero(monkeypatch, capsys):
+    # Mismatches are data: the command prints FAIL and succeeds.
+    recursion = klrdim.verify.graded_dim_recursive
+    monkeypatch.setattr(klrdim.verify, "graded_dim_recursive", _plus(ONE)(recursion))
+    code = cli.run(["verify", "--cartan", "A1", "--weight", "2", "--suite", "oracle",
+                    "--max-n", "2"])
+    assert code == 0
+    assert capsys.readouterr().out == "[oracle] FAIL: 0/3 β-blocks, 3 mismatches (3 checks)\n"
 
 
 def test_module_doctests():
