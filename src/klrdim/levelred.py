@@ -14,9 +14,14 @@ recursion, on states {remainder: coefficient}: each part but the last
 adds each state's coefficient, times the weight and the dimension of
 every nonzero piece it takes, into the state of the remainder that piece
 leaves, and the last part's own dimension of each remainder closes the
-sum.  So a dimension is never evaluated at a sum of parts.  The caller's
-cache keeps the split verdicts, the dealings and the part dimensions,
-each part's on its own weights.
+sum.  So a dimension is never evaluated at a sum of parts.  A zero part
+takes no peel: its only piece of nonzero dimension is the empty one, of
+dimension 1, so it changes no sum.  The caller's cache keeps the split
+verdicts, the dealings, the part dimensions (each part's on its own
+weights) and every whole sum (on its nonzero parts in order).  Splits that
+differ only by zero parts are one reduction, computed once; the same
+parts in another order are another, since a key that forgot the order
+would let one order's value hide a fault in the other's.
 
 A pair peel deals each word once per (part, sum of the later parts), in
 one forward pass over its letters that deals only pieces that can be
@@ -83,9 +88,16 @@ def _kept(
 
 
 def _check_split(c: CartanData, lam: Weight, split: Sequence[Weight], cache: dict) -> tuple:
-    """Validate the split once per ``cache`` and return its peels: for each
-    part, (the part, the sum of the later parts' weights).  The verdict is
-    kept in ``cache``.
+    """Validate the split once per ``cache`` and return (the coefficients of
+    its nonzero parts in order, its peels): for each nonzero part, (the
+    part, the sum of the later parts' weights).  The verdict is kept in
+    ``cache`` on the weight and the parts, so a split passed as a list
+    works as well as a tuple.
+
+    A zero part leaves no peel.  Its only piece of nonzero dimension is
+    the empty one, of dimension 1, so it changes no sum; and it adds
+    nothing to a tail sum.  When every part is zero (Lambda = 0) the last
+    one is kept, so that a sum always has a last part.
 
     The parts are added by :meth:`Weight.__add__`, which raises
     :class:`BadShape` for parts over different node sets.  The dimensions
@@ -96,23 +108,23 @@ def _check_split(c: CartanData, lam: Weight, split: Sequence[Weight], cache: dic
     filled_for = cache.setdefault("filled for", c)
     if filled_for is not c and filled_for != c:
         raise PreconditionFail("this cache was filled for other Cartan data")
-    weights = tuple(part.coeffs for part in split)
-    key = ("split", lam.coeffs, weights)
-    peels = cache.get(key)
-    if peels is not None:
-        return peels
+    key = ("split", lam, tuple(split))
+    verdict = cache.get(key)
+    if verdict is not None:
+        return verdict
     if not split:
         raise PreconditionFail("need at least one weight part")
     if sum(split[1:], split[0]) != lam:
         raise PreconditionFail("weight parts must sum to the target weight")
     if any(not part.is_dominant for part in split):
         raise PreconditionFail("every weight part must be dominant")
+    kept = [part for part in split if any(part.coeffs)] or [split[-1]]
     peels, tail_sum = [], (0,) * len(lam.coeffs)
-    for part, w in zip(reversed(split), reversed(weights)):
+    for part in reversed(kept):
         peels.append((part, tail_sum))
-        tail_sum = tuple(map(add, w, tail_sum))
-    peels = cache[key] = tuple(reversed(peels))
-    return peels
+        tail_sum = tuple(map(add, part.coeffs, tail_sum))
+    verdict = cache[key] = (tuple(part.coeffs for part in kept), tuple(reversed(peels)))
+    return verdict
 
 
 def _pair_sum(
@@ -136,11 +148,24 @@ def _pair_sum(
     first slot factor 0 for every permutation, so its dimension is 0.  The
     parts are dominant, so a letter where the later parts sum to zero is
     zero in each of them, and whichever later piece the remainder's first
-    letter starts has dimension 0.  Both hold in either arithmetic: a
-    graded dimension is zero when its ungraded one is.
+    letter starts has dimension 0.  For the same reason a remainder whose
+    first letter, on either side, is zero in the last part adds 0, and its
+    dimension is not taken.  The earlier peels deal no such remainder, so
+    this prunes only a sum with one nonzero part, whose one remainder is
+    (nu, mu).  All of this holds in either arithmetic: a graded dimension
+    is zero when its ungraded one is.
+
+    Zero parts take no peel (see :func:`_check_split`).  The sum is kept
+    in ``cache`` on (the arithmetic, the nonzero parts' coefficients in
+    order, nu, mu), looked up once the input is checked, so bad input
+    raises on a warm cache as on a fresh one.
     """
     nu, mu = _checked(c, lam, nu, mu)
-    peels = _check_split(c, lam, split, cache)
+    parts, peels = _check_split(c, lam, split, cache)
+    memo = ("pair sum", graded, parts, nu, mu)
+    total = cache.get(memo)
+    if total is not None:
+        return total
     zero, dimension, where = 0, dim, "level reduction sum"
     if graded:
         zero, dimension, where = LaurentPoly.zero(), graded_dim, "graded level reduction sum"
@@ -166,11 +191,15 @@ def _pair_sum(
     last = peels[-1][0]
     total = zero
     for rest, coef in states.items():
+        rest_nu, rest_mu = rest
+        if rest_nu and not (last.coeffs[rest_nu[0]] and last.coeffs[rest_mu[0]]):
+            continue
         key = ("pair", last.coeffs, rest)
         term = cache.get(key)
         if term is None:
             term = cache[key] = dimension(c, last, *rest, deadline)
         total = total + coef * term
+    cache[memo] = total
     return total
 
 
@@ -192,11 +221,17 @@ def reduce_pair_dim_multi(
     distinct subword pairs weighted by their split counts.  It deals only
     subwords whose first letter is positive in their part and remainders
     whose first letter is positive in the sum of the later parts: every
-    other pair has a zero dimension factor.  ``cache`` keeps the split
-    verdicts, the dealt subwords on (part weight, tail sum, word) and the
-    part dimensions on (part weight, subword pair); pass an external
-    ``cache`` dict to share them across calls with the same Cartan data.
-    A cache passed with other Cartan data than it was filled for raises
+    other pair has a zero dimension factor.  A zero part adds nothing and
+    takes no peel.  ``cache`` keeps the split verdicts, the dealt subwords
+    on (part weight, tail sum, word), the part dimensions on (part weight,
+    subword pair) and each whole sum on (nonzero parts in order, nu, mu);
+    pass an external ``cache`` dict to share them across calls with the
+    same Cartan data.  So a split that differs from an earlier one only by
+    zero parts is answered from the cache, while the same parts in
+    another order are summed afresh: the key keeps the order, so each
+    order is still checked on its own, and a fault in one order's sum
+    cannot hide behind another's value.  A cache passed with
+    other Cartan data than it was filled for raises
     :class:`PreconditionFail`.
     """
     if cache is None:
@@ -243,13 +278,19 @@ def reduce_block_dim(
     beta - beta_1.  The sum is then each coefficient times the last part's
     dimension of its block.  The binomials along a decomposition multiply
     out to its multinomial.  The time budget is checked once per sub-block
-    taken.  ``cache`` as in :func:`reduce_pair_dim_multi`: it keeps the
-    split verdicts and the block dimensions at the parts, on (part weight,
-    block).
+    taken.  A zero part takes no peel, so it takes no sub-block.
+    ``cache`` as in :func:`reduce_pair_dim_multi`: it keeps the split
+    verdicts, the block dimensions at the parts, on (part weight, block),
+    and each whole sum on (nonzero parts in order, beta), looked up once
+    the split is checked.
     """
     if cache is None:
         cache = {}
-    peels = _check_split(c, lam, split, cache)
+    parts, peels = _check_split(c, lam, split, cache)
+    memo = ("block sum", parts, beta.coeffs)
+    total = cache.get(memo)
+    if total is not None:
+        return total
     states = {beta.coeffs: 1}
     for head, _ in peels[:-1]:
         grown: dict = {}
@@ -273,6 +314,7 @@ def reduce_block_dim(
         if term is None:
             term = cache[key] = block_dim(c, last, RootElement(rest), deadline)
         total += coef * term
+    cache[memo] = total
     return total
 
 

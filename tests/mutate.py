@@ -101,6 +101,17 @@ MUTATIONS = (
      "coef * (k_nu * k_mu) * term", "coef * k_nu * term", LEVELRED_TESTS),
     ("mu dealt with the head for the tail sum", LEVELRED,
      "_kept(mu_left, head, tail_sum,", "_kept(mu_left, head, head.coeffs,", LEVELRED_TESTS),
+    ("zero parts kept in the peels", LEVELRED,
+     "[part for part in split if any(part.coeffs)]", "[part for part in split]", LEVELRED_TESTS),
+    ("whole-sum key without the parts", LEVELRED,
+     'memo = ("pair sum", graded, parts, nu, mu)', 'memo = ("pair sum", graded, nu, mu)',
+     LEVELRED_TESTS),
+    ("whole-sum key on the sorted parts", LEVELRED,
+     'memo = ("pair sum", graded, parts, nu, mu)',
+     'memo = ("pair sum", graded, tuple(sorted(parts)), nu, mu)', LEVELRED_TESTS),
+    ("last-part first-letter prune dropped", LEVELRED,
+     "if rest_nu and not (last.coeffs[rest_nu[0]] and last.coeffs[rest_mu[0]]):", "if False:",
+     LEVELRED_TESTS),
     # Enumeration orders.
     ("blocks_of_size in reversed order", DIMS,
      "yield RootElement(coeffs)", "yield RootElement(coeffs[::-1])", ("tests/test_corpus.py",)),

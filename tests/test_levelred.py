@@ -13,7 +13,9 @@ from klrdim.cartan import (
     RootElement, Weight, builtin_cartan, tuple_content, validate_cartan,
 )
 from klrdim.dims import block_dim, blocks_of_size, dim, graded_dim, tuples_with_content
-from klrdim.errors import BadShape, LengthMismatch, PreconditionFail, TimeBudgetExceeded
+from klrdim.errors import (
+    BadShape, LengthMismatch, OutOfRange, PreconditionFail, TimeBudgetExceeded,
+)
 from klrdim.levelred import (
     _kept,
     dominant_splits,
@@ -152,6 +154,113 @@ class TestCacheReuse:
         assert reduce_block_dim(g2, self.LAM, beta, self.SPLIT) == block_dim(g2, self.LAM, beta)
 
 
+class TestWholeSums:
+    """A cache keeps each whole sum on its arithmetic, its nonzero parts in
+    order and its words or block, so a split that differs only by zero
+    parts is answered from it, and a split with the same parts in another
+    order is not: the identity makes both orders equal, and a memo that
+    let one stand for the other would hide an order bug from the suite."""
+
+    C, LAM = builtin_cartan("A2"), Weight((2, 1))
+    NU, MU, BETA = (0, 1, 0), (1, 0, 0), RootElement((2, 1))
+    FIRST = (Weight((1, 0)), Weight((1, 1)))
+    PADDED = (Weight((1, 0)), Weight((0, 0)), Weight((1, 1)))
+    SWAPPED = (Weight((1, 1)), Weight((1, 0)))
+
+    def sums(self, split, cache):
+        """The pair and block sums of the split, each with the checks it made."""
+        pair, block = Recording(3600), Recording(3600)
+        got = (
+            reduce_pair_dim_multi(self.C, self.LAM, self.NU, self.MU, split, pair, cache),
+            reduce_block_dim(self.C, self.LAM, self.BETA, split, block, cache),
+        )
+        return got, pair.seen, block.seen
+
+    def test_equal_nonzero_parts_share_one_sum(self):
+        # (1, 0) + (1, 1): the first part deals nu = 010 in 1 + 2 + 3
+        # checks and mu = 100 in 1 + 1 + 2, and pairs the sides of contents
+        # 00, 0 (twice on nu's side) and the empty one: 14.  The block peel
+        # checks once per sub-block of (2, 1): 3 x 2 = 6.
+        cache = {}
+        expected = (dim(self.C, self.LAM, self.NU, self.MU), block_dim(self.C, self.LAM, self.BETA))
+        assert expected == (8, 72)
+        assert self.sums(self.FIRST, cache) == (
+            expected, {"level reduction sum": 14, "dimension sum": 13},
+            {"block level reduction": 6, "block sum": 24},
+        )
+        # The zero part leaves the same nonzero parts, and so does the list.
+        assert self.sums(self.PADDED, cache) == (expected, {}, {})
+        assert self.sums(list(self.FIRST), cache) == (expected, {}, {})
+        # The other order is its own sum.  (1, 1) deals 010 in 1 + 2 + 3
+        # and 100 in 1 + 1 + 2, and pairs the contents 001, 01 (twice on
+        # nu's side) and 1: 14 again.  Of the part dimensions it takes only
+        # the single strand 1 at (1, 1) is new; the first order took the
+        # others.
+        assert self.sums(self.SWAPPED, cache) == (
+            expected, {"level reduction sum": 14, "dimension sum": 1},
+            {"block level reduction": 6, "block sum": 3},
+        )
+
+    def test_other_weights_are_other_sums(self):
+        # One cache for two weights: each answers its own dimension.
+        cache = {}
+        for lam, split in ((self.LAM, self.FIRST), (Weight((1, 1)), (Weight((1, 0)), Weight((0, 1))))):
+            for _ in range(2):
+                got = reduce_pair_dim_multi(self.C, lam, self.NU, self.MU, split, cache=cache)
+                assert got == dim(self.C, lam, self.NU, self.MU)
+                got = reduce_block_dim(self.C, lam, self.BETA, split, cache=cache)
+                assert got == block_dim(self.C, lam, self.BETA)
+        assert dim(self.C, Weight((1, 1)), self.NU, self.MU) == 2
+
+    @pytest.mark.parametrize("split,nu,error,message", [
+        ((), (0,), PreconditionFail, "at least one"),
+        ([Weight((1, 0)), Weight((1, 0))], (0,), PreconditionFail, "sum to the target"),
+        ((Weight((2, 2)), Weight((0, 0)), Weight((0, -1))), (0,), PreconditionFail, "dominant"),
+        ((Weight((2,)), Weight((0, 1))), (0,), BadShape, "different node sets"),
+        ((Weight((1, 0)), Weight((0, 0)), Weight((1, 1))), (2,), OutOfRange, "nodes 0..1"),
+    ], ids=["no-part", "wrong-sum", "not-dominant", "node-sets", "bad-letter"])
+    def test_bad_input_raises_on_a_warm_cache(self, split, nu, error, message):
+        warm = {}
+        self.sums(self.FIRST, warm)
+        self.sums(self.PADDED, warm)
+        for cache in ({}, warm):
+            with pytest.raises(error, match=message):
+                reduce_pair_dim_multi(self.C, self.LAM, nu, nu, split, cache=cache)
+            if error is not OutOfRange:
+                with pytest.raises(error, match=message):
+                    reduce_block_dim(self.C, self.LAM, self.BETA, split, cache=cache)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(list(dominant_weights(3, 3))),
+        st.lists(st.integers(0, 2), max_size=3),
+        st.data(),
+    )
+    def test_zero_parts_change_nothing(self, seed, lam, nu, data):
+        # Zero parts put anywhere leave each sum and the checks it makes on
+        # a fresh cache as they are without them.
+        c = random_cartan(random.Random(seed))
+        split = data.draw(st.sampled_from([s for k in (1, 2, 3) for s in dominant_splits(lam, k)]))
+        bare = [part for part in split if any(part.coeffs)] or [split[-1]]
+        padded = list(bare)
+        for at in data.draw(st.lists(st.integers(0, len(bare)), min_size=1, max_size=3)):
+            padded.insert(at, Weight((0, 0, 0)))
+        nu = tuple(nu)
+        beta = tuple_content(c, nu)
+        runs = []
+        for parts in (bare, padded):
+            seen = []
+            for mu in tuples_with_content(beta):
+                deadline = Recording(3600)
+                got = reduce_pair_dim_multi(c, lam, nu, mu, parts, deadline=deadline)
+                seen.append((got, deadline.seen))
+            deadline = Recording(3600)
+            seen.append((reduce_block_dim(c, lam, beta, parts, deadline=deadline), deadline.seen))
+            runs.append(seen)
+        assert runs[0] == runs[1]
+
+
 class TestMatchedSubwords:
     @staticmethod
     def brute_force(c, nu, mu, split, dims):
@@ -277,22 +386,46 @@ class TestPruning:
         (Weight((0, 0)), Weight((2, 1))),
     ], ids=["zero-tail", "zero-head"])
     def test_zero_part_pairs_only_whole_words(self, split):
-        # A2 at Lambda = (2, 1) with one zero part.  Dealing a word of three
-        # letters checks once per kept dealing of each of its proper
-        # prefixes.  The zero part is zero at every letter, so no letter may
-        # open its side: each prefix keeps only the dealing that leaves that
-        # side empty, 1 + 1 + 1 = 3 checks per word, and one pair is
-        # checked: 3 + 3 + 1.  That pair's dimension at (2, 1) walks
-        # 1 + 2 + 2 states (nu's first 0 takes either 0 of mu, its 1 takes
-        # mu's 1, its last 0 the slot left), and the empty pair at (0, 0)
-        # walks none.  With the zero part last, dealing every way (1 + 2 + 4
-        # per word) and pairing every dealing would take 7 + 7 + 8 and 20
-        # checks.
+        # A2 at Lambda = (2, 1) with one zero part.  A zero part takes no
+        # peel: its only piece of nonzero dimension is the empty word, so
+        # no word is dealt, no pair is checked, and the sum is the other
+        # part's dimension of the whole pair.  That dimension at (2, 1)
+        # walks 1 + 2 + 2 states (nu's first 0 takes either 0 of mu, its 1
+        # takes mu's 1, its last 0 the slot left).  Dealing each word of
+        # three letters in the zero part's peel would check once per kept
+        # dealing of each of its proper prefixes, 1 + 1 + 1, and then check
+        # the one pair: 3 + 3 + 1 level reduction checks more.
         c, lam = builtin_cartan("A2"), Weight((2, 1))
         deadline = Recording(3600)
         got = reduce_pair_dim_multi(c, lam, (0, 1, 0), (1, 0, 0), split, deadline=deadline)
         assert got == dim(c, lam, (0, 1, 0), (1, 0, 0))
-        assert deadline.seen == {"level reduction sum": 7, "dimension sum": 5}
+        assert deadline.seen == {"dimension sum": 5}
+
+    @pytest.mark.parametrize(
+        "nu,mu", [((1, 0), (1, 0)), ((0, 1), (1, 0)), ((1, 0), (0, 1))], ids=["both", "mu", "nu"],
+    )
+    def test_last_part_prunes_a_zero_first_letter(self, nu, mu):
+        # A2 at Lambda = (1, 0) in one part: a word starting with 1, on
+        # either side, has first slot factor <Lambda, h_1> = 0, so the sum
+        # adds 0 without taking the dimension, and nothing is checked.
+        c, lam = builtin_cartan("A2"), Weight((1, 0))
+        deadline = Recording(3600)
+        assert reduce_pair_dim_multi(c, lam, nu, mu, (lam,), deadline=deadline) == 0
+        assert dim(c, lam, nu, mu) == 0
+        assert deadline.seen == {}
+
+    def test_zero_weight_in_zero_parts(self):
+        # Lambda = 0: every part is zero, and the last one is kept.  Only
+        # the empty word and the empty block survive.
+        c, zero = builtin_cartan("A2"), Weight((0, 0))
+        for split in ((zero,), (zero, zero), [zero, zero, zero]):
+            cache = {}
+            for word in ((), (0,), (1, 0)):
+                got = reduce_pair_dim_multi(c, zero, word, word, split, cache=cache)
+                assert got == dim(c, zero, word, word) == (0 if word else 1)
+            for beta in ((0, 0), (1, 0), (1, 1)):
+                got = reduce_block_dim(c, zero, RootElement(beta), split, cache=cache)
+                assert got == block_dim(c, zero, RootElement(beta)) == (0 if any(beta) else 1)
 
     def test_pair_peel_checks_once_per_dealing_and_pair(self):
         # A2 at Lambda = (2, 1) over (1, 0) + (1, 0) + (0, 1), with a fresh
