@@ -296,7 +296,13 @@ def graded_dim_recursive(
     Strips nu from the right: removing letter x from slot n of nu and a
     matching occurrence at slot k of nu' contributes a quantum integer of
     the weight reduced by the letters of nu' before k, times an explicit
-    power of q^{d_x}, times the dimension one size down.  Memoized on the
+    power of q^{d_x}, times the dimension one size down.  A slot whose
+    quantum integer is [0] = 0 makes no sub-call.  The explicit power is
+    the same for every slot, so each memo entry adds its (quantum integer,
+    sub-dimension) products in one dict
+    (:func:`~klrdim.qpoly.sum_of_products`) and shifts the sum once; the
+    closed-formula walk multiplies with ``LaurentPoly.__mul__``, so the two
+    graded routes share no product kernel.  Memoized on the
     (prefix, remaining-target) pair, so a shared ``memo`` dict makes whole
     block sweeps cheap.  Those keys hold for one Cartan matrix and weight
     only: a ``memo`` records the pair it was first filled for, and raises
@@ -322,15 +328,14 @@ def graded_dim_recursive(
         e = 1 + lam.coeffs[x] - sum(row[y] for y in prefix)
         shift = c.symmetrizer[x] * e
         shorter = prefix[:-1]
-        acc = LaurentPoly.zero()
+        pairs = []
         reduced = lam.coeffs[x]
         for k, y in enumerate(rest):
-            if y == x:
-                factor = quantum_int(reduced, c.symmetrizer[x]).shift(shift)
-                if not factor.is_zero():
-                    sub = rec(shorter, rest[:k] + rest[k + 1 :])
-                    acc = acc + factor * sub
+            if y == x and reduced:
+                sub = rec(shorter, rest[:k] + rest[k + 1 :])
+                pairs.append((quantum_int(reduced, c.symmetrizer[x]), sub))
             reduced -= row[y]
+        acc = sum_of_products(pairs).shift(shift)
         memo[key] = acc
         return acc
 

@@ -121,18 +121,26 @@ def verify_oracle(
     """Closed graded formula == restriction recursion (exact Laurent
     equality) and q=1 == direct integer products, on every pair.
 
-    The closed formula is walked once per target word of a block in each
-    arithmetic (:func:`~klrdim.dims.transport_column`), and each pair reads
-    its graded and integer dimensions from those columns; the recursion,
-    which shares no code with the walk, is run on every pair, with one
-    memo for the whole suite: the pairs of a smaller block are the
-    recursion's sub-pairs in the larger ones."""
+    The closed formula is walked once per target word w of a block in
+    integers (:func:`~klrdim.dims.transport_column`), and in Laurent
+    polynomials only when that integer column is nonempty: an empty one
+    means e(w) = 0, and a graded dimension has non-negative coefficients
+    and is the ungraded one at q = 1, so every graded entry into w is 0.
+    Each pair reads its graded and integer dimensions from those columns.
+    The recursion, which shares no code or product kernel with the walk,
+    is run on every pair, so an integer walk that wrongly empties a column
+    shows up as a graded mismatch.  It keeps one memo for the whole
+    suite: the pairs of a smaller block are its sub-pairs in the larger
+    ones."""
     report = VerifyReport("oracle")
     zero = LaurentPoly.zero()
     memo: dict = {}
     for beta, tuples in report.walk_blocks(c, max_n, deadline):
-        graded_columns = {w: transport_column(c, lam, w, True, deadline) for w in tuples}
         plain_columns = {w: transport_column(c, lam, w, False, deadline) for w in tuples}
+        graded_columns = {
+            w: transport_column(c, lam, w, True, deadline) if plain_columns[w] else {}
+            for w in tuples
+        }
         for nu in tuples:
             for nuprime in tuples:
                 budget.check(deadline, "oracle suite")
@@ -178,6 +186,10 @@ def verify_levelred(
     splits = [s for parts in (2, 3) for s in dominant_splits(lam, parts)]
     cache: dict = {}
     for beta, tuples in report.walk_blocks(c, max_n, deadline):
+        if not beta.size:
+            # Checked while the first block is open, so a witness that
+            # fails counts that block as failed.
+            _check_graded_witness(report, deadline)
         direct_block = block_dim(c, lam, beta, deadline=deadline)
         direct = {mu: transport_column(c, lam, mu, False, deadline) for mu in tuples}
         for split in splits:
@@ -198,8 +210,13 @@ def verify_levelred(
                     if direct[mu].get(nu, 0) != reduced:
                         report.record("pair reduction mismatch", nu=nu, mu=mu, split=split,
                                       direct=direct[mu].get(nu, 0), reduced=reduced)
-    # The graded analogue must FAIL on one nilHecke strand at level two:
-    # the reduction sum gives 1+1 while the true graded dimension is 1+q^2.
+    return report
+
+
+def _check_graded_witness(report: VerifyReport, deadline: Deadline | None) -> None:
+    """The graded analogue of level reduction must FAIL on one nilHecke
+    strand at level two: the reduction sum gives 1+1 while the true graded
+    dimension is 1+q^2."""
     rank1 = validate_cartan([[2]])
     two = Weight((2,))
     halves = (Weight((1,)), Weight((1,)))
@@ -208,7 +225,6 @@ def verify_levelred(
     report.checked += 1
     if graded_sum == true_graded:
         report.record("graded reduction unexpectedly held", reduced=graded_sum, direct=true_graded)
-    return report
 
 
 def verify_basis(

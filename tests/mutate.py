@@ -57,6 +57,10 @@ MUTATIONS = (
      "lam_beta += d[i] * coeffs[i] * m", "lam_beta += coeffs[i] * m", DIMS_TESTS),
     ("recursion shifts by e, not d_x e", DIMS,
      "shift = c.symmetrizer[x] * e", "shift = e", DIMS_TESTS),
+    ("recursion sum not shifted", DIMS,
+     "sum_of_products(pairs).shift(shift)", "sum_of_products(pairs)", DIMS_TESTS),
+    ("recursion sub-call for a zero factor", DIMS,
+     "if y == x and reduced:", "if y == x:", ("tests/test_verify.py",)),
     # The pair walk.
     ("zero test inverted", DIMS,
      "if not _transport_sum(c, lam, nu, nuprime, False, deadline):",
@@ -122,7 +126,10 @@ MUTATIONS = (
     ("Weight.__add__ without its length test", CARTAN,
      "if len(self.coeffs) != len(other.coeffs):", "if False:",
      ("tests/test_cartan.py", "tests/test_levelred.py")),
-    # The verify report.
+    # The verify suites.
+    ("oracle walks graded columns only into zero words", "src/klrdim/verify.py",
+     "if plain_columns[w] else {}", "if not plain_columns[w] else {}",
+     ("tests/test_verify.py",)),
     ("counterexample polynomial rendered by repr", "src/klrdim/verify.py",
      "return str(value) if isinstance(value, LaurentPoly)",
      "return repr(value) if isinstance(value, LaurentPoly)", ("tests/test_verify.py",)),

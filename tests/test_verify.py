@@ -161,6 +161,59 @@ def test_oracle_walks_each_target_word_once_per_arithmetic(monkeypatch):
     )
 
 
+def test_oracle_walks_no_graded_column_into_a_zero_word(monkeypatch):
+    # A1 at Lambda = (1,), block beta = (2): its one word (0, 0) has
+    # e(0, 0) = 0, so its integer column is empty and the suite walks no
+    # graded column into it; the recursion still checks the pair.
+    beta = RootElement((2,))
+    monkeypatch.setattr(
+        klrdim.verify, "blocks_of_size", lambda c, n: iter([beta] if n == beta.size else [])
+    )
+    walks = []
+    walk = klrdim.dims._transport_sum
+
+    def counted_walk(c, lam, nu, nuprime, graded, deadline):
+        walks.append((nu, nuprime, graded))
+        return walk(c, lam, nu, nuprime, graded, deadline)
+
+    monkeypatch.setattr(klrdim.dims, "_transport_sum", counted_walk)
+    report = verify_oracle(builtin_cartan("A1"), Weight((1,)), max_n=beta.size)
+    assert report.ok and report.blocks == 1 and report.checked == 1
+    assert walks == [(None, (0, 0), False)]
+
+
+def test_oracle_check_counts():
+    # A2 at Lambda = (2, 1) up to size 3: 10 blocks of 15 words and 29 pairs.
+    # Recursion: one check per memo miss.  The suite shares one memo and
+    # every sub-pair is a pair of a smaller block, so each of the 28
+    # nonempty pairs misses once; the empty pair returns 1 unchecked.
+    # Graded walks: one check per state and one per product, on the 11
+    # words with a nonempty integer column (the empty word makes none):
+    #   (1) 2, (0) 2, (0,1) 7, (1,0) 7, (0,0) 6, (0,1,1) 19, (1,0,1) 19,
+    #   (0,0,1) 20, (0,1,0) 22, (1,0,0) 22: 126 in all.
+    # The four zero words (1,1), (1,1,1), (1,1,0) and (0,0,0) would cost
+    # 7 + 13 + 21 + 15 = 56 more, the 182 of a graded walk into every word.
+    deadline = Recording(3600)
+    report = verify_oracle(builtin_cartan("A2"), Weight((2, 1)), max_n=3, deadline=deadline)
+    assert report.ok and report.blocks == 10 and report.checked == 29
+    assert deadline.seen["recursive graded dimension"] == 28
+    assert deadline.seen["graded dimension sum"] == 126
+
+
+def test_recursion_makes_no_sub_call_for_a_zero_factor():
+    # A2 at Lambda = (1, 0): peeling the last letter 1 of (0, 1) against the
+    # only 1 of (1, 0) gives [<Lambda, h_1>] = [0] = 0, so the entry is zero
+    # after one check and the sub-pair ((0,), (0,)) is never asked for.  In
+    # the oracle suite every such sub-pair is a pair of the suite anyway, so
+    # only a fresh memo shows the call.
+    deadline = Recording(3600)
+    value = klrdim.dims.graded_dim_recursive(
+        builtin_cartan("A2"), Weight((1, 0)), (0, 1), (1, 0), deadline=deadline
+    )
+    assert value.is_zero()
+    assert deadline.seen["recursive graded dimension"] == 1
+
+
 # Each route that the suites compare, broken by a wrapper around the name
 # that ``klrdim.verify`` imports.  Together they reach every mismatch kind.
 
@@ -187,6 +240,13 @@ def _column(graded, change):
     return make
 
 
+def _emptied_integer_column(route):
+    """``transport_column`` whose integer columns are all empty."""
+    def broken(c, lam, w, graded, deadline):
+        return route(c, lam, w, graded, deadline) if graded else {}
+    return broken
+
+
 def _true_graded(route):
     """A graded level reduction that holds: the true graded dimension."""
     def broken(c, lam, nu, mu, split, deadline=None):
@@ -211,15 +271,18 @@ BROKEN_ROUTES = [
      21, 4),
     ("integer column", verify_oracle, "A1", (2,), 2, "transport_column",
      _column(False, lambda v: v + 1), {"q=1 mismatch"}, 3, 3),
+    # No graded column is walked, so only the recursion sees the fault.
+    ("emptied integer column", verify_oracle, "A1", (2,), 2, "transport_column",
+     _emptied_integer_column, {"graded mismatch"}, 3, 3),
     ("divided", verify_divided, "B2", (1, 1), 2, "dim_divided", _plus(1),
      {"divided mismatch"}, 7, 6),
     ("block reduction", verify_levelred, "A2", (1, 0), 0, "reduce_block_dim", _plus(1),
      {"block reduction mismatch"}, 5, 1),
     ("pair reduction", verify_levelred, "A1", (1,), 1, "reduce_pair_dim_multi", _plus(1),
      {"pair reduction mismatch"}, 10, 2),
-    # Recorded after the block walk, so no block fails.
+    # Recorded while the first block is open, so that block fails.
     ("graded reduction", verify_levelred, "A1", (1,), 0, "reduce_pair_graded", _true_graded,
-     {"graded reduction unexpectedly held"}, 1, 0),
+     {"graded reduction unexpectedly held"}, 1, 1),
     ("exponent bounds", verify_basis, "A1", (1,), 2, "exponent_bounds", _bounds_plus_one,
      {"cardinality mismatch", "positivity mismatch"}, 3, 2),
     ("blockwise product", verify_basis, "A1", (2,), 2, "graded_dim_blockwise", _plus(ONE),
@@ -260,6 +323,14 @@ MISMATCH_JSON = {
         ' "nuprime": [0]}, {"direct": 5, "graded_at_one": 4, "kind": "q=1 mismatch",'
         ' "nu": [0, 0], "nuprime": [0, 0]}], "mismatches": 3, "ok": false,'
         ' "suite": "oracle"}'
+    ),
+    'emptied integer column': (
+        '{"blocks": 3, "blocks_ok": 0, "checked": 3, "failures": [{"closed": "0",'
+        ' "kind": "graded mismatch", "nu": [], "nuprime": [], "recursive": "1"},'
+        ' {"closed": "0", "kind": "graded mismatch", "nu": [0], "nuprime": [0],'
+        ' "recursive": "q^2+1"}, {"closed": "0", "kind": "graded mismatch",'
+        ' "nu": [0, 0], "nuprime": [0, 0], "recursive": "q^2+2+q^-2"}],'
+        ' "mismatches": 3, "ok": false, "suite": "oracle"}'
     ),
     'divided': (
         '{"blocks": 6, "blocks_ok": 0, "checked": 7, "failures": [{"direct": 1,'
@@ -304,7 +375,7 @@ MISMATCH_JSON = {
         ' "mismatches": 10, "ok": false, "suite": "levelred"}'
     ),
     'graded reduction': (
-        '{"blocks": 1, "blocks_ok": 1, "checked": 11, "failures": [{"direct": "q^2+1",'
+        '{"blocks": 1, "blocks_ok": 0, "checked": 11, "failures": [{"direct": "q^2+1",'
         ' "kind": "graded reduction unexpectedly held", "reduced": "q^2+1"}],'
         ' "mismatches": 1, "ok": false, "suite": "levelred"}'
     ),
