@@ -104,6 +104,10 @@ class MonomialBasis:
 
     @property
     def cardinality(self) -> int:
+        """The number of elements: 0 when empty, and otherwise the block
+        factorials times the bound product."""
+        if self.empty:
+            return 0
         return prod(factorial(b) for b in self.form.sizes) * prod(self.bounds)
 
     def elements(self) -> Iterator[tuple[Perm, tuple[int, ...]]]:

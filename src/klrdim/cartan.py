@@ -193,12 +193,18 @@ def _builtin(family: str, rank: int, deco: str | None) -> CartanData:
     # One validated instance per type, shared by every caller: CartanData
     # is frozen and made of tuples.  A bad rank raises, and lru_cache never
     # stores an exception, so it raises again on the next call.
-    if deco is None:
-        mat = _finite_matrix(family, rank)
-    elif deco == "~":
-        mat = _affine_matrix(family, rank)
-    else:
-        mat = _twisted_matrix(family, rank)
+    row = _registry(rank).get((family, deco))
+    if row is None:
+        kind = "affine" if deco == "~" else "twisted"
+        raise UnknownType(f"no {kind} builtin for family {family!r}")
+    valid, message, nodes, edges = row
+    if not valid:
+        raise BadRank(message)
+    mat = [[2 if i == j else 0 for j in range(nodes)] for i in range(nodes)]
+    # An edge listed twice adds up: A1~'s closing edge doubles its chain edge.
+    for i, j, a_ij, a_ji in edges:
+        mat[i][j] += a_ij
+        mat[j][i] += a_ji
     return validate_cartan(mat)
 
 
@@ -210,102 +216,36 @@ def builtin_names() -> str:
     )
 
 
-def _chain(n: int) -> list[list[int]]:
-    mat = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n - 1):
-        mat[i][i + 1] = mat[i + 1][i] = -1
-    return mat
+def _chain(n: int) -> list[tuple[int, int, int, int]]:
+    """The edges of the type A chain on nodes 0..n-1."""
+    return [(i, i + 1, -1, -1) for i in range(n - 1)]
 
 
-def _finite_matrix(family: str, rank: int) -> list[list[int]]:
-    if family == "A":
-        if rank < 1:
-            raise BadRank("type A needs rank >= 1")
-        return _chain(rank)
-    if family == "B":
-        if rank < 2:
-            raise BadRank("type B needs rank >= 2")
-        mat = _chain(rank)
-        mat[rank - 1][rank - 2] = -2
-        return mat
-    if family == "C":
-        if rank < 2:
-            raise BadRank("type C needs rank >= 2")
-        mat = _chain(rank)
-        mat[rank - 2][rank - 1] = -2
-        return mat
-    if family == "D":
-        if rank < 4:
-            raise BadRank("type D needs rank >= 4")
-        mat = _chain(rank - 1)
-        for row in mat:
-            row.append(0)
-        mat.append([0] * rank)
-        mat[rank - 1][rank - 1] = 2
-        mat[rank - 3][rank - 1] = mat[rank - 1][rank - 3] = -1
-        return mat
-    if family == "E":
-        if rank not in (6, 7, 8):
-            raise BadRank("type E needs rank 6, 7 or 8")
-        mat = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-        edges = [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, rank - 1)]
-        for i, j in edges:
-            mat[i][j] = mat[j][i] = -1
-        return mat
-    if family == "F":
-        if rank != 4:
-            raise BadRank("type F needs rank 4")
-        mat = _chain(4)
-        mat[2][1] = -2
-        return mat
-    if family == "G":
-        if rank != 2:
-            raise BadRank("type G needs rank 2")
-        return [[2, -1], [-3, 2]]
-    raise UnknownType(f"unrecognized finite family {family!r}")
-
-
-def _affine_matrix(family: str, sub: int) -> list[list[int]]:
-    if family == "A":
-        if sub < 1:
-            raise BadRank("affine type A needs subscript >= 1")
-        if sub == 1:
-            return [[2, -2], [-2, 2]]
-        n = sub + 1
-        mat = _chain(n)
-        mat[0][n - 1] = mat[n - 1][0] = -1
-        return mat
-    if family == "C":
-        if sub < 2:
-            raise BadRank("affine type C needs subscript >= 2")
-        n = sub + 1
-        mat = _chain(n)
-        mat[1][0] = -2
-        mat[n - 2][n - 1] = -2
-        return mat
-    raise UnknownType(f"no affine builtin for family {family!r}")
-
-
-def _twisted_matrix(family: str, sub: int) -> list[list[int]]:
-    if family == "A":
-        if sub < 2 or sub % 2:
-            raise BadRank("twisted type A needs an even subscript >= 2")
-        if sub == 2:
-            return [[2, -4], [-1, 2]]
-        n = sub // 2 + 1
-        mat = _chain(n)
-        mat[0][1] = -2
-        mat[n - 2][n - 1] = -2
-        return mat
-    if family == "D":
-        if sub < 3:
-            raise BadRank("twisted type D needs subscript >= 3")
-        n = sub
-        mat = _chain(n)
-        mat[0][1] = -2
-        mat[n - 1][n - 2] = -2
-        return mat
-    raise UnknownType(f"no twisted builtin for family {family!r}")
+def _registry(r: int) -> dict:
+    """Every builtin type at rank or subscript ``r``, keyed by (family,
+    decoration): whether ``r`` is valid, the :class:`BadRank` message when
+    it is not, the node count, and the Dynkin edges (i, j, a_ij, a_ji)."""
+    l = r // 2  # A_{2l}^(2) has l + 1 nodes; A_2^(2) alone has a 4-fold edge
+    return {
+        ("A", None): (r >= 1, "type A needs rank >= 1", r, _chain(r)),
+        ("B", None): (r >= 2, "type B needs rank >= 2", r, _chain(r - 1) + [(r - 2, r - 1, -1, -2)]),
+        ("C", None): (r >= 2, "type C needs rank >= 2", r, _chain(r - 1) + [(r - 2, r - 1, -2, -1)]),
+        ("D", None): (r >= 4, "type D needs rank >= 4", r, _chain(r - 1) + [(r - 3, r - 1, -1, -1)]),
+        ("E", None): (6 <= r <= 8, "type E needs rank 6, 7 or 8", r,
+                      [(0, 2, -1, -1), (1, 3, -1, -1)] + _chain(r)[2:]),
+        ("F", None): (r == 4, "type F needs rank 4", r,
+                      [(0, 1, -1, -1), (1, 2, -1, -2), (2, 3, -1, -1)]),
+        ("G", None): (r == 2, "type G needs rank 2", r, [(0, 1, -1, -3)]),
+        ("A", "~"): (r >= 1, "affine type A needs subscript >= 1", r + 1,
+                     _chain(r + 1) + [(0, r, -1, -1)]),
+        ("C", "~"): (r >= 2, "affine type C needs subscript >= 2", r + 1,
+                     [(0, 1, -1, -2)] + _chain(r)[1:] + [(r - 1, r, -2, -1)]),
+        ("A", "^2"): (r >= 2 and r % 2 == 0, "twisted type A needs an even subscript >= 2", l + 1,
+                      [(0, 1, -4, -1)] if l == 1 else
+                      [(0, 1, -2, -1)] + _chain(l + 1)[1:-1] + [(l - 1, l, -2, -1)]),
+        ("D", "^2"): (r >= 3, "twisted type D needs subscript >= 3", r,
+                      [(0, 1, -2, -1)] + _chain(r)[1:-1] + [(r - 2, r - 1, -1, -2)]),
+    }
 
 
 def cartan_from_json(doc: dict) -> tuple[CartanData, list[int]]:

@@ -294,19 +294,18 @@ def _cmd_basis(ctx: Context, args) -> tuple[dict, str]:
     basis = basis_mod.MonomialBasis(
         mu, form, basis_mod.exponent_bounds(ctx.cartan, lam, mu, form)
     )
-    cardinality = 0 if basis.empty else basis.cardinality
     doc = {
         "mu": _labels_of(ctx, mu),
         "grouped": _labels_of(ctx, form.tuple),
         "bounds": list(basis.bounds),
         "block_sizes": list(form.sizes),
         "empty": basis.empty,
-        "cardinality": cardinality,
+        "cardinality": basis.cardinality,
     }
     lines = [
         f"grouped {_csv(doc['grouped'])}",
         f"bounds  {_csv(basis.bounds)}",
-        f"cardinality {cardinality}",
+        f"cardinality {doc['cardinality']}",
     ]
     if args.list and not basis.empty:
         elements = []

@@ -97,6 +97,13 @@ and ``block_graded_dim`` and ``block_dim`` of the A1 blocks at Lambda =
 beta = 0 to 20.  Its digest is one SHA-256 over ``repr`` of each input and
 its answers, in turn.
 
+The ``cartan`` family is the builtin registry: every name made of a
+family letter A to G, a rank 0 to 12 and no suffix, ``~`` or ``^2``, and
+six names that are odd in case, spacing, digits, suffix or family.  For
+each it holds the matrix and symmetrizer that ``builtin_cartan`` returns,
+or the name and message of the error it raises.  Its digest is one
+SHA-256 over ``repr`` of each name and its answer, in turn.
+
 ``corpus.json`` beside this file holds the committed count and digest of
 each family, and a test checks them, so any change to an answer shows as a
 diff there.  Run
@@ -177,6 +184,12 @@ LONG_WORDS = (
     ("A2", (3, 1), (1, 0, 0, 0), (0, 0, 0, 1, 1, 0)),
     ("B2", (2, 2), (1, 0, 1, 0), (1, 1, 0, 1, 1, 0, 0)),
 )
+
+# The registry names: each family, rank and suffix, then the odd names.
+CARTAN_NAMES = tuple(
+    f"{family}{rank}{suffix}"
+    for suffix in ("", "~", "^2") for family in "ABCDEFG" for rank in range(13)
+) + ("a2", " b3 ", "A02", "A2~~", "H3", "Z9")
 
 # Builtin types of rank 1 to 3 that the pairs family draws from; the rest of
 # its draws are random symmetrizable 3x3 matrices.
@@ -672,6 +685,22 @@ def long_digest() -> tuple[int, str]:
     return count, h.hexdigest()
 
 
+def cartan_digest() -> tuple[int, str]:
+    """The number of registry names and the SHA-256 of their lookups."""
+    from klrdim import builtin_cartan
+    from klrdim.errors import KlrError
+
+    h = hashlib.sha256()
+    for name in CARTAN_NAMES:
+        try:
+            c = builtin_cartan(name)
+            answer = (c.matrix, c.symmetrizer)
+        except KlrError as exc:
+            answer = (type(exc).__name__, str(exc))
+        h.update(repr((name, answer)).encode())
+    return len(CARTAN_NAMES), h.hexdigest()
+
+
 def committed(family: str = "cli") -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))[family]
 
@@ -686,6 +715,7 @@ if __name__ == "__main__":
     words_basis, basis_sha = basis_digest()
     orders, splits_sha = splits_digest()
     inputs, long_sha = long_digest()
+    names, cartan_sha = cartan_digest()
     print(json.dumps({
         "cli": {"requests": count, "sha256": sha},
         "pairs": {"pairs": pairs, "sha256": pairs_sha},
@@ -696,4 +726,5 @@ if __name__ == "__main__":
         "basis": {"words": words_basis, "sha256": basis_sha},
         "splits": {"orders": orders, "sha256": splits_sha},
         "long": {"inputs": inputs, "sha256": long_sha},
+        "cartan": {"names": names, "sha256": cartan_sha},
     }, indent=2))

@@ -42,6 +42,7 @@ DIMS = "src/klrdim/dims.py"
 LEVELRED = "src/klrdim/levelred.py"
 DIMS_TESTS = ("tests/test_dims.py", "tests/test_corpus.py")
 LEVELRED_TESTS = ("tests/test_levelred.py", "tests/test_corpus.py")
+CARTAN_TESTS = ("tests/test_cartan.py", "tests/test_corpus.py")
 
 # (name, file, old text, new text, test files)
 MUTATIONS = (
@@ -119,6 +120,17 @@ MUTATIONS = (
     # Enumeration orders.
     ("blocks_of_size in reversed order", DIMS,
      "yield RootElement(coeffs)", "yield RootElement(coeffs[::-1])", ("tests/test_corpus.py",)),
+    # The builtin registry.
+    ("D_n branch edge at node r - 4", CARTAN,
+     "_chain(r - 1) + [(r - 3, r - 1, -1, -1)]", "_chain(r - 1) + [(r - 4, r - 1, -1, -1)]",
+     CARTAN_TESTS),
+    ("E_n edge (1, 3) moved to (1, 4)", CARTAN,
+     "[(0, 2, -1, -1), (1, 3, -1, -1)]", "[(0, 2, -1, -1), (1, 4, -1, -1)]", CARTAN_TESTS),
+    ("B_n -2 on the other side of its last edge", CARTAN,
+     "_chain(r - 1) + [(r - 2, r - 1, -1, -2)]", "_chain(r - 1) + [(r - 2, r - 1, -2, -1)]",
+     CARTAN_TESTS),
+    ("twisted A without its evenness test", CARTAN,
+     "r >= 2 and r % 2 == 0", "r >= 2", CARTAN_TESTS),
     # Input checks that the weights own.
     ("Weight.fundamental without its range test", CARTAN,
      "        if not 0 <= i < n:\n            raise OutOfRange(", "        if False:\n            raise OutOfRange(",

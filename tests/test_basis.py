@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import dominant_weights, random_cartan, small_battery
 from klrdim.basis import (
+    MonomialBasis,
     basis_counts_121,
     block_levels,
     exponent_bounds,
@@ -164,6 +165,15 @@ class TestMonomialBasis:
                         else:
                             assert d != 0
                             assert mb.cardinality == d
+
+    @pytest.mark.parametrize("level, bounds", [(-1, (-1, -2)), (-2, (-2, -3))])
+    def test_empty_basis_has_no_elements(self, level, bounds):
+        # Two non-positive bounds multiply to a positive product, which
+        # must not read as a count.
+        form = block_form_of((0, 0))
+        mb = MonomialBasis((0, 0), form, exponent_bounds(RANK1, Weight((level,)), (0, 0), form))
+        assert mb.bounds == bounds and mb.empty
+        assert mb.cardinality == len(list(mb.elements())) == 0
 
     def test_cardinality_identity_both_directions(self):
         for c, lam in small_battery():

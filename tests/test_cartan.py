@@ -1,6 +1,7 @@
 """Cartan matrix validation, the builtin registry, and pairings."""
 
 import random
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -10,6 +11,7 @@ from klrdim.cartan import (
     RootElement,
     Weight,
     builtin_cartan,
+    builtin_names,
     cartan_from_json,
     root_pairing,
     tuple_content,
@@ -136,6 +138,33 @@ class TestRegistry:
         for name in ("H3", "A2*", "foo", "B2~", "G2^2"):
             with pytest.raises(UnknownType):
                 builtin_cartan(name)
+
+    def test_names_text_gives_the_valid_ranks(self):
+        # builtin_names() states the rank rules a second time, for --help:
+        # "A<n> (n>=1)", "A<2l>^2 (l>=1)", "E6-E8", "F4", ...
+        item = re.compile(
+            r"([A-G])(?:<(2?)[a-z]>|(\d+)(?:-[A-G](\d+))?)(~|\^2)?(?: \([a-z]>=(\d+)\))?"
+        )
+        text = builtin_names()
+        named = {}
+        for m in item.finditer(text):
+            family, even, low, high, deco, least = m.groups()
+            if least is not None:
+                ranks = {v * (2 if even else 1) for v in range(int(least), 13)}
+            else:
+                ranks = set(range(int(low), int(high or low) + 1))
+            named[family + (deco or "")] = ranks & set(range(13))
+        assert len(named) == 11
+        for family in "ABCDEFG":
+            for deco in ("", "~", "^2"):
+                accepted = set()
+                for rank in range(13):
+                    try:
+                        builtin_cartan(f"{family}{rank}{deco}")
+                        accepted.add(rank)
+                    except (BadRank, UnknownType):
+                        pass
+                assert accepted == named.get(family + deco, set()), family + deco
 
     def test_lookups_share_one_instance(self):
         assert builtin_cartan("A2") is builtin_cartan("A2")

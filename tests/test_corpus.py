@@ -46,3 +46,8 @@ def test_enumeration_orders_match_the_committed_digest():
 def test_long_inputs_match_the_committed_digest():
     count, sha = corpus.long_digest()
     assert {"inputs": count, "sha256": sha} == corpus.committed("long")
+
+
+def test_registry_lookups_match_the_committed_digest():
+    count, sha = corpus.cartan_digest()
+    assert {"names": count, "sha256": sha} == corpus.committed("cartan")
