@@ -6,13 +6,22 @@ its answer.  A command is a function ``(ctx, args) -> (doc, text)`` that
 prints nothing: ``doc`` is its JSON document without ``schema`` and
 ``command``, and ``text`` its human-readable document.  ``run`` prints
 either the text or the versioned JSON (``"schema": "klr/1"``, keys
-sorted), so identical requests produce byte-identical output.
+sorted), so identical requests produce byte-identical output.  It lifts
+the interpreter's cap on int-to-str digits for the request and then gives
+the caller its cap back, so a caller in the same process gets the digits
+the console prints.
 
 A Cartan source is a registry name or a JSON file.  Node labels resolve
 through one index per source, a dict from label to node, built when the
 source is loaded.  A registry source (its Cartan data, labels and index)
 is cached per name for the life of the process, 64 names at most; a JSON
 file is read afresh on every request, so an edit to it shows at once.
+
+The parser is one table, ``_COMMANDS``: each subcommand's name, command,
+help text, whether it needs ``--weight``, and its own options.  One loop
+builds every subcommand from it, adding the four options every command
+takes (``--cartan``, ``--weight``, ``--format``, ``--time-budget``) and
+then the command's own, so a new command is one row.
 
 Exit codes: 0 on success, 1 on domain errors (bad Cartan data, incompatible
 tuples, exceeded time budgets, ...), 2 on usage errors.  Verification
@@ -396,11 +405,41 @@ def _cmd_verify(ctx: Context, args) -> tuple[dict, str]:
 # ---------------------------------------------------------------------------
 
 
+# Each subcommand in order: its name, command, help text, whether it needs
+# --weight, and its own options, each flag with its argparse keywords.
+_COMMANDS = (
+    ("gdim", _cmd_gdim, "graded dimension of one pair", True,
+     {"--nu": dict(required=True), "--nuprime": dict(help="defaults to --nu")}),
+    ("dim", _cmd_dim, "ungraded dimension of a pair or block", True,
+     {"--nu": {}, "--nuprime": {}, "--beta": dict(help="block multiplicities, node order"),
+      "--all-pairs": dict(action="store_true")}),
+    ("block", _cmd_block, "graded and ungraded dimension of a block", True,
+     {"--beta": dict(required=True)}),
+    ("algebra", _cmd_algebra, "whole-algebra dimensions at size n", True,
+     {"--n": dict(type=int, required=True)}),
+    ("nonzero", _cmd_nonzero, "decide whether e(nu) vanishes", True,
+     {"--nu": dict(required=True),
+      "--method": dict(choices=("direct", "divided", "blockwise", "shuffle"), default="direct")}),
+    ("basis", _cmd_basis, "monomial basis index set for --mu", True,
+     {"--mu": dict(required=True), "--letters": dict(help="explicit letter order"),
+      "--list": dict(action="store_true", help="emit every (w, r) element")}),
+    ("reduce", _cmd_reduce, "level-reduce a pair or block dimension", True,
+     {"--split": dict(required=True, help="weight parts separated by ';', e.g. '1,0;0,1;0,1'"),
+      "--nu": {}, "--mu": {}, "--beta": {}}),
+    ("tilde", _cmd_tilde, "canonical grouped form of a tuple", False,
+     {"--mu": dict(required=True), "--letters": {}}),
+    ("verify", _cmd_verify, "run a self-verification suite (mismatches are reported, not raised)",
+     True, {"--suite": dict(choices=SCOPES, default="all"), "--max-n": dict(type=int, default=3)}),
+)
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
-    # Built on first use and then shared by every request of the process:
-    # parse_args fills a fresh namespace each time and no option has a
-    # mutable default, so nothing carries over from one request to the next.
+    # One loop over _COMMANDS: each subcommand gets the four options every
+    # command takes, then its own.  Built on first use and then shared by
+    # every request of the process: parse_args fills a fresh namespace each
+    # time and no option has a mutable default, so nothing carries over from
+    # one request to the next.
     parser = argparse.ArgumentParser(
         prog="klrdim",
         description=(
@@ -416,92 +455,17 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, weight_required=True):
+    for name, func, summary, weight_required, options in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--cartan", required=True, help="registry name or JSON file")
-        p.add_argument(
-            "--weight",
-            required=weight_required,
-            default=None,
-            help="dominant weight coefficients, comma list in node order",
-        )
+        p.add_argument("--weight", required=weight_required,
+                       help="dominant weight coefficients, comma list in node order")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument(
-            "--time-budget",
-            type=_seconds,
-            default=None,
-            metavar="SECONDS",
-            help="abort enumerations after this wall-clock budget",
-        )
-
-    p = sub.add_parser("gdim", help="graded dimension of one pair")
-    common(p)
-    p.add_argument("--nu", required=True)
-    p.add_argument("--nuprime", default=None, help="defaults to --nu")
-    p.set_defaults(func=_cmd_gdim)
-
-    p = sub.add_parser("dim", help="ungraded dimension of a pair or block")
-    common(p)
-    p.add_argument("--nu", default=None)
-    p.add_argument("--nuprime", default=None)
-    p.add_argument("--beta", default=None, help="block multiplicities, node order")
-    p.add_argument("--all-pairs", action="store_true", dest="all_pairs")
-    p.set_defaults(func=_cmd_dim)
-
-    p = sub.add_parser("block", help="graded and ungraded dimension of a block")
-    common(p)
-    p.add_argument("--beta", required=True)
-    p.set_defaults(func=_cmd_block)
-
-    p = sub.add_parser("algebra", help="whole-algebra dimensions at size n")
-    common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_algebra)
-
-    p = sub.add_parser("nonzero", help="decide whether e(nu) vanishes")
-    common(p)
-    p.add_argument("--nu", required=True)
-    p.add_argument(
-        "--method",
-        choices=("direct", "divided", "blockwise", "shuffle"),
-        default="direct",
-    )
-    p.set_defaults(func=_cmd_nonzero)
-
-    p = sub.add_parser("basis", help="monomial basis index set for --mu")
-    common(p)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--letters", default=None, help="explicit letter order")
-    p.add_argument("--list", action="store_true", help="emit every (w, r) element")
-    p.set_defaults(func=_cmd_basis)
-
-    p = sub.add_parser("reduce", help="level-reduce a pair or block dimension")
-    common(p)
-    p.add_argument(
-        "--split",
-        required=True,
-        help="weight parts separated by ';', e.g. '1,0;0,1;0,1'",
-    )
-    p.add_argument("--nu", default=None)
-    p.add_argument("--mu", default=None)
-    p.add_argument("--beta", default=None)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("tilde", help="canonical grouped form of a tuple")
-    common(p, weight_required=False)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--letters", default=None)
-    p.set_defaults(func=_cmd_tilde)
-
-    p = sub.add_parser(
-        "verify",
-        help="run a self-verification suite (mismatches are reported, not raised)",
-    )
-    common(p)
-    p.add_argument("--suite", choices=SCOPES, default="all")
-    p.add_argument("--max-n", type=int, default=3, dest="max_n")
-    p.set_defaults(func=_cmd_verify)
-
+        p.add_argument("--time-budget", type=_seconds, metavar="SECONDS",
+                       help="abort enumerations after this wall-clock budget")
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -578,32 +542,38 @@ def run(argv: list[str] | None = None) -> int:
     """
     if argv is None:
         argv = sys.argv[1:]
-    args = _parse_plain(argv)
-    if args is None:
-        args = _build_parser().parse_args(argv)
+    # Dimensions grow factorially: print them past the interpreter's cap on
+    # int-to-str digits (4300 by default), then give the caller its cap back.
+    capped = hasattr(sys, "set_int_max_str_digits")
+    if capped:
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
-        cartan, labels, index = _load_cartan(args.cartan)
-        deadline = Deadline(args.time_budget) if args.time_budget is not None else None
-        doc, text = args.func(Context(cartan, labels, index, deadline), args)
-    except KlrError as exc:
-        doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        text, code, out = f"error: {type(exc).__name__}: {exc}", 1, sys.stderr
-    else:
-        doc["command"] = args.command
-        code, out = 0, sys.stdout
-    if args.format == "json":
-        doc["schema"] = SCHEMA
-        print(_JSON.encode(doc))
-    else:
-        print(text, file=out)
-    return code
+        args = _parse_plain(argv)
+        if args is None:
+            args = _build_parser().parse_args(argv)
+        try:
+            cartan, labels, index = _load_cartan(args.cartan)
+            deadline = Deadline(args.time_budget) if args.time_budget is not None else None
+            doc, text = args.func(Context(cartan, labels, index, deadline), args)
+        except KlrError as exc:
+            doc = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+            text, code, out = f"error: {type(exc).__name__}: {exc}", 1, sys.stderr
+        else:
+            doc["command"] = args.command
+            code, out = 0, sys.stdout
+        if args.format == "json":
+            doc["schema"] = SCHEMA
+            print(_JSON.encode(doc))
+        else:
+            print(text, file=out)
+        return code
+    finally:
+        if capped:
+            sys.set_int_max_str_digits(cap)
 
 
 def main() -> None:
-    # Dimensions grow factorially; print them past the interpreter's
-    # default cap on int-to-str digits (4300).
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     try:
         code = run()
         sys.stdout.flush()

@@ -104,6 +104,18 @@ each it holds the matrix and symmetrizer that ``builtin_cartan`` returns,
 or the name and message of the error it raises.  Its digest is one
 SHA-256 over ``repr`` of each name and its answer, in turn.
 
+The ``parser`` family is the command line parser itself, which the other
+families reach only through the requests they make.  For the top-level
+parser and then each subcommand's parser, in order, it holds the prog,
+description and epilog; each action's class name, option strings, dest,
+default, type (by name), choices, required flag, help, metavar, nargs and
+const; and the parser's defaults, with the command function by name.  It
+then holds each subcommand's help string, and the tables that
+``cli._plain_tables`` reads from the parser, with each action by its class
+name and dest.  It leaves out rendered help text, which changes between
+Python versions and with ``COLUMNS``.  Its digest is one SHA-256 over
+``repr`` of each of these in turn, and its count is the number of actions.
+
 ``corpus.json`` beside this file holds the committed count and digest of
 each family, and a test checks them, so any change to an answer shows as a
 diff there.  Run
@@ -701,6 +713,41 @@ def cartan_digest() -> tuple[int, str]:
     return len(CARTAN_NAMES), h.hexdigest()
 
 
+def _named(value):
+    return value.__name__ if callable(value) else value
+
+
+def parser_digest() -> tuple[int, str]:
+    """The number of parser actions and the SHA-256 of the parser's fields."""
+    import argparse
+
+    from klrdim import cli
+
+    root = cli._build_parser()
+    (commands,) = [a for a in root._actions if isinstance(a, argparse._SubParsersAction)]
+    h = hashlib.sha256()
+    count = 0
+    for parser in (root, *commands.choices.values()):
+        h.update(repr((parser.prog, parser.description, parser.epilog)).encode())
+        for a in parser._actions:
+            choices = list(a.choices) if isinstance(a.choices, dict) else a.choices
+            h.update(repr((
+                type(a).__name__, a.option_strings, a.dest, a.default, _named(a.type), choices,
+                a.required, a.help, a.metavar, a.nargs, a.const,
+            )).encode())
+            count += 1
+        h.update(repr({k: _named(v) for k, v in parser._defaults.items()}).encode())
+    h.update(repr([(a.dest, a.help) for a in commands._choices_actions]).encode())
+    for name, (options, start, required) in cli._plain_tables().items():
+        h.update(repr((
+            name,
+            [(option, type(a).__name__, a.dest) for option, a in options.items()],
+            {k: _named(v) for k, v in start.items()},
+            sorted(required),
+        )).encode())
+    return count, h.hexdigest()
+
+
 def committed(family: str = "cli") -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))[family]
 
@@ -716,6 +763,7 @@ if __name__ == "__main__":
     orders, splits_sha = splits_digest()
     inputs, long_sha = long_digest()
     names, cartan_sha = cartan_digest()
+    actions, parser_sha = parser_digest()
     print(json.dumps({
         "cli": {"requests": count, "sha256": sha},
         "pairs": {"pairs": pairs, "sha256": pairs_sha},
@@ -727,4 +775,5 @@ if __name__ == "__main__":
         "splits": {"orders": orders, "sha256": splits_sha},
         "long": {"inputs": inputs, "sha256": long_sha},
         "cartan": {"names": names, "sha256": cartan_sha},
+        "parser": {"actions": actions, "sha256": parser_sha},
     }, indent=2))

@@ -38,11 +38,13 @@ IGNORE = shutil.ignore_patterns(
 )
 
 CARTAN = "src/klrdim/cartan.py"
+CLI = "src/klrdim/cli.py"
 DIMS = "src/klrdim/dims.py"
 LEVELRED = "src/klrdim/levelred.py"
 DIMS_TESTS = ("tests/test_dims.py", "tests/test_corpus.py")
 LEVELRED_TESTS = ("tests/test_levelred.py", "tests/test_corpus.py")
 CARTAN_TESTS = ("tests/test_cartan.py", "tests/test_corpus.py")
+CLI_TESTS = ("tests/test_cli.py", "tests/test_corpus.py")
 
 # (name, file, old text, new text, test files)
 MUTATIONS = (
@@ -94,9 +96,17 @@ MUTATIONS = (
      "        running[y] -= 1\n        out.append(running[y])\n",
      ("tests/test_basis.py", "tests/test_corpus.py")),
     # The command line.
-    ("JSON Cartan sources cached by path", "src/klrdim/cli.py",
+    ("JSON Cartan sources cached by path", CLI,
      "\ndef _load_cartan(spec: str)", "\n@lru_cache(maxsize=64)\ndef _load_cartan(spec: str)",
      ("tests/test_cli.py",)),
+    # The table of subcommands.
+    ("tilde's row requires --weight", CLI,
+     '"canonical grouped form of a tuple", False,', '"canonical grouped form of a tuple", True,',
+     CLI_TESTS),
+    ("--time-budget added without type=_seconds", CLI, "type=_seconds, ", "", CLI_TESTS),
+    ("--method defaults to divided", CLI, 'default="direct"', 'default="divided"', CLI_TESTS),
+    ("--max-n defaults to 2", CLI, "dict(type=int, default=3)", "dict(type=int, default=2)",
+     CLI_TESTS),
     # Level reduction.
     ("pair states overwritten, not added to", LEVELRED,
      "grown[rest] = grown.get(rest, zero) + coef", "grown[rest] = coef", LEVELRED_TESTS),

@@ -4,6 +4,7 @@ import argparse
 import ast
 import io
 import json
+import math
 import os
 import random
 import resource
@@ -804,6 +805,27 @@ class TestLongIntegers:
         else:
             assert f'"value": {digits}' in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_run_lifts_the_digit_cap_and_gives_it_back(self, capsys, fmt):
+        # The A1 block of size L at level L is a matrix algebra of size L!,
+        # so at L = 1000 its dimension is (1000!)^2, 5,136 digits.  The caller
+        # keeps the default cap of 4300, and has it again afterwards.
+        caller = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        digits = str(math.factorial(1000) ** 2)
+        sys.set_int_max_str_digits(4300)
+        try:
+            code, out, err = invoke(capsys, "dim", "--cartan", "A1", "--weight", "1000",
+                                    "--beta", "1000", "--format", fmt)
+            after = sys.get_int_max_str_digits()
+        finally:
+            sys.set_int_max_str_digits(caller)
+        assert (code, err, after, len(digits)) == (0, "", 4300, 5136)
+        if fmt == "text":
+            assert out == digits + "\n"
+        else:
+            assert f'"value": {digits}' in out
+
     def test_huge_graded_weight_is_refused_under_a_memory_limit(self):
         # [10^8] would take one dict entry per term, far more than the 1 GiB
         # of address space this child gets; the term cap refuses it first.
@@ -844,7 +866,8 @@ class TestMain:
 
     @pytest.fixture(autouse=True)
     def digit_caps(self, monkeypatch):
-        # main lifts the interpreter's digit cap; this process keeps its own.
+        # run lifts the interpreter's digit cap for the request and then
+        # restores it; the calls are recorded, and this process keeps its own.
         caps = []
         monkeypatch.setattr(sys, "set_int_max_str_digits", caps.append)
         return caps
@@ -857,7 +880,7 @@ class TestMain:
         with pytest.raises(SystemExit) as stop:
             cli.main()
         assert (stop.value.code, capsys.readouterr().out) == (code, out)
-        assert digit_caps == [0]
+        assert digit_caps == [0, sys.get_int_max_str_digits()]
 
     def test_a_reader_that_went_away_gives_exit_1(self, monkeypatch, tmp_path):
         def reader_gone():

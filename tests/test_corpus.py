@@ -51,3 +51,8 @@ def test_long_inputs_match_the_committed_digest():
 def test_registry_lookups_match_the_committed_digest():
     count, sha = corpus.cartan_digest()
     assert {"names": count, "sha256": sha} == corpus.committed("cartan")
+
+
+def test_parser_matches_the_committed_digest():
+    count, sha = corpus.parser_digest()
+    assert {"actions": count, "sha256": sha} == corpus.committed("parser")

@@ -17,6 +17,11 @@ AWAITING_A_CALLER = {
     "crossing_degree": "the graded basis product (ROADMAP item 3)",
     "quantum_factorial": "the run step of the pair walk (ROADMAP item 8)",
 }
+# Top-level library functions and classes outside ``__all__`` with no
+# production caller yet, each with the step that gives it one.
+UNEXPORTED_AWAITING_A_CALLER = {
+    "divide_exact": "the graded freeness check (ROADMAP item 4)",
+}
 # Library functions that still call themselves, each with the step that
 # turns it into a loop.
 STILL_RECURSIVE = {
@@ -67,6 +72,34 @@ def test_every_export_has_a_production_caller():
             break
         unused = grown
     assert unused == set(AWAITING_A_CALLER)
+
+
+def library_definitions():
+    """Every top-level function and class of ``src/klrdim/`` outside
+    ``__init__.py``."""
+    names = set()
+    for path in (ROOT / "src" / "klrdim").glob("*.py"):
+        if path.name != "__init__.py":
+            names.update(
+                top.name for top in ast.parse(path.read_text()).body
+                if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+            )
+    return names
+
+
+def test_every_library_definition_has_a_production_caller():
+    # The export test's fixpoint, over every top-level definition, so that a
+    # helper nothing calls is found whether or not it is exported.
+    waiting = AWAITING_A_CALLER.keys() | UNEXPORTED_AWAITING_A_CALLER.keys()
+    defined = library_definitions()
+    unused: set = set()
+    while True:
+        used = production_references(unused - waiting)
+        grown = {name for name in defined if name not in used}
+        if grown == unused:
+            break
+        unused = grown
+    assert unused == waiting
 
 
 def test_all_is_an_explicit_list_of_functions_and_types():
